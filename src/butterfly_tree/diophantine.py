@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from .errors import InconsistentChernPair, NotCoprime
+from .errors import InconsistentChernPair, InvariantViolation, NotCoprime
 
 
 def _require_coprime(p: int, q: int) -> None:
@@ -61,7 +61,9 @@ def gap_labels(p: int, q: int) -> list[GapLabel]:
         if 2 * sigma > q:
             sigma -= q
         tau, rem = divmod(r - p * sigma, q)
-        assert rem == 0
+        if rem:
+            raise InvariantViolation(
+                f"gap {r} at {p}/{q}: sigma {sigma} leaves remainder {rem}")
         labels.append(GapLabel(r, sigma, tau))
     return labels
 
@@ -79,7 +81,9 @@ def band_cherns(p: int, q: int) -> list[BandLabel]:
     for i in range(1, q + 1):
         n = slopes[i] - slopes[i - 1]
         m, rem = divmod(1 - p * n, q)
-        assert rem == 0
+        if rem:
+            raise InvariantViolation(
+                f"band {i} at {p}/{q}: Chern {n} leaves remainder {rem}")
         bands.append(BandLabel(i, n, m))
     return bands
 
@@ -99,7 +103,8 @@ def recover_edges(q_r: int, q_l: int) -> tuple[int, int]:
         return 0, 1
     p_l = (-pow(q_r, -1, q_l)) % q_l
     p_r, rem = divmod(p_l * q_r + 1, q_l)
-    assert rem == 0
+    if rem:
+        raise InvariantViolation(f"({q_r}, {q_l}): p_L {p_l} leaves remainder {rem}")
     return p_l, p_r
 
 

@@ -29,6 +29,10 @@ class InvariantViolation(ButterflyError):
     """A constructed object failed its own consistency checks."""
 
 
+class MalformedRecord(ButterflyError):
+    """An export record that cannot be read: not JSON, or a field missing or mistyped."""
+
+
 class NotCCell(ButterflyError):
     """Pythagorean conversion requested for a node that is not a C-cell."""
 

@@ -14,6 +14,10 @@ Each generator is realised three ways and the routes must agree:
 * a 4x4 integer matrix on (q_R, q_L, sigma_+, sigma_-),
 * its projections, 3x3 on (q_R, q_L, Delta-sigma) and 2x2 on (q_R, q_L).
 
+The tree steps only the integer core: the 4x4 vector plus the edge
+numerators, which follow the 2x2 block (`step_core`).  Fraction states and
+labels are views built from it; the other routes are cross-checks.
+
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and
 (3 +/- sqrt(5))/2 in the 3x3 picture.
@@ -132,6 +136,16 @@ _FOUR: dict[GeneratorKind, intmat.Matrix] = {
 }
 
 
+# The integer core of a butterfly: the 4x4 vector (q_R, q_L, sigma_+,
+# sigma_-) followed by the edge numerators (p_R, p_L), which follow the
+# same 2x2 block as their denominators.
+Core = tuple[int, int, int, int, int, int]
+
+# Every 4x4 matrix is [[A, 0], [B, I]] in 2x2 blocks, so a step needs only
+# the entries of A (rows 0-1) and B (rows 2-3) in the first two columns.
+_STEP = {kind: m[0][:2] + m[1][:2] + m[2][:2] + m[3][:2] for kind, m in _FOUR.items()}
+
+
 def _project_three(m4: intmat.Matrix) -> intmat.Matrix:
     """3x3 matrix on (q_R, q_L, Delta-sigma) implied by the 4x4 one."""
     top = [m4[0][:2] + (0,), m4[1][:2] + (0,)]
@@ -158,9 +172,30 @@ class GeneratorMatrix:
     four_by_four: intmat.Matrix
 
 
+_MATRICES = {kind: GeneratorMatrix(kind, _project_two(four), _project_three(four), four)
+             for kind, four in _FOUR.items()}
+
+
 def canonical_matrices(kind: GeneratorKind) -> GeneratorMatrix:
-    four = _FOUR[kind]
-    return GeneratorMatrix(kind, _project_two(four), _project_three(four), four)
+    return _MATRICES[kind]
+
+
+def tail_side(q_r: int, q_l: int) -> str:
+    """The tail points at the edge with the larger denominator."""
+    if q_r > q_l:
+        return "right"
+    if q_l > q_r:
+        return "left"
+    return "none"
+
+
+def tail_generator(q_r: int, q_l: int) -> Optional[GeneratorKind]:
+    """The chain generator that walks the tail, None when there is none."""
+    if q_r > q_l:
+        return GeneratorKind.C_CR
+    if q_l > q_r:
+        return GeneratorKind.C_CL
+    return None
 
 
 @dataclass(frozen=True)
@@ -195,11 +230,7 @@ class ButterflyLabel:
 
     @property
     def tail_direction(self) -> str:
-        if self.q_r > self.q_l:
-            return "right"
-        if self.q_l > self.q_r:
-            return "left"
-        return "none"
+        return tail_side(self.q_r, self.q_l)
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.q_r, self.q_l, self.delta_sigma)
@@ -257,46 +288,59 @@ class ButterflyState:
 
     @property
     def tail_direction(self) -> str:
-        if self.q_r > self.q_l:
-            return "right"
-        if self.q_l > self.q_r:
-            return "left"
-        return "none"
+        return tail_side(self.q_r, self.q_l)
 
     @property
     def tail_generator(self) -> Optional[GeneratorKind]:
-        side = self.tail_direction
-        if side == "right":
-            return GeneratorKind.C_CR
-        if side == "left":
-            return GeneratorKind.C_CL
-        return None
+        return tail_generator(self.q_r, self.q_l)
 
     @property
     def accumulation(self) -> FareyDifference:
         """Where the tail converges: the Farey difference of the edges."""
         return farey_difference(self.left, self.right)
 
+    @property
+    def core(self) -> Core:
+        """The integers (q_R, q_L, sigma_+, sigma_-, p_R, p_L) of the state."""
+        return (self.right.denominator, self.left.denominator,
+                self.sigma_plus, self.sigma_minus,
+                self.right.numerator, self.left.numerator)
+
+    @classmethod
+    def from_core(cls, core: Core) -> "ButterflyState":
+        q_r, q_l, s_p, s_m, p_r, p_l = core
+        return cls(Fraction(p_l, q_l), Fraction(p_r, q_r), s_p, s_m)
+
     def check(self) -> list[str]:
         """Invariant failures, empty when the state is consistent."""
-        problems = []
-        if not (0 <= self.left < self.right <= 1):
-            problems.append(f"edges out of order: {self.left}, {self.right}")
-        d = (self.left.numerator * self.right.denominator
-             - self.right.numerator * self.left.denominator)
-        if d != -1:
-            problems.append(f"edges not friendly: determinant {d}")
-        if self.sigma_plus < 1 or self.sigma_minus < 1:
-            problems.append(
-                f"slopes must be positive: ({self.sigma_plus}, {self.sigma_minus})")
-        if self.sigma_plus + self.sigma_minus != self.q_c:
-            problems.append(
-                f"slope sum {self.sigma_plus + self.sigma_minus} != q_c {self.q_c}")
-        return problems
+        return _problems(self.core)
 
 
 ROOT_STATE = ButterflyState(Fraction(0), Fraction(1), 1, 1)
 ROOT_LABEL = ButterflyLabel(1, 1, 0)
+
+
+def _problems(core: Core) -> list[str]:
+    """Invariant failures of an integer core, empty when it is consistent.
+
+    Denominators are positive, as in every Fraction and every step of a
+    valid state, so 0 <= p_L/q_L < p_R/q_R <= 1 compares by
+    cross-multiplication.  Friendliness (determinant -1) implies both
+    edges are in lowest terms.
+    """
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    problems = []
+    cross, other = p_l * q_r, p_r * q_l
+    if not (0 <= p_l and cross < other and p_r <= q_r):
+        problems.append(
+            f"edges out of order: {Fraction(p_l, q_l)}, {Fraction(p_r, q_r)}")
+    if cross - other != -1:
+        problems.append(f"edges not friendly: determinant {cross - other}")
+    if s_p < 1 or s_m < 1:
+        problems.append(f"slopes must be positive: ({s_p}, {s_m})")
+    if s_p + s_m != q_r + q_l:
+        problems.append(f"slope sum {s_p + s_m} != q_c {q_r + q_l}")
+    return problems
 
 
 def _combo(a: int, u: Fraction, b: int, v: Fraction) -> Fraction:
@@ -309,13 +353,35 @@ def _combo(a: int, u: Fraction, b: int, v: Fraction) -> Fraction:
                     a * u.denominator + b * v.denominator)
 
 
-def _check_tail(kind: GeneratorKind, state: ButterflyState) -> None:
-    if kind is GeneratorKind.C_CR and state.q_r <= state.q_l:
+def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
+    if kind is GeneratorKind.C_CR and q_r <= q_l:
         raise TailDirectionMismatch(
-            f"C_cR needs q_R > q_L, state has ({state.q_r}, {state.q_l})")
-    if kind is GeneratorKind.C_CL and state.q_l <= state.q_r:
+            f"C_cR needs q_R > q_L, {holder} has ({q_r}, {q_l})")
+    if kind is GeneratorKind.C_CL and q_l <= q_r:
         raise TailDirectionMismatch(
-            f"C_cL needs q_L > q_R, state has ({state.q_r}, {state.q_l})")
+            f"C_cL needs q_L > q_R, {holder} has ({q_r}, {q_l})")
+
+
+def step_core(kind: GeneratorKind, core: Core) -> Core:
+    """One generator step on the integer core: the hot path of the tree.
+
+    The 4x4 matrix acts on (q_R, q_L, sigma_+, sigma_-) and its 2x2 block
+    on the numerators (p_R, p_L).  Raises TailDirectionMismatch for a
+    chain step against the tail and InvariantViolation, with the message
+    of `apply_state`, if the result breaks an invariant.
+    """
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    _check_tail(kind, q_r, q_l, "state")
+    a, b, c, d, e, f, g, h = _STEP[kind]
+    new = (a * q_r + b * q_l, c * q_r + d * q_l,
+           s_p + e * q_r + f * q_l, s_m + g * q_r + h * q_l,
+           a * p_r + b * p_l, c * p_r + d * p_l)
+    problems = _problems(new)
+    if problems:
+        raise InvariantViolation(
+            f"{kind.value} on {ButterflyState.from_core(core)} produced a bad "
+            f"state: " + "; ".join(problems))
+    return new
 
 
 def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
@@ -325,7 +391,7 @@ def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
     two.  Raises TailDirectionMismatch for a chain step against the tail
     and InvariantViolation if the result fails its checks (never expected).
     """
-    _check_tail(kind, state)
+    _check_tail(kind, state.q_r, state.q_l, "state")
     v_l, v_r = state.left, state.right
     s_p, s_m = state.sigma_plus, state.sigma_minus
     q_l, q_r, q_c = state.q_l, state.q_r, state.q_c
@@ -360,14 +426,9 @@ def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
 
 def apply_label(kind: GeneratorKind, label: ButterflyLabel) -> ButterflyLabel:
     """One generator step on the integer label, via the 3x3 matrix."""
-    if kind is GeneratorKind.C_CR and label.q_r <= label.q_l:
-        raise TailDirectionMismatch(
-            f"C_cR needs q_R > q_L, label has ({label.q_r}, {label.q_l})")
-    if kind is GeneratorKind.C_CL and label.q_l <= label.q_r:
-        raise TailDirectionMismatch(
-            f"C_cL needs q_L > q_R, label has ({label.q_r}, {label.q_l})")
-    three = canonical_matrices(kind).three_by_three
-    q_r, q_l, d_s = intmat.mat_vec(three, label.as_tuple())
+    _check_tail(kind, label.q_r, label.q_l, "label")
+    q_r, q_l, d_s = intmat.mat_vec(canonical_matrices(kind).three_by_three,
+                                  label.as_tuple())
     return ButterflyLabel(q_r, q_l, d_s)
 
 

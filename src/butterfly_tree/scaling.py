@@ -20,7 +20,7 @@ from math import isqrt
 from typing import Sequence
 
 from . import intmat
-from .errors import ParabolicWord
+from .errors import InvariantViolation, ParabolicWord
 from .generators import GeneratorKind, canonical_matrices
 
 
@@ -133,7 +133,7 @@ def cf_expansion(s: QuadraticSurd, terms: int = 12) -> ContinuedFraction:
         p = a * q - p
         q_next, rem = divmod(d - p * p, q)
         if rem or q_next <= 0:
-            raise AssertionError(f"recurrence left the surd domain at {(p, q)}")
+            raise InvariantViolation(f"recurrence left the surd domain at {(p, q)}")
         q = q_next
     start = seen[(p, q)]
     preperiod = tuple(quotients[:start])

@@ -10,6 +10,11 @@ uniquely; the converse (which labels are reached) is not claimed here.
 Expansion is breadth-first and fully deterministic; limits cap the depth,
 optionally the center denominator, and the number of consecutive chain
 letters at the end of a word (a chain cap of 0 disables chain successors).
+
+Every step runs on the checked integer core (`generators.step_core`); a
+node's Fraction state and label are built from the core it reaches.  The
+state recursion and the 3x3 label route are compared with each node in
+`verify_node`.
 """
 
 from __future__ import annotations
@@ -22,16 +27,26 @@ from fractions import Fraction
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .diophantine import center_gap_index, recover_edges
-from .errors import InvariantViolation, NoTail, TailDirectionMismatch
+from .errors import (
+    ButterflyError,
+    InvariantViolation,
+    MalformedRecord,
+    NoTail,
+    TailDirectionMismatch,
+)
 from .generators import (
     BABY_KINDS,
     ButterflyLabel,
     ButterflyState,
+    Core,
     GeneratorKind,
     ROOT_LABEL,
     ROOT_STATE,
     apply_label,
     apply_state,
+    step_core,
+    tail_generator,
+    tail_side,
 )
 
 Word = tuple[GeneratorKind, ...]
@@ -82,40 +97,52 @@ def root() -> TreeNode:
     return TreeNode(ROOT_LABEL, ROOT_STATE, (), 0, "root", "none")
 
 
+def _node(core: Core, word: Word) -> TreeNode:
+    """The public view of the integer core that `word` reaches."""
+    q_r, q_l, s_p, s_m = core[:4]
+    return TreeNode(ButterflyLabel(q_r, q_l, s_p - s_m), ButterflyState.from_core(core),
+                    word, len(word), word[-1].cell_class if word else "root",
+                    tail_side(q_r, q_l))
+
+
+def _kid_cores(core: Core) -> Iterator[tuple[GeneratorKind, Core]]:
+    """The checked child cores: the six babies, then the tail step if any."""
+    for kind in BABY_KINDS:
+        yield kind, step_core(kind, core)
+    tail = tail_generator(core[0], core[1])
+    if tail is not None:
+        yield tail, step_core(tail, core)
+
+
 def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
-    """Apply one generator, cross-checking the label and state routes."""
-    state = apply_state(kind, node.state)
-    label = apply_label(kind, node.label)
-    if label != state.label:
-        raise InvariantViolation(
-            f"label route {label} disagrees with state route {state.label} "
-            f"for {kind.value} on {node.word_str or 'root'}")
-    return TreeNode(label, state, node.word + (kind,), node.depth + 1,
-                    kind.cell_class, state.tail_direction)
+    """Apply one generator by the checked integer step."""
+    return _node(step_core(kind, node.state.core), node.word + (kind,))
 
 
 def children(node: TreeNode) -> list[TreeNode]:
     """The six babies plus the chain successor when a tail exists."""
-    out = [child(node, kind) for kind in BABY_KINDS]
-    tail = node.state.tail_generator
-    if tail is not None:
-        out.append(child(node, tail))
-    return out
+    return [_node(kid, node.word + (kind,))
+            for kind, kid in _kid_cores(node.state.core)]
 
 
 def chain(node: TreeNode, steps: int) -> list[TreeNode]:
     """The first `steps` members of the chain hanging off the node's tail."""
-    if node.state.tail_generator is None:
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
+    core = node.state.core
+    kind = tail_generator(core[0], core[1])
+    if kind is None:
         raise NoTail(f"{node.word_str or 'root'} has no tail")
-    side = node.tail_direction
+    side = tail_side(core[0], core[1])
     out = []
-    current = node
+    word = node.word
     for _ in range(steps):
-        current = child(current, current.state.tail_generator)
-        if current.tail_direction != side:
+        core = step_core(kind, core)
+        word += (kind,)
+        if tail_side(core[0], core[1]) != side:
             raise InvariantViolation(
                 f"tail flipped from {side} along the chain of {node.word_str}")
-        out.append(current)
+        out.append(_node(core, word))
     return out
 
 
@@ -127,17 +154,17 @@ def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     """
     if isinstance(word, str):
         word = parse_word(word)
-    node = root()
-    for i, step in enumerate(word):
-        kind = step if isinstance(step, GeneratorKind) else GeneratorKind.from_token(step)
+    core = ROOT_STATE.core
+    kinds: list[GeneratorKind] = []
+    for step in word:
+        kinds.append(step if isinstance(step, GeneratorKind)
+                     else GeneratorKind.from_token(step))
         try:
-            node = child(node, kind)
+            core = step_core(kinds[-1], core)
         except TailDirectionMismatch as exc:
-            prefix = word_string([
-                s if isinstance(s, GeneratorKind) else GeneratorKind.from_token(s)
-                for s in word[:i + 1]])
-            raise TailDirectionMismatch(f"word fails at prefix {prefix}: {exc}") from exc
-    return node
+            raise TailDirectionMismatch(
+                f"word fails at prefix {word_string(kinds)}: {exc}") from exc
+    return _node(core, tuple(kinds))
 
 
 @dataclass(frozen=True)
@@ -161,21 +188,24 @@ class ExpansionLimits:
 
 
 def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
-    """Breadth-first expansion from the root, deterministic order."""
-    start = root()
-    queue = deque([start])
+    """Breadth-first expansion from the root, deterministic order.
+
+    Every candidate child is stepped and checked; only those that pass the
+    chain cap and the q_c ceiling become nodes.
+    """
+    queue = deque([root()])
     while queue:
         node = queue.popleft()
         yield node
         if node.depth >= limits.max_depth:
             continue
         run = node.chain_run
-        for kid in children(node):
-            if kid.cell_class == "chain" and run >= limits.chain_cap:
+        for kind, kid in _kid_cores(node.state.core):
+            if kind.is_chain and run >= limits.chain_cap:
                 continue
-            if limits.max_qc is not None and kid.state.q_c > limits.max_qc:
+            if limits.max_qc is not None and kid[0] + kid[1] > limits.max_qc:
                 continue
-            queue.append(kid)
+            queue.append(_node(kid, node.word + (kind,)))
 
 
 @dataclass(frozen=True)
@@ -281,6 +311,19 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
         p_state = parent.state
 
         checks += 1
+        try:
+            via_state = apply_state(last, p_state)
+            via_label = apply_label(last, parent.label)
+        except ButterflyError as exc:
+            failures.append(f"cross-route: stepping the parent failed: {exc}")
+        else:
+            if via_state != state or via_label != node.label:
+                failures.append(
+                    f"cross-route: {last.value} on the parent gives state "
+                    f"{via_state.core} and label {via_label.as_tuple()}, the node "
+                    f"has {state.core} and {node.label.as_tuple()}")
+
+        checks += 1
         expected_qc = _EXPECTED_QC_STEP[last](p_state.q_r, p_state.q_l)
         if state.q_c != expected_qc:
             failures.append(f"q_c {state.q_c} != expected {expected_qc}")
@@ -325,47 +368,79 @@ def _json_int(n: int) -> Union[int, str]:
     return n if -_JSON_SAFE <= n <= _JSON_SAFE else str(n)
 
 
-def _parse_int(v: Union[int, str]) -> int:
-    return int(v)
-
-
 def node_record(node: TreeNode) -> dict:
-    """Flat export record; oversized integers become decimal strings."""
-    state = node.state
+    """Flat export record; oversized integers become decimal strings.
+
+    The center of friendly edges is their mediant, so p_c = p_L + p_R.
+    """
+    q_r, q_l, s_p, s_m, p_r, p_l = node.state.core
     return {
         "word": node.word_str,
-        "qR": _json_int(state.q_r),
-        "qL": _json_int(state.q_l),
-        "dSigma": _json_int(state.delta_sigma),
-        "pL": _json_int(state.left.numerator),
-        "pR": _json_int(state.right.numerator),
-        "pc": _json_int(state.center.numerator),
-        "qc": _json_int(state.q_c),
-        "sigmaPlus": _json_int(state.sigma_plus),
-        "sigmaMinus": _json_int(state.sigma_minus),
+        "qR": _json_int(q_r),
+        "qL": _json_int(q_l),
+        "dSigma": _json_int(s_p - s_m),
+        "pL": _json_int(p_l),
+        "pR": _json_int(p_r),
+        "pc": _json_int(p_l + p_r),
+        "qc": _json_int(q_r + q_l),
+        "sigmaPlus": _json_int(s_p),
+        "sigmaMinus": _json_int(s_m),
         "cellClass": node.cell_class,
         "tailDirection": node.tail_direction,
         "depth": node.depth,
     }
 
 
+_TEXT_FIELDS = ("word", "cellClass", "tailDirection")
+
+
+def _field(record: dict, key: str) -> object:
+    try:
+        return record[key]
+    except KeyError:
+        raise MalformedRecord(f"field {key} is missing") from None
+
+
+def _int_value(key: str, got: object) -> int:
+    """An integer field: a JSON integer or a decimal string (CSV, big ints)."""
+    if isinstance(got, str) or (isinstance(got, int) and not isinstance(got, bool)):
+        try:
+            return int(got)
+        except ValueError:
+            pass
+    raise MalformedRecord(f"field {key} is not an integer: {got!r}")
+
+
 def node_from_record(record: dict) -> TreeNode:
     """Rebuild a node from a record by replaying its word, then cross-check.
 
     Every numeric field of the record must match the replayed node, so a
-    parsed export is verified against the generators, not trusted.
+    parsed export is verified against the generators, not trusted.  A
+    missing or non-integer field raises MalformedRecord.
     """
-    node = node_at(record["word"])
+    if not isinstance(record, dict):
+        raise MalformedRecord(f"record is not an object: {record!r}")
+    word = _field(record, "word")
+    if not isinstance(word, str):
+        raise MalformedRecord(f"field word is not a string: {word!r}")
+    node = node_at(word)
     expected = node_record(node)
     for key in RECORD_FIELDS:
-        got = record[key]
-        want = expected[key]
-        if key in ("word", "cellClass", "tailDirection"):
-            if got != want:
-                raise InvariantViolation(f"record field {key}: {got!r} != {want!r}")
-        elif _parse_int(got) != _parse_int(want):
+        got, want = _field(record, key), expected[key]
+        if key in _TEXT_FIELDS:
+            same = got == want
+        else:
+            same = _int_value(key, got) == int(want)
+        if not same:
             raise InvariantViolation(f"record field {key}: {got!r} != {want!r}")
     return node
+
+
+def _located(where: str, record: dict) -> TreeNode:
+    try:
+        return node_from_record(record)
+    except MalformedRecord as exc:
+        raise MalformedRecord(f"{where}: {exc}") from None
 
 
 def write_jsonl(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
@@ -377,11 +452,17 @@ def write_jsonl(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
 
 
 def read_jsonl(fp: IO[str]) -> list[TreeNode]:
+    """Nodes of a JSONL export; errors name the 1-based line."""
     out = []
-    for line in fp:
+    for number, line in enumerate(fp, 1):
         line = line.strip()
-        if line:
-            out.append(node_from_record(json.loads(line)))
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecord(f"line {number}: not JSON: {exc}") from exc
+        out.append(_located(f"line {number}", record))
     return out
 
 
@@ -396,4 +477,6 @@ def write_csv(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
 
 
 def read_csv(fp: IO[str]) -> list[TreeNode]:
-    return [node_from_record(row) for row in csv.DictReader(fp)]
+    """Nodes of a CSV export; errors name the 1-based data row."""
+    return [_located(f"row {number}", row)
+            for number, row in enumerate(csv.DictReader(fp), 1)]

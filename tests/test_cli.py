@@ -165,6 +165,12 @@ def test_exit_codes(capsys, tmp_path):
     assert run(capsys, "node")[0] == 2
 
 
+def test_chain_rejects_negative_steps(capsys):
+    code, out, err = run(capsys, "chain", "--word", "CL", "--steps", "-3")
+    assert code == 2 and out == ""
+    assert err == "error: steps must be non-negative, got -3\n"
+
+
 def test_help_explains_chain_letters(capsys):
     code, out, _ = run(capsys, "node", "--help")
     assert code == 0

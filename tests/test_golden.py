@@ -1,0 +1,31 @@
+"""Byte-for-byte pins of small CLI outputs.
+
+The digests were captured from the library before the integer-core
+refactor; any change that moves a byte of these outputs fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from butterfly_tree.cli import main
+
+# argv -> (SHA-256 of stdout, stdout length in bytes)
+GOLDEN = {
+    "node --word=":
+        ("d9e4d866f2d6f8975f6eaf79b6f560ddd4c951c33ed12ab59c0b896b85b45733", 171),
+    "expand --depth 3 --chain-cap 2":
+        ("cf41db8743d1bdda93625615c5c33d1bbceff16a088993487072908fe85da235", 54960),
+    "expand --depth 3 --chain-cap 2 --max-qc 30 --format csv":
+        ("b28b2724eb962a219f000b7396d0351f1f5090edfb09dabcef86562b1988cc4e", 13264),
+    "render --depth 2 --chain-cap 1":
+        ("7ba65b7b3ce3dd7a8c763f3fd1fdc655785062877c723977402d1ec9c68c697d", 46196),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def test_cli_output_bytes(capsys, argv):
+    code = main(argv.split())
+    out = capsys.readouterr().out.encode("utf-8")
+    assert code == 0
+    assert (hashlib.sha256(out).hexdigest(), len(out)) == GOLDEN[argv]

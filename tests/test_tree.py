@@ -2,17 +2,24 @@
 
 import dataclasses
 import io
+import json
 from fractions import Fraction
 
 import pytest
 
-from butterfly_tree.errors import NoTail, TailDirectionMismatch
+from butterfly_tree.errors import (
+    InvariantViolation,
+    MalformedRecord,
+    NoTail,
+    TailDirectionMismatch,
+)
 from butterfly_tree.farey import stern_brocot_friendly_triplets
 from butterfly_tree.generators import GeneratorKind
 from butterfly_tree.tree import (
     RECORD_FIELDS,
     ExpansionLimits,
     chain,
+    child,
     children,
     expand,
     node_at,
@@ -209,6 +216,28 @@ def test_verify_node_negative_control():
     assert any("slope sum" in f for f in report.failures)
 
 
+def test_child_checks_a_tampered_state():
+    node = node_at("CL")
+    bumped = dataclasses.replace(
+        node, state=dataclasses.replace(node.state,
+                                        sigma_plus=node.state.sigma_plus + 1))
+    with pytest.raises(InvariantViolation, match="slope sum"):
+        child(bumped, K.C_L)
+    # CL has edges 0/1 and 1/3; 2/3 keeps both denominators but not friendliness.
+    skewed = dataclasses.replace(
+        node, state=dataclasses.replace(node.state, right=Fraction(2, 3)))
+    with pytest.raises(InvariantViolation, match="edges not friendly: determinant -2"):
+        child(skewed, K.U_L)
+
+
+def test_verify_node_cross_route_catches_a_tampered_label():
+    node = node_at("UL")
+    tampered = dataclasses.replace(node, label=node_at("DL").label)
+    report = verify_node(tampered, root())
+    assert any(f.startswith("cross-route:") for f in report.failures)
+    assert not any(f.startswith("cross-route:") for f in verify_node(node).failures)
+
+
 def test_verify_node_rejects_wrong_parent():
     with pytest.raises(ValueError):
         verify_node(node_at("UL.UL"), parent=node_at("CL"))
@@ -269,3 +298,30 @@ def test_expansion_limit_validation():
         ExpansionLimits(2, -1)
     with pytest.raises(ValueError):
         ExpansionLimits(2, 0, max_qc=1)
+
+
+def test_record_readers_name_the_bad_line_and_field():
+    good = node_record(node_at("UL"))
+    missing = {k: v for k, v in good.items() if k != "qR"}
+    with pytest.raises(MalformedRecord, match="^field qR is missing$"):
+        node_from_record(missing)
+    lines = [json.dumps(good), "", json.dumps(missing)]
+    with pytest.raises(MalformedRecord, match="^line 3: field qR is missing$"):
+        read_jsonl(io.StringIO("\n".join(lines) + "\n"))
+    for bad in ("five", 2.0, True, None):
+        with pytest.raises(MalformedRecord, match="^line 1: field pc is not an integer"):
+            read_jsonl(io.StringIO(json.dumps(dict(good, pc=bad)) + "\n"))
+    for text in ("{oops", "[1, 2]", json.dumps(dict(good, word=5))):
+        with pytest.raises(MalformedRecord, match="^line 2: "):
+            read_jsonl(io.StringIO(json.dumps(good) + "\n" + text + "\n"))
+
+    buf = io.StringIO()
+    write_csv([root(), node_at("UL")], buf)
+    header, first, second = buf.getvalue().splitlines()
+    cells = second.split(",")
+    cells[RECORD_FIELDS.index("qL")] = "3.5"
+    with pytest.raises(MalformedRecord, match="^row 2: field qL is not an integer: '3.5'$"):
+        read_csv(io.StringIO("\n".join([header, first, ",".join(cells)]) + "\n"))
+    short = ",".join(c for c in header.split(",") if c != "depth")
+    with pytest.raises(MalformedRecord, match="^row 1: field depth is missing$"):
+        read_csv(io.StringIO(short + "\n" + first + "\n"))
