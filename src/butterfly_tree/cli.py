@@ -120,7 +120,14 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
         print("apollonian needs either --correspondence or both --quad and --word",
               file=sys.stderr)
         return 2
-    parts = [int(k) for k in args.quad.split(",")]
+    parts = []
+    for number, entry in enumerate(args.quad.split(","), 1):
+        try:
+            parts.append(int(entry))
+        except ValueError:
+            print(f"--quad entry {number} is not an integer: {entry!r}",
+                  file=sys.stderr)
+            return 2
     if len(parts) != 4:
         print("--quad needs exactly four comma-separated integers",
               file=sys.stderr)
@@ -129,14 +136,14 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
     current = quad
     for token in args.word.split("."):
         token = token.strip().upper()
-        if token.startswith("A"):
-            current = apo.apply_matrix(apo.adjoint_S(int(token[1:])), current)
-        elif token.startswith("S"):
-            current = apo.apply_S(int(token[1:]), current)
-        else:
+        if token[:1] not in ("A", "S") or not token[1:].isdecimal():
             print(f"bad Apollonian token {token!r} (use S1..S4 or A1..A4)",
                   file=sys.stderr)
             return 2
+        if token[0] == "A":
+            current = apo.apply_matrix(apo.adjoint_S(int(token[1:])), current)
+        else:
+            current = apo.apply_S(int(token[1:]), current)
     print(json.dumps({"input": list(quad.as_tuple()), "word": args.word,
                       "result": list(current.as_tuple())}))
     return 0

@@ -122,23 +122,29 @@ def hierarchy_gap_cherns(sigma0: int, q0: int,
     return [sigma0 + n * q0 for n in n_range]
 
 
-def center_gap_index(state) -> tuple[int, Fraction]:
-    """Gap index r_c and density r_c/q_c of the central gap of a butterfly.
+def central_gap(sigma_plus: int, sigma_minus: int, p_c: int, q_c: int) -> int:
+    """Gap index r_c of the central gap at flux p_c/q_c (in lowest terms).
 
     The two diagonal density lines through the center cross at the same
     gap: sigma_plus * p_c = -(-sigma_minus * p_c) mod q_c.  Raises
     InconsistentChernPair when the two slopes disagree (impossible for
     states built by the generators, reachable by hand-tampered ones).
     """
-    center = state.center
-    p_c, q_c = center.numerator, center.denominator
-    r_plus = (state.sigma_plus * p_c) % q_c
-    r_minus = (-state.sigma_minus * p_c) % q_c
+    r_plus = (sigma_plus * p_c) % q_c
+    r_minus = (-sigma_minus * p_c) % q_c
     if r_plus != r_minus:
         raise InconsistentChernPair(
-            f"slopes +{state.sigma_plus}/-{state.sigma_minus} give gaps "
-            f"{r_plus} != {r_minus} at flux {center}")
-    return r_plus, Fraction(r_plus, q_c)
+            f"slopes +{sigma_plus}/-{sigma_minus} give gaps "
+            f"{r_plus} != {r_minus} at flux {Fraction(p_c, q_c)}")
+    return r_plus
+
+
+def center_gap_index(state) -> tuple[int, Fraction]:
+    """Gap index r_c and density r_c/q_c of the central gap of a butterfly."""
+    center = state.center
+    r_c = central_gap(state.sigma_plus, state.sigma_minus,
+                      center.numerator, center.denominator)
+    return r_c, Fraction(r_c, center.denominator)
 
 
 def gap_label_oracle(p: int, q: int, r: int,

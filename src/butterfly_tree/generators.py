@@ -48,10 +48,9 @@ class GeneratorKind(enum.Enum):
     C_CL = "C_cL"
     C_CR = "C_cR"
 
-    @property
-    def token(self) -> str:
-        """Two-letter command-line token (chains are TL/TR)."""
-        return _TOKENS[self]
+    # Two-letter command-line token (chains are TL/TR), set on each member
+    # below: a plain attribute, so reading it hashes no enum member.
+    token: str
 
     @classmethod
     def from_token(cls, text: str) -> "GeneratorKind":
@@ -87,6 +86,8 @@ _TOKENS = {
     GeneratorKind.C_CL: "TL",
     GeneratorKind.C_CR: "TR",
 }
+for _kind, _token in _TOKENS.items():
+    _kind.token = _token
 
 BABY_KINDS = (
     GeneratorKind.C_L,

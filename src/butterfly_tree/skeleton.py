@@ -5,9 +5,12 @@ edges, crossed by two diagonals of integer slopes +sigma_plus and
 -sigma_minus meeting at the center point (phi_c, r_c/q_c).  Every tail
 adds a triangle from the shared vertical edge to the chain's accumulation
 point; chains beyond the rendered set are previewed as dots at their
-exact center points.  All geometry is computed in exact rationals and
-only converted to fixed 9-digit decimals while writing, so rendering the
-same input twice produces identical bytes.
+exact center points.  All geometry is exact integer numerator/denominator
+pairs, computed from each cell's integer core by one set of formulas
+(`_centre`, `_cell`, `_apex`); `cell_geometry` and `tail_triangle` are
+their public Fraction views.  The SVG writer maps the pairs to pixels in
+integers and writes fixed 9-digit decimals, so rendering the same input
+twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -17,11 +20,10 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
-from . import tree as tree_mod
-from .diophantine import center_gap_index, gap_labels
+from .diophantine import central_gap, gap_labels
 from .errors import EmptyInput
-from .generators import GeneratorKind
-from .tree import TreeNode
+from .generators import Core, GeneratorKind
+from .tree import TreeNode, chain_cores
 
 DEFAULT_PALETTE = ("#80be8e", "#d9cb97", "#e6a37d", "#d37a7d",
                    "#a195c6", "#e3a8d2", "#7995c4", "#8bc8da")
@@ -72,23 +74,55 @@ class WannierLine:
     r: int
 
 
+def _centre(core: Core) -> tuple[int, int, int]:
+    """(p_c, q_c, r_c): the center flux p_c/q_c in lowest terms and its gap."""
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    g = gcd(p_l + p_r, q_l + q_r)  # 1 unless the edges were tampered
+    p_c, q_c = (p_l + p_r) // g, (q_l + q_r) // g
+    return p_c, q_c, central_gap(s_p, s_m, p_c, q_c)
+
+
+def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
+    """The center (p_c, q_c, r_c) and the left and right edges of a cell.
+
+    An edge (p, q, plus, minus, d) sits at flux p/q; the diagonals
+    rho_c + sigma_+ (phi - phi_c) and rho_c - sigma_- (phi - phi_c) cross
+    it at densities plus/d and minus/d, with d = q_c*q.
+    """
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    p_c, q_c, r_c = centre = _centre(core)
+    edges = []
+    for p, q in ((p_l, q_l), (p_r, q_r)):
+        run = p * q_c - p_c * q
+        edges.append((p, q, r_c * q + s_p * run, r_c * q - s_m * run, q_c * q))
+    return centre, edges[0], edges[1]
+
+
+def _apex(first: Core, second: Core) -> tuple[int, int, int]:
+    """(p, q, r): the tail apex (p/q, r/q), q > 0, from two chain members.
+
+    Along a chain (p_c, q_c) grows by a fixed vector, so the difference of
+    two centers lies at the accumulation flux, on the line through them.
+    """
+    (p1, q1, r1), (p2, q2, r2) = _centre(first), _centre(second)
+    return p2 - p1, q2 - q1, r2 - r1
+
+
 def cell_geometry(node: TreeNode) -> SkeletonCell:
     """Exact cell geometry of a node; propagates InconsistentChernPair."""
     state = node.state
-    r_c, rho_c = center_gap_index(state)
-    phi_c = state.center
-    s_p, s_m = state.sigma_plus, state.sigma_minus
+    (p_c, q_c, r_c), left, right = _cell(state.core)
     color = None if not node.word else _KIND_ORDER.index(node.word[-1])
     return SkeletonCell(
         phi_left=state.left,
         phi_right=state.right,
-        center=(phi_c, rho_c),
-        slope_plus=s_p,
-        slope_minus=-s_m,
-        plus_at_left=rho_c + s_p * (state.left - phi_c),
-        plus_at_right=rho_c + s_p * (state.right - phi_c),
-        minus_at_left=rho_c - s_m * (state.left - phi_c),
-        minus_at_right=rho_c - s_m * (state.right - phi_c),
+        center=(Fraction(p_c, q_c), Fraction(r_c, q_c)),
+        slope_plus=state.sigma_plus,
+        slope_minus=-state.sigma_minus,
+        plus_at_left=Fraction(left[2], left[4]),
+        plus_at_right=Fraction(right[2], right[4]),
+        minus_at_left=Fraction(left[3], left[4]),
+        minus_at_right=Fraction(right[3], right[4]),
         color_index=color,
     )
 
@@ -102,19 +136,14 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     this is the limit of the chain centers).
     """
     cell = cell_geometry(node)
-    state = node.state
-    first, second = tree_mod.chain(node, 2)
-    acc = state.accumulation.value
-    phi1, rho1 = cell_geometry(first).center
-    phi2, rho2 = cell_geometry(second).center
-    apex_rho = rho1 + (rho2 - rho1) * (acc - phi1) / (phi2 - phi1)
+    p, q, r = _apex(*chain_cores(node.state.core, 2, node.word))
     if node.tail_direction == "right":
         base = ((cell.phi_right, cell.plus_at_right),
                 (cell.phi_right, cell.minus_at_right))
     else:
         base = ((cell.phi_left, cell.plus_at_left),
                 (cell.phi_left, cell.minus_at_left))
-    return base + ((acc, apex_rho),)
+    return base + ((Fraction(p, q), Fraction(r, q)),)
 
 
 def wannier_lines(q_max: int) -> list[WannierLine]:
@@ -151,15 +180,19 @@ class RenderOptions:
             raise ValueError("chain_preview must be >= 0")
 
 
-def _decimal9(x: Fraction) -> str:
-    """Fixed 9-decimal string from an exact rational (half away rounding)."""
-    sign = "-" if x < 0 else ""
-    y = -x if x < 0 else x
-    units, rem = divmod(y.numerator * 10 ** 9, y.denominator)
-    if 2 * rem >= y.denominator:
+def _fixed9(num: int, den: int) -> str:
+    """Fixed 9 decimals of num/den (den > 0, any common factor), half away from 0."""
+    sign = "-" if num < 0 else ""
+    units, rem = divmod(abs(num) * 10 ** 9, den)
+    if 2 * rem >= den:
         units += 1
     whole, frac = divmod(units, 10 ** 9)
     return f"{sign}{whole}.{frac:09d}"
+
+
+def _decimal9(x: Fraction) -> str:
+    """Fixed 9-decimal string from an exact rational (half away rounding)."""
+    return _fixed9(x.numerator, x.denominator)
 
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:
@@ -171,15 +204,16 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
     accent = opt.palette[_KIND_ORDER.index(GeneratorKind.C_CL)]
     span_x = opt.width - 2 * opt.margin
     span_y = opt.height - 2 * opt.margin
+    margin, bottom = opt.margin, opt.height - opt.margin
 
-    def px(phi: Fraction) -> str:
-        return _decimal9(opt.margin + phi * span_x)
+    def px(num: int, den: int) -> str:
+        return _fixed9(margin * den + num * span_x, den)
 
-    def py(rho: Fraction) -> str:
-        return _decimal9(opt.height - opt.margin - rho * span_y)
+    def py(num: int, den: int) -> str:
+        return _fixed9(bottom * den - num * span_y, den)
 
-    def point(p: tuple[Fraction, Fraction]) -> str:
-        return f"{px(p[0])},{py(p[1])}"
+    def edge(p: int, q: int, plus: int, minus: int, d: int) -> tuple[str, str, str]:
+        return px(p, q), py(plus, d), py(minus, d)
 
     rendered = {node.word: node for node in cells}
     out = [
@@ -195,27 +229,32 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
         f'height="{span_y}" fill="#ffffff" stroke="#1a1a1a" stroke-width="1"/>',
     ]
     for node in cells:
-        cell = cell_geometry(node)
-        bl, tl, tr, br = cell.corners()
-        if cell.color_index is None:
+        _, left, right = _cell(node.state.core)
+        x_l, y_bl, y_tl = edge(*left)
+        x_r, y_tr, y_br = edge(*right)
+        if not node.word:
             fill = 'fill="none"'
         else:
-            fill = f'fill="{opt.palette[cell.color_index]}" fill-opacity="0.5"'
+            color = opt.palette[_KIND_ORDER.index(node.word[-1])]
+            fill = f'fill="{color}" fill-opacity="0.5"'
         name = node.word_str or "root"
         out.append(f'<g data-word="{name}">')
-        out.append(f'<polygon points="{point(bl)} {point(tl)} {point(tr)} '
-                   f'{point(br)}" {fill} stroke="#1a1a1a" stroke-width="1"/>')
-        out.append(f'<line x1="{px(bl[0])}" y1="{py(bl[1])}" x2="{px(tr[0])}" '
-                   f'y2="{py(tr[1])}" stroke="#1a1a1a" stroke-width="0.75"/>')
-        out.append(f'<line x1="{px(tl[0])}" y1="{py(tl[1])}" x2="{px(br[0])}" '
-                   f'y2="{py(br[1])}" stroke="#1a1a1a" stroke-width="0.75"/>')
+        out.append(f'<polygon points="{x_l},{y_bl} {x_l},{y_tl} {x_r},{y_tr} '
+                   f'{x_r},{y_br}" {fill} stroke="#1a1a1a" stroke-width="1"/>')
+        out.append(f'<line x1="{x_l}" y1="{y_bl}" x2="{x_r}" y2="{y_tr}" '
+                   f'stroke="#1a1a1a" stroke-width="0.75"/>')
+        out.append(f'<line x1="{x_l}" y1="{y_tl}" x2="{x_r}" y2="{y_br}" '
+                   f'stroke="#1a1a1a" stroke-width="0.75"/>')
         out.append('</g>')
     for node in cells:
         if node.state.tail_generator is None:
             continue
-        corners = tail_triangle(node)
-        points = " ".join(point(p) for p in corners)
-        out.append(f'<polygon points="{points}" fill="none" stroke="{accent}" '
+        core = node.state.core
+        _, left, right = _cell(core)
+        x, y_plus, y_minus = edge(*(right if node.tail_direction == "right" else left))
+        p, q, r = _apex(*chain_cores(core, 2, node.word))
+        out.append(f'<polygon points="{x},{y_plus} {x},{y_minus} '
+                   f'{px(p, q)},{py(r, q)}" fill="none" stroke="{accent}" '
                    f'stroke-width="1" stroke-dasharray="4 3" '
                    f'data-tail-of="{node.word_str or "root"}"/>')
         if opt.chain_preview:
@@ -224,9 +263,9 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
             while nxt in rendered:
                 last = rendered[nxt]
                 nxt = last.word + (last.state.tail_generator,)
-            for member in tree_mod.chain(last, opt.chain_preview):
-                phi, rho = cell_geometry(member).center
-                out.append(f'<circle cx="{px(phi)}" cy="{py(rho)}" r="2.2" '
+            for member in chain_cores(last.state.core, opt.chain_preview, last.word):
+                p_c, q_c, r_c = _centre(member)
+                out.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
                            f'fill="{accent}"/>')
     out.append('</svg>')
     return "\n".join(out) + "\n"

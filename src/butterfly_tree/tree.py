@@ -64,7 +64,7 @@ def parse_word(text: str) -> Word:
 
 
 def word_string(word: Sequence[GeneratorKind]) -> str:
-    return ".".join(kind.token for kind in word)
+    return ".".join([kind.token for kind in word])
 
 
 @dataclass(frozen=True)
@@ -125,24 +125,33 @@ def children(node: TreeNode) -> list[TreeNode]:
             for kind, kid in _kid_cores(node.state.core)]
 
 
+def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
+    """Checked cores of the first `steps` chain members below `core`.
+
+    `word` addresses `core` and only names it in errors: NoTail when there
+    is no tail, InvariantViolation if the tail ever flips sides.
+    """
+    kind = tail_generator(core[0], core[1])
+    if kind is None:
+        raise NoTail(f"{word_string(word) or 'root'} has no tail")
+    side = tail_side(core[0], core[1])
+    for _ in range(steps):
+        core = step_core(kind, core)
+        if tail_side(core[0], core[1]) != side:
+            raise InvariantViolation(
+                f"tail flipped from {side} along the chain of {word_string(word)}")
+        yield core
+
+
 def chain(node: TreeNode, steps: int) -> list[TreeNode]:
     """The first `steps` members of the chain hanging off the node's tail."""
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
-    core = node.state.core
-    kind = tail_generator(core[0], core[1])
-    if kind is None:
-        raise NoTail(f"{node.word_str or 'root'} has no tail")
-    side = tail_side(core[0], core[1])
-    out = []
-    word = node.word
-    for _ in range(steps):
-        core = step_core(kind, core)
+    kind = node.state.tail_generator
+    out, word = [], node.word
+    for member in chain_cores(node.state.core, steps, word):
         word += (kind,)
-        if tail_side(core[0], core[1]) != side:
-            raise InvariantViolation(
-                f"tail flipped from {side} along the chain of {node.word_str}")
-        out.append(_node(core, word))
+        out.append(_node(member, word))
     return out
 
 

@@ -125,6 +125,22 @@ def test_apollonian_usage_errors(capsys):
                "--word", "S1")[0] == 1
 
 
+def test_apollonian_bad_tokens_and_entries_are_named(capsys):
+    for word in ("Sx", "S", "A", "X1", "S1.Q2", "S-1"):
+        code, out, err = run(capsys, "apollonian", "--quad=-1,2,2,3",
+                             "--word", word)
+        assert code == 2 and not out
+        assert "bad Apollonian token" in err and "use S1..S4 or A1..A4" in err
+        assert "invalid literal" not in err
+    code, out, err = run(capsys, "apollonian", "--quad", "1,x,2,3",
+                         "--word", "S1")
+    assert code == 2 and not out
+    assert err == "--quad entry 2 is not an integer: 'x'\n"
+    code, _, err = run(capsys, "apollonian", "--quad", "1,9,16,0",
+                       "--word", "S5")
+    assert code == 2 and "S index must be 1..4" in err
+
+
 def test_scaling_command(capsys):
     code, out, _ = run(capsys, "scaling", "--word", "UL")
     assert code == 0

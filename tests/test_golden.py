@@ -1,7 +1,9 @@
 """Byte-for-byte pins of small CLI outputs.
 
 The digests were captured from the library before the integer-core
-refactor; any change that moves a byte of these outputs fails here.
+refactor, and the last two render pins before the SVG writer moved to
+integer pixel maths; any change that moves a byte of these outputs fails
+here.  Arguments are split on spaces, so the palette needs no quoting.
 """
 
 import hashlib
@@ -20,6 +22,11 @@ GOLDEN = {
         ("b28b2724eb962a219f000b7396d0351f1f5090edfb09dabcef86562b1988cc4e", 13264),
     "render --depth 2 --chain-cap 1":
         ("7ba65b7b3ce3dd7a8c763f3fd1fdc655785062877c723977402d1ec9c68c697d", 46196),
+    "render --depth 3 --chain-cap 2 --chain-preview 0 --width 300 --height 200 --margin 10":
+        ("53d54c5f876748d306c15f50d03ebebe4200306b1e70e933b09377c91ac32ff5", 226873),
+    "render --depth 3 --chain-cap 3 --max-qc 60 --chain-preview 7 --palette "
+    "#000001,#000002,#000003,#000004,#000005,#000006,#000007,#000008":
+        ("5812bdc5d16395cdecb998465dc1a8291f46d0e750ff2b6f4ea2e52cd7f603bf", 398769),
 }
 
 

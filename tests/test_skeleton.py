@@ -1,11 +1,13 @@
 """Skeleton cell geometry, Wannier lines, and deterministic SVG output."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
 from butterfly_tree import tree
-from butterfly_tree.errors import EmptyInput, NoTail
+from butterfly_tree.errors import EmptyInput, InconsistentChernPair, NoTail
+from butterfly_tree.generators import apply_state
 from butterfly_tree.skeleton import (
     DEFAULT_PALETTE,
     RenderOptions,
@@ -89,6 +91,99 @@ def test_tail_triangle_base_sits_on_tailed_edge():
         assert first[0] == second[0] == edge
         assert apex[0] == node.state.accumulation.value
         assert apex[0] != edge
+
+
+def _oracle_cell(state):
+    """Cell geometry by Fraction arithmetic, independent of the skeleton.
+
+    The center is the reduced mediant; r_c solves both congruences.
+    """
+    phi_c = Fraction(state.left.numerator + state.right.numerator,
+                     state.left.denominator + state.right.denominator)
+    p_c, q_c = phi_c.numerator, phi_c.denominator
+    r_c = (state.sigma_plus * p_c) % q_c
+    if r_c != (-state.sigma_minus * p_c) % q_c:
+        raise InconsistentChernPair("oracle: slopes disagree")
+    rho_c = Fraction(r_c, q_c)
+    s_p, s_m = state.sigma_plus, state.sigma_minus
+    return {
+        "center": (phi_c, rho_c),
+        "plus_at_left": rho_c + s_p * (state.left - phi_c),
+        "plus_at_right": rho_c + s_p * (state.right - phi_c),
+        "minus_at_left": rho_c - s_m * (state.left - phi_c),
+        "minus_at_right": rho_c - s_m * (state.right - phi_c),
+    }
+
+
+def _oracle_apex(state):
+    """Apex through the centers of the first two chain members.
+
+    The members come from the explicit state recursion, not the integer
+    core that the skeleton steps.
+    """
+    first = apply_state(state.tail_generator, state)
+    second = apply_state(state.tail_generator, first)
+    (phi1, rho1), (phi2, rho2) = (_oracle_cell(first)["center"],
+                                  _oracle_cell(second)["center"])
+    acc = Fraction(state.right.numerator - state.left.numerator,
+                   state.right.denominator - state.left.denominator)
+    return acc, rho1 + (rho2 - rho1) * (acc - phi1) / (phi2 - phi1)
+
+
+def test_geometry_matches_fraction_oracle_on_every_node():
+    nodes = list(tree.expand(tree.ExpansionLimits(max_depth=3, chain_cap=3)))
+    assert len(nodes) == 343
+    for node in nodes:
+        cell = cell_geometry(node)
+        want = _oracle_cell(node.state)
+        assert {key: getattr(cell, key) for key in want} == want, node.word_str
+        assert (cell.phi_left, cell.phi_right) == (node.state.left, node.state.right)
+        if node.state.tail_generator is None:
+            continue
+        side = node.tail_direction
+        edge = getattr(node.state, side)
+        assert tail_triangle(node) == (
+            (edge, want[f"plus_at_{side}"]), (edge, want[f"minus_at_{side}"]),
+            _oracle_apex(node.state)), node.word_str
+
+
+def test_geometry_of_unfriendly_tampered_edges_matches_oracle():
+    # The general corner formula does not assume determinant -1, so a hand
+    # tampered pair (here 2/5, 2/3, whose mediant 4/8 reduces) still gets
+    # the geometry that Fraction arithmetic gives.
+    node = tree.node_at("UL")
+    skewed = dataclasses.replace(node, state=dataclasses.replace(
+        node.state, left=Fraction(2, 5), right=Fraction(2, 3),
+        sigma_plus=1, sigma_minus=1))
+    cell = cell_geometry(skewed)
+    want = _oracle_cell(skewed.state)
+    assert cell.center == (Fraction(1, 2), Fraction(1, 2))
+    assert {key: getattr(cell, key) for key in want} == want
+    # Slopes that disagree are reported at the reduced center, as its
+    # Fraction view names them.
+    clash = dataclasses.replace(skewed, state=dataclasses.replace(
+        skewed.state, sigma_plus=2))
+    with pytest.raises(InconsistentChernPair, match="gaps 0 != 1 at flux 1/2"):
+        render_svg([clash])
+
+
+def test_render_rejects_inconsistent_slope_pair():
+    node = tree.node_at("UL")
+    state = node.state
+    # sigma_+ bumped and sigma_- lowered by more: the slopes no longer sum
+    # to q_c, so the two congruences name different gaps.
+    tampered = dataclasses.replace(node, state=dataclasses.replace(
+        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 2))
+    with pytest.raises(InconsistentChernPair,
+                       match=r"slopes \+3/-1 give gaps 1 != 3 at flux 2/5"):
+        render_svg([tree.root(), tampered])
+    with pytest.raises(InconsistentChernPair):
+        cell_geometry(tampered)
+    # Bumping one and lowering the other by the same amount keeps the sum,
+    # and with it the congruence: only the verifier's slope checks see it.
+    shifted = dataclasses.replace(node, state=dataclasses.replace(
+        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 1))
+    assert render_svg([shifted]).count("<polygon") == 2
 
 
 def test_wannier_lines_small_table():
