@@ -42,12 +42,12 @@ def _limits(args: argparse.Namespace) -> ExpansionLimits:
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
-    nodes = tree_mod.expand(_limits(args))
+    rows = tree_mod.expand_rows(_limits(args))
     with _out_stream(args.output) as fp:
         if args.format == "csv":
-            tree_mod.write_csv(nodes, fp)
+            tree_mod.write_csv_rows(rows, fp)
         else:
-            tree_mod.write_jsonl(nodes, fp)
+            tree_mod.write_jsonl_rows(rows, fp)
     return 0
 
 
@@ -166,13 +166,15 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
+# json.dumps of the record with its default separators; all five are ints.
+_WANNIER_LINE = '{{"sigma": {}, "tau": {}, "p": {}, "q": {}, "r": {}}}\n'.format
+
+
 def _cmd_wannier(args: argparse.Namespace) -> int:
     with _out_stream(args.output) as fp:
         for line in skel.wannier_lines(args.qmax):
-            fp.write(json.dumps({"sigma": line.sigma, "tau": line.tau,
-                                 "p": line.flux.numerator,
-                                 "q": line.flux.denominator,
-                                 "r": line.r}) + "\n")
+            fp.write(_WANNIER_LINE(line.sigma, line.tau, line.flux.numerator,
+                                   line.flux.denominator, line.r))
     return 0
 
 
@@ -181,7 +183,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     options = skel.RenderOptions(width=args.width, height=args.height,
                                  margin=args.margin, palette=palette,
                                  chain_preview=args.chain_preview)
-    document = skel.render_svg(tree_mod.expand(_limits(args)), options)
+    document = skel.render_expansion(_limits(args), options)
     with _out_stream(args.output) as fp:
         fp.write(document)
     return 0

@@ -48,9 +48,14 @@ class GeneratorKind(enum.Enum):
     C_CL = "C_cL"
     C_CR = "C_cR"
 
-    # Two-letter command-line token (chains are TL/TR), set on each member
-    # below: a plain attribute, so reading it hashes no enum member.
+    # The two-letter command-line token (chains are TL/TR), whether the
+    # letter walks a chain, its cell class ("C-cell", "E-cell" or "chain")
+    # and the step coefficients of its 4x4 matrix, set on each member
+    # below: plain attributes, so reading one hashes no enum member.
     token: str
+    is_chain: bool
+    cell_class: str
+    step: tuple[int, ...]
 
     @classmethod
     def from_token(cls, text: str) -> "GeneratorKind":
@@ -61,19 +66,9 @@ class GeneratorKind(enum.Enum):
         raise ValueError(f"unknown generator token {text!r}")
 
     @property
-    def is_chain(self) -> bool:
-        return self in (GeneratorKind.C_CL, GeneratorKind.C_CR)
-
-    @property
     def is_parity_preserving(self) -> bool:
         """C-type babies keep the parity of q_c; U/D babies do not."""
         return self in (GeneratorKind.C_L, GeneratorKind.C_R)
-
-    @property
-    def cell_class(self) -> str:
-        if self.is_chain:
-            return "chain"
-        return "C-cell" if self.is_parity_preserving else "E-cell"
 
 
 _TOKENS = {
@@ -88,6 +83,9 @@ _TOKENS = {
 }
 for _kind, _token in _TOKENS.items():
     _kind.token = _token
+    _kind.is_chain = _kind in (GeneratorKind.C_CL, GeneratorKind.C_CR)
+    _kind.cell_class = ("chain" if _kind.is_chain else
+                        "C-cell" if _kind.is_parity_preserving else "E-cell")
 
 BABY_KINDS = (
     GeneratorKind.C_L,
@@ -144,7 +142,9 @@ Core = tuple[int, int, int, int, int, int]
 
 # Every 4x4 matrix is [[A, 0], [B, I]] in 2x2 blocks, so a step needs only
 # the entries of A (rows 0-1) and B (rows 2-3) in the first two columns.
-_STEP = {kind: m[0][:2] + m[1][:2] + m[2][:2] + m[3][:2] for kind, m in _FOUR.items()}
+# Each member keeps them as a plain attribute, like its token.
+for _kind, _m in _FOUR.items():
+    _kind.step = _m[0][:2] + _m[1][:2] + _m[2][:2] + _m[3][:2]
 
 
 def _project_three(m4: intmat.Matrix) -> intmat.Matrix:
@@ -324,12 +324,14 @@ ROOT_LABEL = ButterflyLabel(1, 1, 0)
 def _problems(core: Core) -> list[str]:
     """Invariant failures of an integer core, empty when it is consistent.
 
-    Denominators are positive, as in every Fraction and every step of a
-    valid state, so 0 <= p_L/q_L < p_R/q_R <= 1 compares by
-    cross-multiplication.  Friendliness (determinant -1) implies both
-    edges are in lowest terms.
+    Denominators must be positive, as in every Fraction and every step of
+    a valid state; a core that breaks this reports only that, and then
+    0 <= p_L/q_L < p_R/q_R <= 1 compares by cross-multiplication.
+    Friendliness (determinant -1) implies both edges are in lowest terms.
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
+    if q_r < 1 or q_l < 1:
+        return [f"denominators must be positive: q_R={q_r}, q_L={q_l}"]
     problems = []
     cross, other = p_l * q_r, p_r * q_l
     if not (0 <= p_l and cross < other and p_r <= q_r):
@@ -372,8 +374,9 @@ def step_core(kind: GeneratorKind, core: Core) -> Core:
     of `apply_state`, if the result breaks an invariant.
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
-    _check_tail(kind, q_r, q_l, "state")
-    a, b, c, d, e, f, g, h = _STEP[kind]
+    if kind.is_chain:
+        _check_tail(kind, q_r, q_l, "state")
+    a, b, c, d, e, f, g, h = kind.step
     new = (a * q_r + b * q_l, c * q_r + d * q_l,
            s_p + e * q_r + f * q_l, s_m + g * q_r + h * q_l,
            a * p_r + b * p_l, c * p_r + d * p_l)

@@ -10,7 +10,9 @@ pairs, computed from each cell's integer core by one set of formulas
 (`_centre`, `_cell`, `_apex`); `cell_geometry` and `tail_triangle` are
 their public Fraction views.  The SVG writer maps the pairs to pixels in
 integers and writes fixed 9-digit decimals, so rendering the same input
-twice produces identical bytes.
+twice produces identical bytes.  `render_svg` draws given nodes;
+`render_expansion` draws the cores of `tree.walk` with the same writer and
+builds no node.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ from typing import Iterable, Optional, Sequence
 
 from .diophantine import central_gap, gap_labels
 from .errors import EmptyInput
-from .generators import Core, GeneratorKind
-from .tree import TreeNode, chain_cores
+from .generators import Core, GeneratorKind, tail_generator, tail_side
+from .tree import ExpansionLimits, TreeNode, Word, chain_cores, walk
 
 DEFAULT_PALETTE = ("#80be8e", "#d9cb97", "#e6a37d", "#d37a7d",
                    "#a195c6", "#e3a8d2", "#7995c4", "#8bc8da")
@@ -197,7 +199,20 @@ def _decimal9(x: Fraction) -> str:
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:
     """Deterministic SVG of the given cells (typically an expand() stream)."""
-    cells = list(nodes)
+    return _render([(node.state.core, node.word, node.word_str, node.tail_direction)
+                    for node in nodes], options)
+
+
+def render_expansion(limits: ExpansionLimits,
+                     options: Optional[RenderOptions] = None) -> str:
+    """`render_svg(expand(limits), options)`, drawn straight from the cores."""
+    return _render([(core, word, text, tail_side(core[0], core[1]))
+                    for core, word, text, _ in walk(limits)], options)
+
+
+def _render(cells: list[tuple[Core, Word, str, str]],
+            options: Optional[RenderOptions]) -> str:
+    """The SVG of cells given as (core, word, word string, tail direction)."""
     if not cells:
         raise EmptyInput("no nodes to render")
     opt = options or RenderOptions()
@@ -215,7 +230,7 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
     def edge(p: int, q: int, plus: int, minus: int, d: int) -> tuple[str, str, str]:
         return px(p, q), py(plus, d), py(minus, d)
 
-    rendered = {node.word: node for node in cells}
+    rendered = {cell[2]: cell for cell in cells}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -228,17 +243,16 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
         f'<rect x="{opt.margin}" y="{opt.margin}" width="{span_x}" '
         f'height="{span_y}" fill="#ffffff" stroke="#1a1a1a" stroke-width="1"/>',
     ]
-    for node in cells:
-        _, left, right = _cell(node.state.core)
+    for core, word, text, _ in cells:
+        _, left, right = _cell(core)
         x_l, y_bl, y_tl = edge(*left)
         x_r, y_tr, y_br = edge(*right)
-        if not node.word:
+        if not word:
             fill = 'fill="none"'
         else:
-            color = opt.palette[_KIND_ORDER.index(node.word[-1])]
+            color = opt.palette[_KIND_ORDER.index(word[-1])]
             fill = f'fill="{color}" fill-opacity="0.5"'
-        name = node.word_str or "root"
-        out.append(f'<g data-word="{name}">')
+        out.append(f'<g data-word="{text or "root"}">')
         out.append(f'<polygon points="{x_l},{y_bl} {x_l},{y_tl} {x_r},{y_tr} '
                    f'{x_r},{y_br}" {fill} stroke="#1a1a1a" stroke-width="1"/>')
         out.append(f'<line x1="{x_l}" y1="{y_bl}" x2="{x_r}" y2="{y_tr}" '
@@ -246,24 +260,28 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
         out.append(f'<line x1="{x_l}" y1="{y_tl}" x2="{x_r}" y2="{y_br}" '
                    f'stroke="#1a1a1a" stroke-width="0.75"/>')
         out.append('</g>')
-    for node in cells:
-        if node.state.tail_generator is None:
+    for cell in cells:
+        core, word, text, tail_direction = cell
+        kind = tail_generator(core[0], core[1])
+        if kind is None:
             continue
-        core = node.state.core
         _, left, right = _cell(core)
-        x, y_plus, y_minus = edge(*(right if node.tail_direction == "right" else left))
-        p, q, r = _apex(*chain_cores(core, 2, node.word))
+        x, y_plus, y_minus = edge(*(right if tail_direction == "right" else left))
+        p, q, r = _apex(*chain_cores(core, 2, word))
         out.append(f'<polygon points="{x},{y_plus} {x},{y_minus} '
                    f'{px(p, q)},{py(r, q)}" fill="none" stroke="{accent}" '
                    f'stroke-width="1" stroke-dasharray="4 3" '
-                   f'data-tail-of="{node.word_str or "root"}"/>')
+                   f'data-tail-of="{text or "root"}"/>')
         if opt.chain_preview:
-            last = node
-            nxt = last.word + (last.state.tail_generator,)
-            while nxt in rendered:
-                last = rendered[nxt]
-                nxt = last.word + (last.state.tail_generator,)
-            for member in chain_cores(last.state.core, opt.chain_preview, last.word):
+            # The preview starts below the last rendered member of the chain.
+            last = cell
+            while kind is not None:
+                nxt = rendered.get(f"{last[2]}.{kind.token}" if last[2] else kind.token)
+                if nxt is None:
+                    break
+                last = nxt
+                kind = tail_generator(last[0][0], last[0][1])
+            for member in chain_cores(last[0], opt.chain_preview, last[1]):
                 p_c, q_c, r_c = _centre(member)
                 out.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
                            f'fill="{accent}"/>')

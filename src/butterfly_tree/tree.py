@@ -11,8 +11,12 @@ Expansion is breadth-first and fully deterministic; limits cap the depth,
 optionally the center denominator, and the number of consecutive chain
 letters at the end of a word (a chain cap of 0 disables chain successors).
 
-Every step runs on the checked integer core (`generators.step_core`); a
-node's Fraction state and label are built from the core it reaches.  The
+Every step runs on the checked integer core (`generators.step_core`).
+`walk` is the one breadth-first traversal: it yields each emitted node as
+its core, word, word string and trailing chain run.  `expand` builds a
+node (Fraction state and label) from each of them; `expand_rows` builds
+only the export row (`record_row`), which the JSONL and CSV writers format
+directly, so the CLI streams records with no object per record.  The
 state recursion and the 3x3 label route are compared with each node in
 `verify_node`.
 """
@@ -196,25 +200,35 @@ class ExpansionLimits:
             raise ValueError("max_qc must be at least 2")
 
 
-def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
-    """Breadth-first expansion from the root, deterministic order.
+def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
+    """Breadth-first walk of the integer cores, deterministic order.
 
-    Every candidate child is stepped and checked; only those that pass the
-    chain cap and the q_c ceiling become nodes.
+    Yields (core, word, word string, trailing chain run) for each emitted
+    node, the root first.  Every candidate child is stepped and checked;
+    only those that pass the chain cap and the q_c ceiling are emitted.
     """
-    queue = deque([root()])
+    queue = deque([(ROOT_STATE.core, (), "", 0)])
     while queue:
-        node = queue.popleft()
-        yield node
-        if node.depth >= limits.max_depth:
+        item = queue.popleft()
+        yield item
+        core, word, text, run = item
+        if len(word) >= limits.max_depth:
             continue
-        run = node.chain_run
-        for kind, kid in _kid_cores(node.state.core):
-            if kind.is_chain and run >= limits.chain_cap:
+        for kind, kid in _kid_cores(core):
+            chained = kind.is_chain
+            if chained and run >= limits.chain_cap:
                 continue
             if limits.max_qc is not None and kid[0] + kid[1] > limits.max_qc:
                 continue
-            queue.append(_node(kid, node.word + (kind,)))
+            queue.append((kid, word + (kind,),
+                          f"{text}.{kind.token}" if word else kind.token,
+                          run + 1 if chained else 0))
+
+
+def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
+    """The nodes of `walk(limits)`, in the same order."""
+    for core, word, _, _ in walk(limits):
+        yield _node(core, word)
 
 
 @dataclass(frozen=True)
@@ -373,31 +387,43 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     return NodeVerification(node.word_str, checks, tuple(failures))
 
 
+def record_row(core: Core, text: str, cell_class: str, tail_direction: str,
+               depth: int) -> tuple:
+    """The RECORD_FIELDS values, in order, of the node with this core and word.
+
+    The nine integers stay Python ints of any size.  The center of
+    friendly edges is their mediant, so p_c = p_L + p_R.
+    """
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    return (text, q_r, q_l, s_p - s_m, p_l, p_r, p_l + p_r, q_r + q_l, s_p, s_m,
+            cell_class, tail_direction, depth)
+
+
+def node_row(node: TreeNode) -> tuple:
+    """`record_row` of a node, with its stored class, tail direction and depth."""
+    return record_row(node.state.core, node.word_str, node.cell_class,
+                      node.tail_direction, node.depth)
+
+
+def expand_rows(limits: ExpansionLimits) -> Iterator[tuple]:
+    """The row of each node of `expand(limits)`, built straight from the cores."""
+    for core, word, text, _ in walk(limits):
+        yield record_row(core, text, word[-1].cell_class if word else "root",
+                         tail_side(core[0], core[1]), len(word))
+
+
 def _json_int(n: int) -> Union[int, str]:
     return n if -_JSON_SAFE <= n <= _JSON_SAFE else str(n)
 
 
 def node_record(node: TreeNode) -> dict:
-    """Flat export record; oversized integers become decimal strings.
-
-    The center of friendly edges is their mediant, so p_c = p_L + p_R.
-    """
-    q_r, q_l, s_p, s_m, p_r, p_l = node.state.core
-    return {
-        "word": node.word_str,
-        "qR": _json_int(q_r),
-        "qL": _json_int(q_l),
-        "dSigma": _json_int(s_p - s_m),
-        "pL": _json_int(p_l),
-        "pR": _json_int(p_r),
-        "pc": _json_int(p_l + p_r),
-        "qc": _json_int(q_r + q_l),
-        "sigmaPlus": _json_int(s_p),
-        "sigmaMinus": _json_int(s_m),
-        "cellClass": node.cell_class,
-        "tailDirection": node.tail_direction,
-        "depth": node.depth,
-    }
+    """Flat export record; oversized integers become decimal strings."""
+    text, q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m, cell, tail, depth = node_row(node)
+    return {"word": text, "qR": _json_int(q_r), "qL": _json_int(q_l),
+            "dSigma": _json_int(d_s), "pL": _json_int(p_l), "pR": _json_int(p_r),
+            "pc": _json_int(p_c), "qc": _json_int(q_c), "sigmaPlus": _json_int(s_p),
+            "sigmaMinus": _json_int(s_m), "cellClass": cell, "tailDirection": tail,
+            "depth": depth}
 
 
 _TEXT_FIELDS = ("word", "cellClass", "tailDirection")
@@ -452,12 +478,35 @@ def _located(where: str, record: dict) -> TreeNode:
         raise MalformedRecord(f"{where}: {exc}") from None
 
 
-def write_jsonl(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
+# The text fields come from fixed ASCII sets: generator tokens joined by
+# ".", the cell classes and left/right/none.  No field holds ",", '"' or a
+# newline, so these lines equal json.dumps(record, separators=(",", ":"))
+# and csv.DictWriter output with no escaping.
+_JSONL_LINE = ('{{"word":"{}","qR":{},"qL":{},"dSigma":{},"pL":{},"pR":{},"pc":{},'
+               '"qc":{},"sigmaPlus":{},"sigmaMinus":{},"cellClass":"{}",'
+               '"tailDirection":"{}","depth":{}}}\n').format
+_CSV_LINE = (",".join(["{}"] * len(RECORD_FIELDS)) + "\n").format
+
+
+def _json_text(n: int) -> Union[int, str]:
+    """An integer field as JSON text: quoted decimal beyond +/-(2^53 - 1)."""
+    return n if -_JSON_SAFE <= n <= _JSON_SAFE else f'"{n}"'
+
+
+def write_jsonl_rows(rows: Iterable[tuple], fp: IO[str]) -> int:
+    """Write record rows as JSONL, one line per row; returns the count."""
     count = 0
-    for node in nodes:
-        fp.write(json.dumps(node_record(node), separators=(",", ":")) + "\n")
+    for row in rows:
+        ints = row[1:10]
+        if min(ints) < -_JSON_SAFE or max(ints) > _JSON_SAFE:
+            row = row[:1] + tuple(map(_json_text, ints)) + row[10:]
+        fp.write(_JSONL_LINE(*row))
         count += 1
     return count
+
+
+def write_jsonl(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
+    return write_jsonl_rows(map(node_row, nodes), fp)
 
 
 def read_jsonl(fp: IO[str]) -> list[TreeNode]:
@@ -475,14 +524,18 @@ def read_jsonl(fp: IO[str]) -> list[TreeNode]:
     return out
 
 
-def write_csv(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
-    writer = csv.DictWriter(fp, fieldnames=RECORD_FIELDS, lineterminator="\n")
-    writer.writeheader()
+def write_csv_rows(rows: Iterable[tuple], fp: IO[str]) -> int:
+    """Write a header and record rows as CSV; returns the row count."""
+    fp.write(",".join(RECORD_FIELDS) + "\n")
     count = 0
-    for node in nodes:
-        writer.writerow(node_record(node))
+    for row in rows:
+        fp.write(_CSV_LINE(*row))
         count += 1
     return count
+
+
+def write_csv(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
+    return write_csv_rows(map(node_row, nodes), fp)
 
 
 def read_csv(fp: IO[str]) -> list[TreeNode]:

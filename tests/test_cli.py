@@ -1,8 +1,11 @@
 """End-to-end checks of the command-line interface via cli.main()."""
 
+import io
 import json
 
-from butterfly_tree import tree
+import pytest
+
+from butterfly_tree import skeleton, tree
 from butterfly_tree.cli import main
 
 
@@ -42,6 +45,26 @@ def test_expand_jsonl_and_determinism(capsys):
         "CL", "CR", "UL", "UR", "DL", "DR"]
     code2, out2, _ = run(capsys, "expand", "--depth", "1")
     assert code2 == 0 and out2 == out
+
+
+@pytest.mark.parametrize("limits", [tree.ExpansionLimits(3, 0), tree.ExpansionLimits(3, 2),
+                                    tree.ExpansionLimits(4, 1, max_qc=40)])
+def test_expand_bytes_equal_the_node_writers(capsys, limits):
+    argv = ["expand", "--depth", str(limits.max_depth),
+            "--chain-cap", str(limits.chain_cap)]
+    if limits.max_qc is not None:
+        argv += ["--max-qc", str(limits.max_qc)]
+    for fmt, write in (("jsonl", tree.write_jsonl), ("csv", tree.write_csv)):
+        want = io.StringIO()
+        write(tree.expand(limits), want)
+        assert run(capsys, *argv, "--format", fmt) == (0, want.getvalue(), "")
+
+
+def test_render_bytes_equal_render_svg_of_the_nodes(capsys):
+    limits = tree.ExpansionLimits(3, 2, max_qc=40)
+    want = skeleton.render_svg(tree.expand(limits))
+    assert run(capsys, "render", "--depth", "3", "--chain-cap", "2",
+               "--max-qc", "40") == (0, want, "")
 
 
 def test_expand_csv_and_file_output(capsys, tmp_path):
@@ -159,6 +182,12 @@ def test_wannier_command(capsys):
     code, out, _ = run(capsys, "wannier", "--qmax", "2")
     assert code == 0
     assert json.loads(out) == {"sigma": 1, "tau": 0, "p": 1, "q": 2, "r": 1}
+    code, out, _ = run(capsys, "wannier", "--qmax", "12")
+    assert code == 0
+    assert out.splitlines() == [
+        json.dumps({"sigma": line.sigma, "tau": line.tau, "p": line.flux.numerator,
+                    "q": line.flux.denominator, "r": line.r})
+        for line in skeleton.wannier_lines(12)]
 
 
 def test_render_command_and_determinism(capsys, tmp_path):

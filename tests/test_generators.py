@@ -16,6 +16,7 @@ from butterfly_tree.generators import (
     ButterflyLabel,
     ButterflyState,
     GeneratorKind,
+    _problems,
     apply_label,
     apply_state,
     canonical_matrices,
@@ -212,6 +213,17 @@ def test_state_check_flags_tampering():
     assert ButterflyState(Fraction(0), Fraction(1), 2, 1).check()
     assert ButterflyState(Fraction(1, 3), Fraction(3, 5), 4, 4).check()
     assert ButterflyState(Fraction(1, 2), Fraction(1, 3), 2, 3).check()
+
+
+def test_core_check_needs_positive_denominators():
+    # The integers of this core pass every other check: a Fraction state
+    # would silently read the left edge 0/-1 as 0/1.
+    assert _problems((3, -1, 1, 1, -1, 0)) == [
+        "denominators must be positive: q_R=3, q_L=-1"]
+    assert _problems((1, 0, 1, 0, 1, 0)) == [
+        "denominators must be positive: q_R=1, q_L=0"]
+    with pytest.raises(InvariantViolation, match="denominators must be positive"):
+        ButterflyLabel(3, -1, 0)
 
 
 def test_generator_kind_tokens():

@@ -1,9 +1,12 @@
 """Byte-for-byte pins of small CLI outputs.
 
 The digests were captured from the library before the integer-core
-refactor, and the last two render pins before the SVG writer moved to
-integer pixel maths; any change that moves a byte of these outputs fails
-here.  Arguments are split on spaces, so the palette needs no quoting.
+refactor, the two render pins with a palette or a canvas before the SVG
+writer moved to integer pixel maths, and the last three (a 90-letter
+chain word whose integers pass 2^53, a --max-qc expansion and a small
+Wannier table) before the writers formatted lines directly.  Any change
+that moves a byte of these outputs fails here.  Arguments are split on
+spaces, so the palette needs no quoting.
 """
 
 import hashlib
@@ -27,6 +30,12 @@ GOLDEN = {
     "render --depth 3 --chain-cap 3 --max-qc 60 --chain-preview 7 --palette "
     "#000001,#000002,#000003,#000004,#000005,#000006,#000007,#000008":
         ("5812bdc5d16395cdecb998465dc1a8291f46d0e750ff2b6f4ea2e52cd7f603bf", 398769),
+    "chain --steps 3 --word=" + ".".join(["UL"] * 45):
+        ("b087881004101533ef986a9dae1920d30c0cb88bf28873f85b7b320184126329", 1421),
+    "expand --depth 4 --chain-cap 1 --max-qc 40":
+        ("bfbe62dab3d859c1ba8db129de6ce6f27e65c03b1ff4f056bdd108f48aa3ab8b", 136234),
+    "wannier --qmax 10":
+        ("b89ff415fc5322263088a83fa52b88a45f4d5fa45369ce1fa87038a756a27c56", 8858),
 }
 
 

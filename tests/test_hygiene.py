@@ -1,10 +1,13 @@
 """Invariants must survive `python -O`, which strips `assert` statements."""
 
 import ast
+import hashlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from test_golden import GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,11 +31,20 @@ def test_no_assert_in_sources():
     assert found == []
 
 
-def test_verify_under_optimize_flag():
+def _optimized(argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "butterfly_tree.cli", "verify",
-         "--depth", "3", "--chain-cap", "2"],
-        capture_output=True, text=True, env=env, timeout=120)
+    return subprocess.run([sys.executable, "-O", "-m", "butterfly_tree.cli"] + argv,
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_verify_under_optimize_flag():
+    proc = _optimized(["verify", "--depth", "3", "--chain-cap", "2"])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "verified 343 nodes: all invariants hold\n"
+    assert proc.stdout == b"verified 343 nodes: all invariants hold\n"
+
+
+def test_expand_under_optimize_flag():
+    argv = "expand --depth 3 --chain-cap 2"
+    proc = _optimized(argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]

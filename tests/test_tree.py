@@ -1,5 +1,6 @@
 """Octonary tree expansion, addressing, verification, and export round trips."""
 
+import csv
 import dataclasses
 import io
 import json
@@ -13,6 +14,7 @@ from butterfly_tree.errors import (
     NoTail,
     TailDirectionMismatch,
 )
+from butterfly_tree import tree
 from butterfly_tree.farey import stern_brocot_friendly_triplets
 from butterfly_tree.generators import GeneratorKind
 from butterfly_tree.tree import (
@@ -22,14 +24,17 @@ from butterfly_tree.tree import (
     child,
     children,
     expand,
+    expand_rows,
     node_at,
     node_from_record,
     node_record,
+    node_row,
     parse_word,
     read_csv,
     read_jsonl,
     root,
     verify_node,
+    walk,
     word_string,
     write_csv,
     write_jsonl,
@@ -325,3 +330,54 @@ def test_record_readers_name_the_bad_line_and_field():
     short = ",".join(c for c in header.split(",") if c != "depth")
     with pytest.raises(MalformedRecord, match="^row 1: field depth is missing$"):
         read_csv(io.StringIO(short + "\n" + first + "\n"))
+
+
+def _writer_cases():
+    """Root, babies, chain members, tampered nodes and a q_c beyond 2^53."""
+    ul = node_at("UL")
+    bumped = dataclasses.replace(ul, state=dataclasses.replace(
+        ul.state, sigma_plus=ul.state.sigma_plus + 1), cell_class="chain")
+    far_left = dataclasses.replace(ul, state=dataclasses.replace(
+        ul.state, left=Fraction(-(2 ** 60), 3)), depth=7)
+    return ([root()] + children(root()) + chain(ul, 3)
+            + [bumped, far_left, node_at(["UL"] * 45)])
+
+
+def test_writers_match_the_library_encoders():
+    nodes = _writer_cases()
+    assert int(node_record(nodes[-1])["qc"]) > 2 ** 53
+    jsonl = io.StringIO()
+    assert write_jsonl(nodes, jsonl) == len(nodes)
+    assert jsonl.getvalue().splitlines() == [
+        json.dumps(node_record(n), separators=(",", ":")) for n in nodes]
+    got, want = io.StringIO(), io.StringIO()
+    assert write_csv(nodes, got) == len(nodes)
+    writer = csv.DictWriter(want, fieldnames=RECORD_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(node_record(n) for n in nodes)
+    assert got.getvalue() == want.getvalue()
+
+
+@pytest.mark.parametrize("limits", [ExpansionLimits(3, 0), ExpansionLimits(3, 2),
+                                    ExpansionLimits(4, 1, max_qc=40)])
+def test_expand_is_the_core_walk(limits):
+    nodes = list(expand(limits))
+    assert [(core, word, text) for core, word, text, _ in walk(limits)] == [
+        (n.state.core, n.word, n.word_str) for n in nodes]
+    assert [run for *_, run in walk(limits)] == [n.chain_run for n in nodes]
+    assert list(expand_rows(limits)) == [node_row(n) for n in nodes]
+
+
+def test_expand_steps_every_candidate_child(monkeypatch):
+    # Chain children over the cap and children over max_qc are still
+    # stepped and checked; only emission is limited.
+    limits = ExpansionLimits(4, 1, max_qc=40)
+    expected = sum(6 + (n.state.tail_generator is not None)
+                   for n in expand(limits) if n.depth < limits.max_depth)
+    calls = []
+    real = tree.step_core
+    monkeypatch.setattr(tree, "step_core",
+                        lambda kind, core: calls.append(kind) or real(kind, core))
+    for _ in walk(limits):
+        pass
+    assert len(calls) == expected
