@@ -25,7 +25,8 @@ from typing import Sequence, Union
 
 from . import intmat
 from .errors import InvariantViolation
-from .pythagoras import PythTriple
+from .generators import GeneratorKind, canonical_matrices
+from .pythagoras import PythTriple, h_MATRICES
 
 
 def _s_matrix(i: int) -> intmat.Matrix:
@@ -125,16 +126,21 @@ def triple_to_quadruple(t: PythTriple) -> DescartesQuadruple:
     return DescartesQuadruple(t.c - t.b, t.c + t.b, 2 * (t.c + t.a), 0)
 
 
-# Pair moves whose quadruple-level realizations the search looks for:
-# the three Pythagorean-tree steps plus the two parity-breaking edge
-# generators (2x2 blocks of U_L and U_R).
-_STEP_MATRICES: dict[str, intmat.Matrix] = {
-    "h1": ((1, 2), (0, 1)),
-    "h2": ((2, 1), (1, 0)),
-    "h3": ((2, -1), (1, 0)),
-    "U_L": ((1, 1), (1, 2)),
-    "U_R": ((2, 1), (1, 1)),
-}
+def _step_matrix(h_index: Union[int, str]) -> tuple[str, intmat.Matrix]:
+    """Name and 2x2 pair matrix of a move: h1..h3 of the Pythagorean tree,
+    or the parity-breaking edge generators U_L, U_R."""
+    step = f"h{h_index}" if isinstance(h_index, int) else h_index
+    if step in ("h1", "h2", "h3"):
+        return step, h_MATRICES[int(step[1])]
+    if step in ("U_L", "U_R"):
+        return step, canonical_matrices(GeneratorKind[step]).two_by_two
+    raise ValueError(f"unknown step {h_index!r}")
+
+
+def _reflect(i: int, quad: tuple[int, ...]) -> tuple[int, ...]:
+    """S_i in closed form: k_i -> 2*(k1+k2+k3+k4) - 3*k_i."""
+    j = i - 1
+    return quad[:j] + (2 * sum(quad) - 3 * quad[j],) + quad[i:]
 
 
 def _pair_ford(m: int, n: int) -> tuple[int, int, int, int]:
@@ -168,28 +174,27 @@ def correspondence_search(h_index: Union[int, str],
     h_index: 1, 2, 3 (as "h1".."h3") or "U_L"/"U_R".  Tests every word
     over S_1..S_4 up to max_word_length against every output coordinate
     permutation, on all coprime pairs m > n within pair_bound.  An empty
-    match list is a finding, not an error.
+    match list is a finding, not an error; max_word_length < 1 and
+    pair_bound < 2, which would test nothing, raise ValueError.
     """
-    step = f"h{h_index}" if isinstance(h_index, int) else h_index
-    if step not in _STEP_MATRICES:
-        raise ValueError(f"unknown step {h_index!r}")
-    move = _STEP_MATRICES[step]
+    step, move = _step_matrix(h_index)
+    if max_word_length < 1:
+        raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
+    if pair_bound < 2:
+        raise ValueError(f"pair_bound must be at least 2, got {pair_bound}")
     pairs = [(m, n) for m in range(2, pair_bound + 1)
              for n in range(1, m) if gcd(m, n) == 1]
-    sources = [_pair_ford(m, n) for m, n in pairs]
     targets = [_pair_ford(*intmat.mat_vec(move, (m, n))) for m, n in pairs]
+    permuted = [(perm, [tuple(tgt[p] for p in perm) for tgt in targets])
+                for perm in itertools.permutations(range(4))]
 
+    # Words of one length, in lexicographic order, with their outputs on
+    # every source quadruple; each word extends its prefix by one S.
+    level = [((), [_pair_ford(m, n) for m, n in pairs])]
     matches = []
-    for length in range(1, max_word_length + 1):
-        for word in itertools.product((1, 2, 3, 4), repeat=length):
-            outputs = []
-            for src in sources:
-                cur = src
-                for i in word:
-                    cur = intmat.mat_vec(S_MATRICES[i], cur)
-                outputs.append(cur)
-            for perm in itertools.permutations(range(4)):
-                if all(out == tuple(tgt[p] for p in perm)
-                       for out, tgt in zip(outputs, targets)):
-                    matches.append((word, perm))
+    for _ in range(max_word_length):
+        level = [(word + (i,), [_reflect(i, quad) for quad in outputs])
+                 for word, outputs in level for i in (1, 2, 3, 4)]
+        matches += [(word, perm) for word, outputs in level
+                    for perm, want in permuted if outputs == want]
     return CorrespondenceReport(step, max_word_length, len(pairs), tuple(matches))

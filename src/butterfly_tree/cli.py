@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import sys
 from typing import IO, Iterator, Optional, Sequence
@@ -171,10 +172,9 @@ _WANNIER_LINE = '{{"sigma": {}, "tau": {}, "p": {}, "q": {}, "r": {}}}\n'.format
 
 
 def _cmd_wannier(args: argparse.Namespace) -> int:
+    rows = skel.wannier_rows(args.qmax)
     with _out_stream(args.output) as fp:
-        for line in skel.wannier_lines(args.qmax):
-            fp.write(_WANNIER_LINE(line.sigma, line.tau, line.flux.numerator,
-                                   line.flux.denominator, line.r))
+        fp.writelines(itertools.starmap(_WANNIER_LINE, rows))
     return 0
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import InconsistentChernPair, InvariantViolation, NotCoprime
 
@@ -45,27 +45,35 @@ class BandLabel:
     m: int
 
 
-def gap_labels(p: int, q: int) -> list[GapLabel]:
-    """Labels for the q-1 gaps of flux p/q, in gap order r = 1..q-1.
+def gap_rows(p: int, q: int) -> Iterator[tuple[int, int, int]]:
+    """(r, sigma, tau) for the q-1 gaps of flux p/q, in gap order r = 1..q-1.
 
-    sigma solves p*sigma = r (mod q) in the window (-q/2, q/2]; tau is
-    then forced by p*sigma + q*tau = r.
+    sigma solves p*sigma = r (mod q) in the window (-q/2, q/2]: it steps
+    by p^-1 mod q from one gap to the next.  tau is then forced by
+    p*sigma + q*tau = r.  The coprimality check runs on the call, not on
+    the first row.
     """
     _require_coprime(p, q)
-    if q == 1:
-        return []
-    inv = pow(p, -1, q)
-    labels = []
+    return _gap_rows(p, q)
+
+
+def _gap_rows(p: int, q: int) -> Iterator[tuple[int, int, int]]:
+    inv, half, residue = pow(p, -1, q), q // 2, 0
     for r in range(1, q):
-        sigma = (r * inv) % q
-        if 2 * sigma > q:
-            sigma -= q
+        residue += inv
+        if residue >= q:
+            residue -= q
+        sigma = residue - q if residue > half else residue
         tau, rem = divmod(r - p * sigma, q)
         if rem:
             raise InvariantViolation(
                 f"gap {r} at {p}/{q}: sigma {sigma} leaves remainder {rem}")
-        labels.append(GapLabel(r, sigma, tau))
-    return labels
+        yield r, sigma, tau
+
+
+def gap_labels(p: int, q: int) -> list[GapLabel]:
+    """Labels for the q-1 gaps of flux p/q: the `gap_rows` as GapLabels."""
+    return [GapLabel(*row) for row in gap_rows(p, q)]
 
 
 def band_cherns(p: int, q: int) -> list[BandLabel]:
@@ -76,7 +84,7 @@ def band_cherns(p: int, q: int) -> list[BandLabel]:
     p*N + q*M = 1.
     """
     _require_coprime(p, q)
-    slopes = [0] + [g.sigma for g in gap_labels(p, q)] + [0]
+    slopes = [0] + [sigma for _, sigma, _ in gap_rows(p, q)] + [0]
     bands = []
     for i in range(1, q + 1):
         n = slopes[i] - slopes[i - 1]
@@ -151,7 +159,7 @@ def gap_label_oracle(p: int, q: int, r: int,
                      sigma_span: Sequence[int] | None = None) -> list[tuple[int, int]]:
     """Brute-force solutions of p*sigma + q*tau = r with sigma in the window.
 
-    Independent of gap_labels: scans the sigma window directly.  Used by
+    Independent of gap_rows: scans the sigma window directly.  Used by
     tests as the oracle for uniqueness and agreement.
     """
     _require_coprime(p, q)

@@ -91,6 +91,14 @@ def _as_pair(pair: PairLike) -> EuclidPair:
     return EuclidPair(*pair)
 
 
+def _triple(m: int, n: int) -> tuple[int, int, int]:
+    """(a, b, c) of any integer pair, unchecked: (mn, (m^2-n^2)/2,
+    (m^2+n^2)/2) for same parity, (2mn, m^2-n^2, m^2+n^2) otherwise."""
+    if (m - n) % 2 == 0:
+        return (m * n, (m * m - n * n) // 2, (m * m + n * n) // 2)
+    return (2 * m * n, m * m - n * n, m * m + n * n)
+
+
 def euclid_to_triple(pair: PairLike) -> PythTriple:
     """Triple of a coprime pair, branch chosen by parity.
 
@@ -98,10 +106,7 @@ def euclid_to_triple(pair: PairLike) -> PythTriple:
     nodes with q_L > q_R (left tails) are distinguished.
     """
     p = _as_pair(pair)
-    m, n = p.m, p.n
-    if p.same_parity:
-        return PythTriple(m * n, (m * m - n * n) // 2, (m * m + n * n) // 2)
-    return PythTriple(2 * m * n, m * m - n * n, m * m + n * n)
+    return PythTriple(*_triple(p.m, p.n))
 
 
 def apply_H(i: int, t: PythTriple) -> PythTriple:
@@ -128,16 +133,8 @@ def functor_holds(i: int, m: int, n: int) -> bool:
     """
     if gcd(m, n) != 1:
         raise NotCoprime(f"({m}, {n}) is not coprime")
-
-    def raw_triple(m_: int, n_: int) -> tuple[int, int, int]:
-        if (m_ - n_) % 2 == 0:
-            return (m_ * n_, (m_ * m_ - n_ * n_) // 2, (m_ * m_ + n_ * n_) // 2)
-        return (2 * m_ * n_, m_ * m_ - n_ * n_, m_ * m_ + n_ * n_)
-
     stepped = intmat.mat_vec(h_MATRICES[i], (m, n))
-    left = raw_triple(*stepped)
-    right = intmat.mat_vec(H_MATRICES[i], raw_triple(m, n))
-    return left == right
+    return _triple(*stepped) == intmat.mat_vec(H_MATRICES[i], _triple(m, n))
 
 
 def primitive_triple_oracle(c_max: int) -> set[PythTriple]:

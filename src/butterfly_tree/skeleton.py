@@ -20,9 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .diophantine import central_gap, gap_labels
+from .diophantine import central_gap, gap_rows
 from .errors import EmptyInput
 from .generators import Core, GeneratorKind, tail_generator, tail_side
 from .tree import ExpansionLimits, TreeNode, Word, chain_cores, walk
@@ -148,18 +148,27 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     return base + ((Fraction(p, q), Fraction(r, q)),)
 
 
-def wannier_lines(q_max: int) -> list[WannierLine]:
-    """Canonical (sigma, tau) for every gap of every reduced flux q <= q_max."""
+def wannier_rows(q_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(sigma, tau, p, q, r) for every gap of every reduced flux p/q, q <= q_max.
+
+    Fluxes come in order of q, then p; gaps in the order of `gap_rows`.
+    q_max < 2 raises on the call, before any row.
+    """
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
-    lines = []
-    for q in range(2, q_max + 1):
-        for p in range(1, q):
-            if gcd(p, q) != 1:
-                continue
+    return ((sigma, tau, p, q, r)
+            for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1
+            for r, sigma, tau in gap_rows(p, q))
+
+
+def wannier_lines(q_max: int) -> list[WannierLine]:
+    """Canonical (sigma, tau) for every gap of every reduced flux q <= q_max:
+    the `wannier_rows` as WannierLines, one Fraction per flux."""
+    lines, flux = [], Fraction(0)
+    for sigma, tau, p, q, r in wannier_rows(q_max):
+        if flux.denominator != q or flux.numerator != p:
             flux = Fraction(p, q)
-            for label in gap_labels(p, q):
-                lines.append(WannierLine(label.sigma, label.tau, flux, label.r))
+        lines.append(WannierLine(sigma, tau, flux, r))
     return lines
 
 

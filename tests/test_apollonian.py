@@ -1,5 +1,6 @@
 """Descartes quadruples, the reflection group, Ford quadruples, intertwiners."""
 
+import itertools
 from math import gcd
 
 import pytest
@@ -148,3 +149,85 @@ def test_h1_intertwiner_on_the_smallest_pair():
         cur = apply_S(i, cur)
     assert perm == (0, 1, 2, 3)
     assert cur.as_tuple() == (1, 25, 36, 0)
+
+
+# The five pair moves, written out independently of h_MATRICES and of the
+# generator matrices that correspondence_search takes them from.
+_ORACLE_MOVES = {
+    "h1": ((1, 2), (0, 1)),
+    "h2": ((2, 1), (1, 0)),
+    "h3": ((2, -1), (1, 0)),
+    "U_L": ((1, 1), (1, 2)),
+    "U_R": ((2, 1), (1, 1)),
+}
+
+
+def _search_oracle(step, max_word_length, pair_bound):
+    """The search replayed word by word from scratch through S_MATRICES."""
+    def ford(m, n):
+        return (n * n, m * m, (m + n) ** 2, 0)
+
+    pairs = [(m, n) for m in range(2, pair_bound + 1)
+             for n in range(1, m) if gcd(m, n) == 1]
+    sources = [ford(m, n) for m, n in pairs]
+    targets = [ford(*intmat.mat_vec(_ORACLE_MOVES[step], pair)) for pair in pairs]
+    matches = []
+    for length in range(1, max_word_length + 1):
+        for word in itertools.product((1, 2, 3, 4), repeat=length):
+            outputs = []
+            for cur in sources:
+                for i in word:
+                    cur = intmat.mat_vec(S_MATRICES[i], cur)
+                outputs.append(cur)
+            for perm in itertools.permutations(range(4)):
+                if all(out == tuple(tgt[p] for p in perm)
+                       for out, tgt in zip(outputs, targets)):
+                    matches.append((word, perm))
+    return len(pairs), tuple(matches)
+
+
+@pytest.mark.parametrize("step", sorted(_ORACLE_MOVES))
+@pytest.mark.parametrize("max_word_length, pair_bound", [(3, 12), (4, 8)])
+def test_correspondence_search_equals_word_by_word_replay(step, max_word_length,
+                                                          pair_bound):
+    if (max_word_length, pair_bound) == (3, 12):
+        report = correspondence_search(step)
+    else:
+        report = correspondence_search(step, max_word_length, pair_bound)
+    assert (report.step, report.max_word_length) == (step, max_word_length)
+    assert (report.pairs_tested, report.matches) == _search_oracle(
+        step, max_word_length, pair_bound)
+
+
+def test_search_oracle_is_not_vacuous():
+    """The oracle finds the frozen h3 word, and nothing once words are too
+    short to hold it."""
+    _, matches = _search_oracle("h3", 3, 12)
+    assert matches == (((3, 1, 3), (1, 0, 2, 3)),)
+    _, shorter = _search_oracle("h3", 2, 12)
+    assert shorter == ()
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"pair_bound": 1}, "pair_bound must be at least 2, got 1"),
+    ({"pair_bound": 0}, "pair_bound must be at least 2, got 0"),
+    ({"max_word_length": 0}, "max_word_length must be at least 1, got 0"),
+    ({"max_word_length": -2}, "max_word_length must be at least 1, got -2"),
+])
+def test_correspondence_search_rejects_vacuous_searches(kwargs, message):
+    """pair_bound 1 tests no pair, and every word would match vacuously."""
+    with pytest.raises(ValueError, match=message):
+        correspondence_search("h1", **kwargs)
+
+
+def test_correspondence_search_smallest_valid_bounds():
+    report = correspondence_search("h1", max_word_length=1, pair_bound=2)
+    assert report.pairs_tested == 1
+    assert report.matches == _search_oracle("h1", 1, 2)[1]
+
+
+def test_correspondence_search_unknown_step_message():
+    with pytest.raises(ValueError, match="unknown step 4"):
+        correspondence_search(4)
+    with pytest.raises(ValueError, match="unknown step 'D_L'"):
+        correspondence_search("D_L")

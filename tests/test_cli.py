@@ -190,6 +190,15 @@ def test_wannier_command(capsys):
         for line in skeleton.wannier_lines(12)]
 
 
+def test_wannier_rejects_small_qmax_before_any_output(capsys, tmp_path):
+    assert run(capsys, "wannier", "--qmax", "1") == (
+        2, "", "error: q_max must be at least 2\n")
+    target = tmp_path / "lines.jsonl"
+    assert run(capsys, "wannier", "--qmax", "1", "-o", str(target)) == (
+        2, "", "error: q_max must be at least 2\n")
+    assert not target.exists()
+
+
 def test_render_command_and_determinism(capsys, tmp_path):
     first = tmp_path / "a.svg"
     second = tmp_path / "b.svg"

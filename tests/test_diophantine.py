@@ -12,6 +12,7 @@ from butterfly_tree.diophantine import (
     center_gap_index,
     gap_label_oracle,
     gap_labels,
+    gap_rows,
     hierarchy_gap_cherns,
     recover_edges,
 )
@@ -108,3 +109,29 @@ def test_center_gap_index_checks_both_congruences():
     bad = ButterflyState(Fraction(0), Fraction(1), 2, 1)
     with pytest.raises(InconsistentChernPair):
         center_gap_index(bad)
+
+
+def test_gap_rows_equal_the_brute_force_oracle():
+    """Every coprime p/q with q <= 40, p in [-q, 2q]: one row per gap, each
+    the unique oracle solution in the sigma window."""
+    for q in range(1, 41):
+        for p in range(-q, 2 * q + 1):
+            if gcd(p, q) != 1:
+                continue
+            rows = list(gap_rows(p, q))
+            assert [r for r, _, _ in rows] == list(range(1, q))
+            for r, sigma, tau in rows:
+                assert gap_label_oracle(p, q, r) == [(sigma, tau)], (p, q, r)
+
+
+def test_gap_labels_are_the_rows():
+    for p, q in ((1, 2), (2, 5), (7, 12), (-3, 10)):
+        assert [(g.r, g.sigma, g.tau) for g in gap_labels(p, q)] == list(gap_rows(p, q))
+
+
+def test_gap_rows_require_coprime_on_the_call():
+    """Negative control: the check fires before any row is asked for."""
+    with pytest.raises(NotCoprime, match="2/4 is not reduced"):
+        gap_rows(2, 4)
+    with pytest.raises(NotCoprime, match="denominator must be positive"):
+        gap_rows(1, 0)

@@ -4,7 +4,10 @@ The digests were captured from the library before the integer-core
 refactor, the two render pins with a palette or a canvas before the SVG
 writer moved to integer pixel maths, and the last three (a 90-letter
 chain word whose integers pass 2^53, a --max-qc expansion and a small
-Wannier table) before the writers formatted lines directly.  Any change
+Wannier table) before the writers formatted lines directly.  The 43 129-line
+Wannier table, the Apollonian correspondence report and the small
+Pythagorean oracle row are the benchmark's own digests, captured before any
+optimisation, and pin the views on integer rows.  Any change
 that moves a byte of these outputs fails here.  Arguments are split on
 spaces, so the palette needs no quoting.
 """
@@ -36,6 +39,12 @@ GOLDEN = {
         ("bfbe62dab3d859c1ba8db129de6ce6f27e65c03b1ff4f056bdd108f48aa3ab8b", 136234),
     "wannier --qmax 10":
         ("b89ff415fc5322263088a83fa52b88a45f4d5fa45369ce1fa87038a756a27c56", 8858),
+    "wannier --qmax 60":
+        ("8f9a428f2598dfc77921146c14bc87db3a4cb7722019d4781b13445ee7d40620", 2208858),
+    "apollonian --correspondence":
+        ("77cc222d03a0a8e7738a39b929ad7ac60300ca08e3118f5608851ce21e459365", 948),
+    "pyth --oracle-cmax 50":
+        ("edec99eb3f5a829e6ec80b4e5d39e6cb9107da3a619cc5c7b0d11892ea040ebe", 62),
 }
 
 

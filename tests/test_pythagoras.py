@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from butterfly_tree import intmat
 from butterfly_tree.errors import InvariantViolation, NotCCell, NotCoprime
 from butterfly_tree.pythagoras import (
     H_MATRICES,
@@ -93,6 +94,17 @@ def test_functoriality_dense_small_range():
     for m, n in pairs:
         for i in (1, 2, 3):
             assert functor_holds(i, m, n), (i, m, n)
+
+
+def test_functoriality_probes_pairs_that_leave_the_positive_quadrant():
+    """h_3 sends (1, 3) to (-1, 1) and h_1 sends (1, -2) to (-3, -2): no
+    EuclidPair exists there, yet the raw check still runs and holds."""
+    assert intmat.mat_vec(h_MATRICES[3], (1, 3)) == (-1, 1)
+    with pytest.raises(NotCoprime):
+        EuclidPair(-1, 1)
+    assert functor_holds(3, 1, 3)
+    assert functor_holds(1, 1, -2)
+    assert functor_holds(2, -5, 3)
 
 
 def test_oracle_smallest_cases():

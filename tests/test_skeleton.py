@@ -16,6 +16,7 @@ from butterfly_tree.skeleton import (
     render_svg,
     tail_triangle,
     wannier_lines,
+    wannier_rows,
 )
 
 F = Fraction
@@ -204,6 +205,21 @@ def test_wannier_lines_pass_through_their_gap_points():
         p, q = line.flux.numerator, line.flux.denominator
         assert line.sigma * p + line.tau * q == line.r
         assert -q < 2 * line.sigma <= q
+
+
+def test_wannier_rows_agree_with_wannier_lines():
+    rows = list(wannier_rows(30))
+    lines = wannier_lines(30)
+    assert len(rows) == len(lines) > 0
+    for (sigma, tau, p, q, r), line in zip(rows, lines):
+        assert (sigma, tau, F(p, q), r) == (line.sigma, line.tau, line.flux, line.r)
+        assert (p, q) == (line.flux.numerator, line.flux.denominator)
+
+
+def test_wannier_rows_reject_small_q_max_on_the_call():
+    for q_max in (1, 0, -5):
+        with pytest.raises(ValueError, match="q_max must be at least 2"):
+            wannier_rows(q_max)
 
 
 def test_decimal9_formatting():
