@@ -63,7 +63,13 @@ QuadLike = Union[DescartesQuadruple, Sequence[int]]
 def _as_quad(q: QuadLike) -> DescartesQuadruple:
     if isinstance(q, DescartesQuadruple):
         return q
-    return DescartesQuadruple(*q)
+    ks = tuple(q)
+    if len(ks) != 4:
+        raise ValueError(f"a quadruple needs 4 curvatures, got {len(ks)}")
+    for position, k in enumerate(ks, 1):
+        if not isinstance(k, int):
+            raise ValueError(f"curvature {position} is not an integer: {k!r}")
+    return DescartesQuadruple(*ks)
 
 
 def apply_S(i: int, q: QuadLike) -> DescartesQuadruple:
@@ -101,7 +107,7 @@ def super_orbit(seed: QuadLike, depth: int) -> set[tuple[int, int, int, int]]:
         if dist >= depth:
             continue
         for gen in generators:
-            grown = apply_matrix(gen, quad).as_tuple()
+            grown = DescartesQuadruple(*intmat.mat_vec(gen, quad)).as_tuple()
             if grown not in seen:
                 seen.add(grown)
                 frontier.append((grown, dist + 1))

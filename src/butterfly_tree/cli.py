@@ -19,13 +19,10 @@ import json
 import sys
 from typing import IO, Iterator, Optional, Sequence
 
-from . import apollonian as apo
-from . import scaling as scaling_mod
-from . import skeleton as skel
+# The view modules (skeleton, apollonian, pythagoras, scaling) are imported
+# inside the handlers that use them, so start-up loads only what runs.
 from . import tree as tree_mod
 from .errors import ButterflyError
-from .pythagoras import primitive_triple_oracle, triple_tree
-from .tree import ExpansionLimits
 
 
 @contextlib.contextmanager
@@ -37,9 +34,9 @@ def _out_stream(path: Optional[str]) -> Iterator[IO[str]]:
             yield fp
 
 
-def _limits(args: argparse.Namespace) -> ExpansionLimits:
-    return ExpansionLimits(max_depth=args.depth, chain_cap=args.chain_cap,
-                           max_qc=args.max_qc)
+def _limits(args: argparse.Namespace) -> tree_mod.ExpansionLimits:
+    return tree_mod.ExpansionLimits(max_depth=args.depth, chain_cap=args.chain_cap,
+                                    max_qc=args.max_qc)
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
@@ -68,13 +65,16 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    by_word = {}
+    # The expansion is breadth-first, so every parent sits in the level just
+    # above its child: two levels are all that need to be held.
+    parents, level, depth = {}, {}, 0
     count = 0
     bad = []
     for node in tree_mod.expand(_limits(args)):
-        by_word[node.word] = node
-        parent = by_word.get(node.word[:-1]) if node.word else None
-        report = tree_mod.verify_node(node, parent)
+        if len(node.word) > depth:
+            parents, level, depth = level, {}, len(node.word)
+        level[node.word] = node
+        report = tree_mod.verify_node(node, parents.get(node.word[:-1]))
         count += 1
         if not report.ok:
             bad.append(report)
@@ -89,6 +89,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_pyth(args: argparse.Namespace) -> int:
+    from .pythagoras import primitive_triple_oracle, triple_tree
     if args.oracle_cmax is not None:
         want = {t.leg_set for t in primitive_triple_oracle(args.oracle_cmax)}
         got = [triple.leg_set for _, triple in triple_tree(c_max=args.oracle_cmax)]
@@ -105,6 +106,7 @@ def _cmd_pyth(args: argparse.Namespace) -> int:
 
 
 def _cmd_apollonian(args: argparse.Namespace) -> int:
+    from . import apollonian as apo
     if args.correspondence:
         report = {}
         for step in ("h1", "h2", "h3", "U_L", "U_R"):
@@ -151,6 +153,7 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    from . import scaling as scaling_mod
     word = tree_mod.parse_word(args.word)
     block = scaling_mod.word_block(word)
     surd = scaling_mod.scaling_exponent(word)
@@ -172,6 +175,7 @@ _WANNIER_LINE = '{{"sigma": {}, "tau": {}, "p": {}, "q": {}, "r": {}}}\n'.format
 
 
 def _cmd_wannier(args: argparse.Namespace) -> int:
+    from . import skeleton as skel
     rows = skel.wannier_rows(args.qmax)
     with _out_stream(args.output) as fp:
         fp.writelines(itertools.starmap(_WANNIER_LINE, rows))
@@ -179,6 +183,7 @@ def _cmd_wannier(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from . import skeleton as skel
     palette = tuple(args.palette.split(",")) if args.palette else skel.DEFAULT_PALETTE
     options = skel.RenderOptions(width=args.width, height=args.height,
                                  margin=args.margin, palette=palette,

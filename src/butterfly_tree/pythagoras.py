@@ -131,6 +131,8 @@ def functor_holds(i: int, m: int, n: int) -> bool:
     Works directly on matrix arithmetic so it can probe pairs whose h_i
     image leaves the positive quadrant (where EuclidPair would reject).
     """
+    if i not in h_MATRICES:
+        raise ValueError(f"h index must be 1, 2 or 3, got {i}")
     if gcd(m, n) != 1:
         raise NotCoprime(f"({m}, {n}) is not coprime")
     stepped = intmat.mat_vec(h_MATRICES[i], (m, n))

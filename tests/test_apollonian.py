@@ -75,6 +75,17 @@ def test_index_validation():
             adjoint_S(bad)
 
 
+@pytest.mark.parametrize("apply, quad, message", [
+    (lambda q: apply_S(1, q), (1, 2, 3), "needs 4 curvatures, got 3"),
+    (lambda q: apply_matrix(adjoint_S(1), q), (1, 2, 3), "needs 4 curvatures, got 3"),
+    (lambda q: apply_S(1, q), [1, "a", 2, 3], "curvature 2 is not an integer: 'a'"),
+    (lambda q: super_orbit(q, 1), (-1, 2, 2, 3, 0), "needs 4 curvatures, got 5"),
+], ids=["S-short", "adjoint-short", "S-non-int", "orbit-long"])
+def test_malformed_quadruples_raise_value_error(apply, quad, message):
+    with pytest.raises(ValueError, match=message):
+        apply(quad)
+
+
 def test_orbit_counts_and_identity():
     seed = (-1, 2, 2, 3)
     assert [len(super_orbit(seed, d)) for d in range(4)] == [1, 8, 42, 212]

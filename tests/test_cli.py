@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface via cli.main()."""
 
+import dataclasses
 import io
 import json
 
@@ -83,6 +84,27 @@ def test_verify_command(capsys):
     code, out, err = run(capsys, "verify", "--depth", "2", "--chain-cap", "1")
     assert code == 0 and err == ""
     assert out.strip() == "verified 49 nodes: all invariants hold"
+
+
+def test_verify_hands_each_node_its_parent_and_lists_failures(capsys, monkeypatch):
+    real = tree.verify_node
+    parents = []
+
+    def tampered(node, parent=None):
+        parents.append((node.word, None if parent is None else parent.word))
+        report = real(node, parent)
+        if report.word in ("", "CL.TR"):
+            return dataclasses.replace(report, failures=("first", "second"))
+        return report
+
+    monkeypatch.setattr(tree, "verify_node", tampered)
+    code, out, err = run(capsys, "verify", "--depth", "2", "--chain-cap", "1")
+    assert (code, out) == (1, "")
+    assert err == ("FAIL root: first; second\nFAIL CL.TR: first; second\n"
+                   "verified 49 nodes: 2 failed\n")
+    limits = tree.ExpansionLimits(max_depth=2, chain_cap=1)
+    assert parents == [(n.word, n.word[:-1] if n.word else None)
+                       for n in tree.expand(limits)]
 
 
 def test_chain_command(capsys):

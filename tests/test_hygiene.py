@@ -1,12 +1,17 @@
-"""Invariants must survive `python -O`, which strips `assert` statements."""
+"""Invariants must survive `python -O`, which strips `assert` statements;
+the package must load only what a command uses and keep its public names."""
 
 import ast
 import hashlib
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import butterfly_tree
 from test_golden import GOLDEN
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -48,3 +53,91 @@ def test_expand_under_optimize_flag():
     proc = _optimized(argv.split())
     assert proc.returncode == 0, proc.stderr
     assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]
+
+
+# The names `butterfly_tree` has re-exported since its first release, by
+# defining submodule, in `__all__` order.
+PUBLIC_NAMES = {
+    "errors": ["ButterflyError", "DegenerateDifference", "EmptyInput",
+               "InconsistentChernPair", "InvariantViolation", "NoTail", "NotCCell",
+               "NotCoprime", "ParabolicWord", "TailDirectionMismatch"],
+    "farey": ["FareyDifference", "FriendlyTriplet", "farey_difference", "is_friendly",
+              "mediant", "stern_brocot_friendly_triplets"],
+    "diophantine": ["BandLabel", "GapLabel", "band_cherns", "center_gap_index",
+                    "gap_labels", "hierarchy_gap_cherns", "recover_edges"],
+    "generators": ["BABY_KINDS", "ButterflyLabel", "ButterflyState", "GeneratorKind",
+                   "GeneratorMatrix", "apply_label", "apply_state", "canonical_matrices",
+                   "representation_consistency"],
+    "tree": ["ExpansionLimits", "TreeNode", "chain", "children", "expand", "node_at",
+             "parse_word", "root", "verify_node", "word_string"],
+    "pythagoras": ["EuclidPair", "PythTriple", "apply_H", "apply_h", "cbranch_to_triple",
+                   "euclid_to_triple", "primitive_triple_oracle", "triple_tree"],
+    "apollonian": ["DescartesQuadruple", "adjoint_S", "apply_S", "correspondence_search",
+                   "ford_quadruple", "super_orbit", "triple_to_quadruple"],
+    "scaling": ["ContinuedFraction", "QuadraticSurd", "cf_expansion", "scaling_exponent",
+                "word_block"],
+    "skeleton": ["RenderOptions", "SkeletonCell", "WannierLine", "cell_geometry",
+                 "render_svg", "tail_triangle", "wannier_lines"],
+}
+ALL_NAMES = [name for names in PUBLIC_NAMES.values() for name in names]
+
+
+def test_public_names_are_unchanged():
+    assert len(ALL_NAMES) == 69
+    assert butterfly_tree.__all__ == ALL_NAMES
+    for module, names in PUBLIC_NAMES.items():
+        defining = importlib.import_module(f"butterfly_tree.{module}")
+        for name in names:
+            assert getattr(butterfly_tree, name) is getattr(defining, name), name
+    star = {}
+    exec("from butterfly_tree import *", star)
+    assert all(star[name] is getattr(butterfly_tree, name) for name in ALL_NAMES)
+    assert set(ALL_NAMES) <= set(dir(butterfly_tree))
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        butterfly_tree.no_such_name
+
+
+def _python(flags, code, *argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run([sys.executable, *flags, "-c", code, *argv],
+                          capture_output=True, env=env, timeout=120)
+
+
+def test_submodule_import_from_a_fresh_interpreter():
+    code = ("import sys\n"
+            "from butterfly_tree import apollonian, intmat\n"
+            "from butterfly_tree import *\n"
+            "assert apollonian is sys.modules['butterfly_tree.apollonian']\n"
+            "assert intmat is sys.modules['butterfly_tree.intmat']\n"
+            "print(render_svg.__module__)\n")
+    proc = _python([], code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == b"butterfly_tree.skeleton\n"
+
+
+VIEWS = {"butterfly_tree.skeleton", "butterfly_tree.apollonian",
+         "butterfly_tree.pythagoras", "butterfly_tree.scaling"}
+
+# Runs the CLI as `python -m butterfly_tree.cli ARGV` does, then writes the
+# names of every loaded module as stderr's last line.
+_LOADED = ("import runpy, sys\n"
+           "try:\n"
+           "    runpy.run_module('butterfly_tree.cli', run_name='__main__', alter_sys=True)\n"
+           "finally:\n"
+           "    print(*sorted(sys.modules), file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
+@pytest.mark.parametrize("argv, views", [
+    ("node --word=", set()),
+    ("chain --word CL --steps 2", set()),
+    ("expand --depth 2 --chain-cap 1", set()),
+    ("verify --depth 2 --chain-cap 1", set()),
+    ("scaling --word UL", {"butterfly_tree.scaling"}),
+])
+def test_commands_load_only_the_views_they_use(flags, argv, views):
+    proc = _python(flags, _LOADED, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    assert "butterfly_tree.tree" in loaded
+    assert loaded & VIEWS == views

@@ -107,6 +107,12 @@ def test_functoriality_probes_pairs_that_leave_the_positive_quadrant():
     assert functor_holds(2, -5, 3)
 
 
+@pytest.mark.parametrize("i", [0, 4])
+def test_functor_holds_rejects_unknown_index(i):
+    with pytest.raises(ValueError, match=f"h index must be 1, 2 or 3, got {i}"):
+        functor_holds(i, 3, 1)
+
+
 def test_oracle_smallest_cases():
     assert primitive_triple_oracle(5) == {PythTriple(3, 4, 5)}
     seventeen = primitive_triple_oracle(17)
