@@ -16,7 +16,10 @@ Each generator is realised three ways and the routes must agree:
 
 The tree steps only the integer core: the 4x4 vector plus the edge
 numerators, which follow the 2x2 block (`step_core`).  Fraction states and
-labels are views built from it; the other routes are cross-checks.
+labels are views built from it.  The other routes are cross-checks on
+plain integers too: `state_route` is the explicit recursion and
+`label_route` the 3x3 matrix; `apply_state` and `apply_label` are their
+object views.
 
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and
@@ -346,16 +349,6 @@ def _problems(core: Core) -> list[str]:
     return problems
 
 
-def _combo(a: int, u: Fraction, b: int, v: Fraction) -> Fraction:
-    """Integer combination a*u (+) b*v taken on numerator and denominator.
-
-    The generator actions keep every output in lowest terms (friendliness
-    forces gcd 1), so the Fraction constructor never actually reduces.
-    """
-    return Fraction(a * u.numerator + b * v.numerator,
-                    a * u.denominator + b * v.denominator)
-
-
 def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
     if kind is GeneratorKind.C_CR and q_r <= q_l:
         raise TailDirectionMismatch(
@@ -388,39 +381,43 @@ def step_core(kind: GeneratorKind, core: Core) -> Core:
     return new
 
 
+def state_route(kind: GeneratorKind, core: Core) -> Core:
+    """One generator step on the integer core by the explicit recursion.
+
+    A route independent of the matrices and of `step_core`.  Raises
+    TailDirectionMismatch for a chain step against the tail; the result
+    is not checked, and from unfriendly edges it may come out unreduced.
+    """
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    _check_tail(kind, q_r, q_l, "state")
+    q_c, p_c = q_r + q_l, p_r + p_l
+    if kind is GeneratorKind.C_L:
+        return (q_r + 2 * q_l, q_l, s_p + q_l, s_m + q_l, p_r + 2 * p_l, p_l)
+    if kind is GeneratorKind.C_R:
+        return (q_r, q_l + 2 * q_r, s_p + q_r, s_m + q_r, p_r, p_l + 2 * p_r)
+    if kind is GeneratorKind.U_L:
+        return (q_c, q_c + q_l, s_p + q_l, s_m + q_c, p_c, p_c + p_l)
+    if kind is GeneratorKind.U_R:
+        return (q_c + q_r, q_c, s_p + q_c, s_m + q_r, p_c + p_r, p_c)
+    if kind is GeneratorKind.D_L:
+        return (q_c, q_c + q_l, s_p + q_c, s_m + q_l, p_c, p_c + p_l)
+    if kind is GeneratorKind.D_R:
+        return (q_c + q_r, q_c, s_p + q_r, s_m + q_c, p_c + p_r, p_c)
+    if kind is GeneratorKind.C_CL:
+        step = q_l - q_r
+        return (q_l, 2 * q_l - q_r, s_p + step, s_m + step, p_l, 2 * p_l - p_r)
+    step = q_r - q_l
+    return (2 * q_r - q_l, q_r, s_p + step, s_m + step, 2 * p_r - p_l, p_r)
+
+
 def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
-    """One generator step on the full state, by the explicit recursion.
+    """One generator step on the full state: the Fraction view of `state_route`.
 
     This route is independent of the canonical matrices; tests compare the
     two.  Raises TailDirectionMismatch for a chain step against the tail
     and InvariantViolation if the result fails its checks (never expected).
     """
-    _check_tail(kind, state.q_r, state.q_l, "state")
-    v_l, v_r = state.left, state.right
-    s_p, s_m = state.sigma_plus, state.sigma_minus
-    q_l, q_r, q_c = state.q_l, state.q_r, state.q_c
-    if kind is GeneratorKind.C_L:
-        new = ButterflyState(v_l, _combo(1, v_r, 2, v_l), s_p + q_l, s_m + q_l)
-    elif kind is GeneratorKind.C_R:
-        new = ButterflyState(_combo(1, v_l, 2, v_r), v_r, s_p + q_r, s_m + q_r)
-    elif kind is GeneratorKind.U_L:
-        new = ButterflyState(_combo(2, v_l, 1, v_r), _combo(1, v_l, 1, v_r),
-                             s_p + q_l, s_m + q_c)
-    elif kind is GeneratorKind.U_R:
-        new = ButterflyState(_combo(1, v_l, 1, v_r), _combo(1, v_l, 2, v_r),
-                             s_p + q_c, s_m + q_r)
-    elif kind is GeneratorKind.D_L:
-        new = ButterflyState(_combo(2, v_l, 1, v_r), _combo(1, v_l, 1, v_r),
-                             s_p + q_c, s_m + q_l)
-    elif kind is GeneratorKind.D_R:
-        new = ButterflyState(_combo(1, v_l, 1, v_r), _combo(1, v_l, 2, v_r),
-                             s_p + q_r, s_m + q_c)
-    elif kind is GeneratorKind.C_CL:
-        step = q_l - q_r
-        new = ButterflyState(_combo(2, v_l, -1, v_r), v_l, s_p + step, s_m + step)
-    else:
-        step = q_r - q_l
-        new = ButterflyState(v_r, _combo(2, v_r, -1, v_l), s_p + step, s_m + step)
+    new = ButterflyState.from_core(state_route(kind, state.core))
     problems = new.check()
     if problems:
         raise InvariantViolation(
@@ -428,12 +425,23 @@ def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
     return new
 
 
+def label_route(kind: GeneratorKind, label: tuple[int, int, int]) -> tuple[int, int, int]:
+    """One generator step on the integers (q_R, q_L, Delta-sigma), via the 3x3 matrix.
+
+    Written out, as `intmat.mat_vec` costs more than the rest of the
+    cross-route check.  Raises TailDirectionMismatch for a chain step
+    against the tail; the result is not checked.
+    """
+    q_r, q_l, d_s = label
+    _check_tail(kind, q_r, q_l, "label")
+    (a, b, c), (d, e, f), (g, h, i) = _MATRICES[kind].three_by_three
+    return (a * q_r + b * q_l + c * d_s, d * q_r + e * q_l + f * d_s,
+            g * q_r + h * q_l + i * d_s)
+
+
 def apply_label(kind: GeneratorKind, label: ButterflyLabel) -> ButterflyLabel:
-    """One generator step on the integer label, via the 3x3 matrix."""
-    _check_tail(kind, label.q_r, label.q_l, "label")
-    q_r, q_l, d_s = intmat.mat_vec(canonical_matrices(kind).three_by_three,
-                                  label.as_tuple())
-    return ButterflyLabel(q_r, q_l, d_s)
+    """One generator step on the integer label: the checked view of `label_route`."""
+    return ButterflyLabel(*label_route(kind, label.as_tuple()))
 
 
 @dataclass(frozen=True)

@@ -16,9 +16,12 @@ Every step runs on the checked integer core (`generators.step_core`).
 its core, word, word string and trailing chain run.  `expand` builds a
 node (Fraction state and label) from each of them; `expand_rows` builds
 only the export row (`record_row`), which the JSONL and CSV writers format
-directly, so the CLI streams records with no object per record.  The
-state recursion and the 3x3 label route are compared with each node in
-`verify_node`.
+directly, so the CLI streams records with no object per record.
+
+`verify_node` runs every check on the integers of the node's core and its
+parent's, the word's replay from the root (shared with `node_at`) too.
+The parent's step is redone by two routes other than `step_core`: the
+explicit recursion and the 3x3 label matrix.
 """
 
 from __future__ import annotations
@@ -28,9 +31,10 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
-from .diophantine import center_gap_index, recover_edges
+from .diophantine import central_gap, recover_edges
 from .errors import (
     ButterflyError,
     InvariantViolation,
@@ -46,8 +50,11 @@ from .generators import (
     GeneratorKind,
     ROOT_LABEL,
     ROOT_STATE,
+    _problems,
     apply_label,
     apply_state,
+    label_route,
+    state_route,
     step_core,
     tail_generator,
     tail_side,
@@ -159,6 +166,21 @@ def chain(node: TreeNode, steps: int) -> list[TreeNode]:
     return out
 
 
+def _replay(word: Word, start: int = 0, core: Core = ROOT_STATE.core) -> Core:
+    """The core reached by stepping word[start:] from `core`, the root's by default.
+
+    A chain letter applied against the tail raises TailDirectionMismatch
+    naming the prefix that failed.
+    """
+    for i in range(start, len(word)):
+        try:
+            core = step_core(word[i], core)
+        except TailDirectionMismatch as exc:
+            raise TailDirectionMismatch(
+                f"word fails at prefix {word_string(word[:i + 1])}: {exc}") from exc
+    return core
+
+
 def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     """Replay a word from the root.
 
@@ -167,17 +189,15 @@ def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     """
     if isinstance(word, str):
         word = parse_word(word)
-    core = ROOT_STATE.core
     kinds: list[GeneratorKind] = []
-    for step in word:
-        kinds.append(step if isinstance(step, GeneratorKind)
-                     else GeneratorKind.from_token(step))
-        try:
-            core = step_core(kinds[-1], core)
-        except TailDirectionMismatch as exc:
-            raise TailDirectionMismatch(
-                f"word fails at prefix {word_string(kinds)}: {exc}") from exc
-    return _node(core, tuple(kinds))
+    try:
+        for step in word:
+            kinds.append(step if isinstance(step, GeneratorKind)
+                         else GeneratorKind.from_token(step))
+    except ValueError:
+        _replay(kinds)  # a bad chain letter before the bad token fails first
+        raise
+    return _node(_replay(kinds), tuple(kinds))
 
 
 @dataclass(frozen=True)
@@ -247,141 +267,173 @@ class NodeVerification:
         return self.ok
 
 
-_EXPECTED_QC_STEP = {
-    GeneratorKind.C_L: lambda q_r, q_l: q_r + 3 * q_l,
-    GeneratorKind.C_R: lambda q_r, q_l: 3 * q_r + q_l,
-    GeneratorKind.U_L: lambda q_r, q_l: 2 * (q_r + q_l) + q_l,
-    GeneratorKind.U_R: lambda q_r, q_l: 2 * (q_r + q_l) + q_r,
-    GeneratorKind.D_L: lambda q_r, q_l: 2 * (q_r + q_l) + q_l,
-    GeneratorKind.D_R: lambda q_r, q_l: 2 * (q_r + q_l) + q_r,
-    GeneratorKind.C_CL: lambda q_r, q_l: q_r + q_l + 2 * (q_l - q_r),
-    GeneratorKind.C_CR: lambda q_r, q_l: q_r + q_l + 2 * (q_r - q_l),
+# The q_c and Delta-sigma step tables, as coefficients (a, b, c, d) on the
+# parent's denominators: q_c' = a q_R + b q_L and Delta-sigma' =
+# Delta-sigma + c q_R + d q_L.
+_EXPECTED_STEP = {
+    GeneratorKind.C_L: (1, 3, 0, 0),
+    GeneratorKind.C_R: (3, 1, 0, 0),
+    GeneratorKind.U_L: (2, 3, -1, 0),
+    GeneratorKind.U_R: (3, 2, 0, 1),
+    GeneratorKind.D_L: (2, 3, 1, 0),
+    GeneratorKind.D_R: (3, 2, 0, -1),
+    GeneratorKind.C_CL: (-1, 3, 0, 0),
+    GeneratorKind.C_CR: (3, -1, 0, 0),
 }
 
-_EXPECTED_DSIGMA_STEP = {
-    GeneratorKind.C_L: lambda q_r, q_l: 0,
-    GeneratorKind.C_R: lambda q_r, q_l: 0,
-    GeneratorKind.U_L: lambda q_r, q_l: -q_r,
-    GeneratorKind.U_R: lambda q_r, q_l: q_l,
-    GeneratorKind.D_L: lambda q_r, q_l: q_r,
-    GeneratorKind.D_R: lambda q_r, q_l: -q_l,
-    GeneratorKind.C_CL: lambda q_r, q_l: 0,
-    GeneratorKind.C_CR: lambda q_r, q_l: 0,
-}
+
+def _cross_route_failure(kind: GeneratorKind, parent: TreeNode,
+                         node: TreeNode) -> Optional[str]:
+    """The cross-route failure on the object views, None if they agree.
+
+    Run only when the integer routes differ: the Fraction view reduces the
+    edges stepped from an unfriendly parent, so it can still agree.
+    """
+    try:
+        via_state = apply_state(kind, parent.state)
+        via_label = apply_label(kind, parent.label)
+    except ButterflyError as exc:
+        return f"cross-route: stepping the parent failed: {exc}"
+    if via_state != node.state or via_label != node.label:
+        return (f"cross-route: {kind.value} on the parent gives state "
+                f"{via_state.core} and label {via_label.as_tuple()}, the node "
+                f"has {node.state.core} and {node.label.as_tuple()}")
+    return None
 
 
 def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerification:
     """Run every node invariant; optionally also the parent relations.
 
-    When `parent` is omitted it is recovered by replaying word[:-1]; pass
-    it explicitly in sweeps to avoid the replay cost.
+    Each check compares plain integers read once from the node's core and
+    the parent's; a Fraction is built only to word a failure.  The word is
+    replayed from the root even when `parent` is given.  When it is not,
+    the replay's core of word[:-1] stands in for it, and a prefix that
+    does not replay is reported in place of the parent relations.
     """
-    failures = list(node.state.check())
+    word, label, state = node.word, node.label, node.state
+    core = state.core
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    failures = _problems(core)
+    clean = not failures
     checks = 4
-    state = node.state
 
     checks += 1
-    state_tuple = (state.q_r, state.q_l, state.delta_sigma)
-    if node.label.as_tuple() != state_tuple:
-        failures.append(f"label {node.label} does not match state {state_tuple}")
+    state_tuple = (q_r, q_l, s_p - s_m)
+    label_tuple = label.as_tuple()
+    if label_tuple != state_tuple:
+        failures.append(f"label {label} does not match state {state_tuple}")
 
     checks += 1
     try:
-        p_l, p_r = recover_edges(state.q_r, state.q_l)
-        if (p_l, p_r) != (state.left.numerator, state.right.numerator):
-            failures.append(
-                f"numerators {(state.left.numerator, state.right.numerator)} "
-                f"differ from recovered {(p_l, p_r)}")
+        recovered = recover_edges(q_r, q_l)
+        if recovered != (p_l, p_r):
+            failures.append(f"numerators {(p_l, p_r)} differ from recovered {recovered}")
     except Exception as exc:
         failures.append(f"edge recovery failed: {exc}")
 
     checks += 1
-    if state.width != Fraction(1, state.q_l * state.q_r):
+    if p_r * q_l - p_l * q_r != 1:
         failures.append(f"width {state.width} != 1/(q_L q_R)")
 
     checks += 1
-    expected_class = "root" if not node.word else node.word[-1].cell_class
+    expected_class = "root" if not word else word[-1].cell_class
     if node.cell_class != expected_class:
         failures.append(f"cell class {node.cell_class} != {expected_class}")
 
     checks += 1
-    if node.tail_direction != state.tail_direction:
-        failures.append(
-            f"tail direction {node.tail_direction} != {state.tail_direction}")
+    tail = tail_side(q_r, q_l)
+    if node.tail_direction != tail:
+        failures.append(f"tail direction {node.tail_direction} != {tail}")
 
     checks += 1
+    q_c, p_c = q_r + q_l, p_r + p_l
+    g = gcd(p_c, q_c)  # the centre in lowest terms, as its Fraction has it
     try:
-        r_c, _ = center_gap_index(state)
-        if not 0 < r_c < state.q_c:
+        r_c = central_gap(s_p, s_m, p_c // g, q_c // g)
+        if not 0 < r_c < q_c:
             failures.append(f"central gap index {r_c} out of range")
     except Exception as exc:
         failures.append(f"central gap congruence failed: {exc}")
 
     checks += 1
+    prefix, head = word[:-1], None
     try:
-        replay = node_at(node.word)
-        if replay.state != state or replay.label != node.label:
-            failures.append("word replay disagrees with stored node")
+        head = _replay(prefix)
+        replayed = _replay(word, len(prefix), head)
     except Exception as exc:
         failures.append(f"word replay failed: {exc}")
+        replay_error = exc
+    else:
+        if replayed != core or label_tuple != state_tuple:
+            failures.append("word replay disagrees with stored node")
 
-    if node.word:
-        if parent is None:
-            parent = node_at(node.word[:-1])
-        elif parent.word != node.word[:-1]:
-            raise ValueError("given parent does not match word prefix")
-        last = node.word[-1]
-        p_state = parent.state
+    if word:
+        if parent is not None:
+            if parent.word != prefix:
+                raise ValueError("given parent does not match word prefix")
+            p_core, p_label = parent.state.core, parent.label.as_tuple()
+            p_tail = parent.tail_direction
+        elif head is None:
+            checks += 1
+            failures.append(f"parent replay failed: {replay_error}")
+            return NodeVerification(node.word_str, checks, tuple(failures))
+        else:
+            p_core, p_label = head, (head[0], head[1], head[2] - head[3])
+            p_tail = tail_side(head[0], head[1])
+        last = word[-1]
+        pq_r, pq_l, ps_p, ps_m, pp_r, pp_l = p_core
 
         checks += 1
         try:
-            via_state = apply_state(last, p_state)
-            via_label = apply_label(last, parent.label)
-        except ButterflyError as exc:
-            failures.append(f"cross-route: stepping the parent failed: {exc}")
-        else:
-            if via_state != state or via_label != node.label:
-                failures.append(
-                    f"cross-route: {last.value} on the parent gives state "
-                    f"{via_state.core} and label {via_label.as_tuple()}, the node "
-                    f"has {state.core} and {node.label.as_tuple()}")
+            agree = (clean and state_route(last, p_core) == core
+                     and label_route(last, p_label) == label_tuple)
+        except TailDirectionMismatch:
+            agree = False
+        if not agree:
+            failure = _cross_route_failure(
+                last, _node(head, prefix) if parent is None else parent, node)
+            if failure:
+                failures.append(failure)
+
+        a, b, c, d = _EXPECTED_STEP[last]
+        checks += 1
+        expected_qc = a * pq_r + b * pq_l
+        if q_c != expected_qc:
+            failures.append(f"q_c {q_c} != expected {expected_qc}")
 
         checks += 1
-        expected_qc = _EXPECTED_QC_STEP[last](p_state.q_r, p_state.q_l)
-        if state.q_c != expected_qc:
-            failures.append(f"q_c {state.q_c} != expected {expected_qc}")
-
-        checks += 1
-        expected_ds = p_state.delta_sigma + _EXPECTED_DSIGMA_STEP[last](
-            p_state.q_r, p_state.q_l)
-        if state.delta_sigma != expected_ds:
-            failures.append(
-                f"Delta-sigma {state.delta_sigma} != expected {expected_ds}")
+        expected_ds = ps_p - ps_m + c * pq_r + d * pq_l
+        if s_p - s_m != expected_ds:
+            failures.append(f"Delta-sigma {s_p - s_m} != expected {expected_ds}")
 
         checks += 1
         if last.is_chain:
-            acc = p_state.accumulation.value
-            if parent.tail_direction == "right":
-                if state.left != p_state.right or not state.right < acc:
+            # The accumulation point (pp_r - pp_l)/(pq_r - pq_l).
+            acc_p, acc_q = pp_r - pp_l, pq_r - pq_l
+            if acc_q < 0:
+                acc_p, acc_q = -acc_p, -acc_q
+            if acc_q == 0:
+                failures.append(f"chain member of a parent with no accumulation "
+                                f"point: equal denominators in "
+                                f"{Fraction(pp_l, pq_l)}, {Fraction(pp_r, pq_r)}")
+            elif p_tail == "right":
+                if (p_l, q_l) != (pp_r, pq_r) or not p_r * acc_q < acc_p * q_r:
                     failures.append("chain member not between parent edge "
                                     "and accumulation point")
-            else:
-                if state.right != p_state.left or not state.left > acc:
-                    failures.append("chain member not between accumulation "
-                                    "point and parent edge")
-        else:
-            if not (p_state.left <= state.left and state.right <= p_state.right):
-                failures.append("baby interval escapes the parent interval")
+            elif (p_r, q_r) != (pp_l, pq_l) or not p_l * acc_q > acc_p * q_l:
+                failures.append("chain member not between accumulation "
+                                "point and parent edge")
+        elif not (pp_l * q_l <= p_l * pq_l and p_r * pq_r <= pp_r * q_r):
+            failures.append("baby interval escapes the parent interval")
 
         checks += 1
-        parity_preserved = (state.q_c - p_state.q_c) % 2 == 0
+        p_qc = pq_r + pq_l
         if last.cell_class in ("C-cell", "chain"):
-            if not parity_preserved:
+            if (q_c - p_qc) % 2:
                 failures.append("parity-preserving step changed q_c parity")
         else:
-            left_kind = last in (GeneratorKind.U_L, GeneratorKind.D_L)
-            side = p_state.q_l if left_kind else p_state.q_r
-            if state.q_c != 2 * p_state.q_c + side:
+            side = pq_l if last in (GeneratorKind.U_L, GeneratorKind.D_L) else pq_r
+            if q_c != 2 * p_qc + side:
                 failures.append("E-cell step is not q_c' = 2 q_c + q_edge")
 
     return NodeVerification(node.word_str, checks, tuple(failures))

@@ -2,13 +2,16 @@
 
 import csv
 import dataclasses
+import fractions
 import io
 import json
 from fractions import Fraction
 
 import pytest
 
+from butterfly_tree.diophantine import center_gap_index, recover_edges
 from butterfly_tree.errors import (
+    ButterflyError,
     InvariantViolation,
     MalformedRecord,
     NoTail,
@@ -16,7 +19,12 @@ from butterfly_tree.errors import (
 )
 from butterfly_tree import tree
 from butterfly_tree.farey import stern_brocot_friendly_triplets
-from butterfly_tree.generators import GeneratorKind
+from butterfly_tree.generators import (
+    ButterflyState,
+    GeneratorKind,
+    _check_tail,
+    apply_label,
+)
 from butterfly_tree.tree import (
     RECORD_FIELDS,
     ExpansionLimits,
@@ -134,6 +142,10 @@ def test_node_at_rejects_bad_words():
     assert "UL.TR" in str(info.value)
     with pytest.raises(ValueError):
         node_at("UL.XX")
+    # Tokens convert before the replay, but a chain letter against the tail
+    # still fails ahead of a later unknown token.
+    with pytest.raises(TailDirectionMismatch, match="^word fails at prefix UL.TR: "):
+        node_at(["UL", "TR", "XX"])
 
 
 def test_expand_counts():
@@ -381,3 +393,322 @@ def test_expand_steps_every_candidate_child(monkeypatch):
     for _ in walk(limits):
         pass
     assert len(calls) == expected
+
+
+# ------------------------------------------------ verify_node on the integers
+
+def _seed_combo(a, u, b, v):
+    return Fraction(a * u.numerator + b * v.numerator,
+                    a * u.denominator + b * v.denominator)
+
+
+def _seed_apply_state(kind, state):
+    """The explicit recursion on Fraction edges, kept here as the oracle's own."""
+    _check_tail(kind, state.q_r, state.q_l, "state")
+    v_l, v_r = state.left, state.right
+    s_p, s_m = state.sigma_plus, state.sigma_minus
+    q_l, q_r, q_c = state.q_l, state.q_r, state.q_c
+    if kind is K.C_L:
+        new = ButterflyState(v_l, _seed_combo(1, v_r, 2, v_l), s_p + q_l, s_m + q_l)
+    elif kind is K.C_R:
+        new = ButterflyState(_seed_combo(1, v_l, 2, v_r), v_r, s_p + q_r, s_m + q_r)
+    elif kind is K.U_L:
+        new = ButterflyState(_seed_combo(2, v_l, 1, v_r), _seed_combo(1, v_l, 1, v_r),
+                             s_p + q_l, s_m + q_c)
+    elif kind is K.U_R:
+        new = ButterflyState(_seed_combo(1, v_l, 1, v_r), _seed_combo(1, v_l, 2, v_r),
+                             s_p + q_c, s_m + q_r)
+    elif kind is K.D_L:
+        new = ButterflyState(_seed_combo(2, v_l, 1, v_r), _seed_combo(1, v_l, 1, v_r),
+                             s_p + q_c, s_m + q_l)
+    elif kind is K.D_R:
+        new = ButterflyState(_seed_combo(1, v_l, 1, v_r), _seed_combo(1, v_l, 2, v_r),
+                             s_p + q_r, s_m + q_c)
+    elif kind is K.C_CL:
+        step = q_l - q_r
+        new = ButterflyState(_seed_combo(2, v_l, -1, v_r), v_l, s_p + step, s_m + step)
+    else:
+        step = q_r - q_l
+        new = ButterflyState(v_r, _seed_combo(2, v_r, -1, v_l), s_p + step, s_m + step)
+    problems = new.check()
+    if problems:
+        raise InvariantViolation(
+            f"{kind.value} on {state} produced a bad state: " + "; ".join(problems))
+    return new
+
+
+_SEED_QC_STEP = {
+    K.C_L: lambda q_r, q_l: q_r + 3 * q_l,
+    K.C_R: lambda q_r, q_l: 3 * q_r + q_l,
+    K.U_L: lambda q_r, q_l: 2 * (q_r + q_l) + q_l,
+    K.U_R: lambda q_r, q_l: 2 * (q_r + q_l) + q_r,
+    K.D_L: lambda q_r, q_l: 2 * (q_r + q_l) + q_l,
+    K.D_R: lambda q_r, q_l: 2 * (q_r + q_l) + q_r,
+    K.C_CL: lambda q_r, q_l: q_r + q_l + 2 * (q_l - q_r),
+    K.C_CR: lambda q_r, q_l: q_r + q_l + 2 * (q_r - q_l),
+}
+
+_SEED_DSIGMA_STEP = {
+    K.C_L: lambda q_r, q_l: 0,
+    K.C_R: lambda q_r, q_l: 0,
+    K.U_L: lambda q_r, q_l: -q_r,
+    K.U_R: lambda q_r, q_l: q_l,
+    K.D_L: lambda q_r, q_l: q_r,
+    K.D_R: lambda q_r, q_l: -q_l,
+    K.C_CL: lambda q_r, q_l: 0,
+    K.C_CR: lambda q_r, q_l: 0,
+}
+
+
+def seed_verify_node(node, parent=None):
+    """The invariant battery on Fraction states, as it ran before the integer one.
+
+    The oracle of the differential test: every report of `verify_node`
+    must equal this one, word for word.
+    """
+    failures = list(node.state.check())
+    checks = 4
+    state = node.state
+
+    checks += 1
+    state_tuple = (state.q_r, state.q_l, state.delta_sigma)
+    if node.label.as_tuple() != state_tuple:
+        failures.append(f"label {node.label} does not match state {state_tuple}")
+
+    checks += 1
+    try:
+        p_l, p_r = recover_edges(state.q_r, state.q_l)
+        if (p_l, p_r) != (state.left.numerator, state.right.numerator):
+            failures.append(
+                f"numerators {(state.left.numerator, state.right.numerator)} "
+                f"differ from recovered {(p_l, p_r)}")
+    except Exception as exc:
+        failures.append(f"edge recovery failed: {exc}")
+
+    checks += 1
+    if state.width != Fraction(1, state.q_l * state.q_r):
+        failures.append(f"width {state.width} != 1/(q_L q_R)")
+
+    checks += 1
+    expected_class = "root" if not node.word else node.word[-1].cell_class
+    if node.cell_class != expected_class:
+        failures.append(f"cell class {node.cell_class} != {expected_class}")
+
+    checks += 1
+    if node.tail_direction != state.tail_direction:
+        failures.append(
+            f"tail direction {node.tail_direction} != {state.tail_direction}")
+
+    checks += 1
+    try:
+        r_c, _ = center_gap_index(state)
+        if not 0 < r_c < state.q_c:
+            failures.append(f"central gap index {r_c} out of range")
+    except Exception as exc:
+        failures.append(f"central gap congruence failed: {exc}")
+
+    checks += 1
+    try:
+        replay = node_at(node.word)
+        if replay.state != state or replay.label != node.label:
+            failures.append("word replay disagrees with stored node")
+    except Exception as exc:
+        failures.append(f"word replay failed: {exc}")
+
+    if node.word:
+        if parent is None:
+            parent = node_at(node.word[:-1])
+        elif parent.word != node.word[:-1]:
+            raise ValueError("given parent does not match word prefix")
+        last = node.word[-1]
+        p_state = parent.state
+
+        checks += 1
+        try:
+            via_state = _seed_apply_state(last, p_state)
+            via_label = apply_label(last, parent.label)
+        except ButterflyError as exc:
+            failures.append(f"cross-route: stepping the parent failed: {exc}")
+        else:
+            if via_state != state or via_label != node.label:
+                failures.append(
+                    f"cross-route: {last.value} on the parent gives state "
+                    f"{via_state.core} and label {via_label.as_tuple()}, the node "
+                    f"has {state.core} and {node.label.as_tuple()}")
+
+        checks += 1
+        expected_qc = _SEED_QC_STEP[last](p_state.q_r, p_state.q_l)
+        if state.q_c != expected_qc:
+            failures.append(f"q_c {state.q_c} != expected {expected_qc}")
+
+        checks += 1
+        expected_ds = p_state.delta_sigma + _SEED_DSIGMA_STEP[last](
+            p_state.q_r, p_state.q_l)
+        if state.delta_sigma != expected_ds:
+            failures.append(
+                f"Delta-sigma {state.delta_sigma} != expected {expected_ds}")
+
+        checks += 1
+        if last.is_chain:
+            acc = p_state.accumulation.value
+            if parent.tail_direction == "right":
+                if state.left != p_state.right or not state.right < acc:
+                    failures.append("chain member not between parent edge "
+                                    "and accumulation point")
+            else:
+                if state.right != p_state.left or not state.left > acc:
+                    failures.append("chain member not between accumulation "
+                                    "point and parent edge")
+        else:
+            if not (p_state.left <= state.left and state.right <= p_state.right):
+                failures.append("baby interval escapes the parent interval")
+
+        checks += 1
+        parity_preserved = (state.q_c - p_state.q_c) % 2 == 0
+        if last.cell_class in ("C-cell", "chain"):
+            if not parity_preserved:
+                failures.append("parity-preserving step changed q_c parity")
+        else:
+            left_kind = last in (K.U_L, K.D_L)
+            side = p_state.q_l if left_kind else p_state.q_r
+            if state.q_c != 2 * p_state.q_c + side:
+                failures.append("E-cell step is not q_c' = 2 q_c + q_edge")
+
+    return tree.NodeVerification(node.word_str, checks, tuple(failures))
+
+
+def _with_state(node, **changes):
+    return dataclasses.replace(node, state=dataclasses.replace(node.state, **changes))
+
+
+def _reducing_pair():
+    """A parent with unfriendly edges and a child that matches its Fraction step.
+
+    U_L on edges 0/1, 2/3 gives 2/5 and 2/4 on the integers, which the
+    Fraction view reduces to 1/2: only the view agrees with this child.
+    """
+    parent = _with_state(node_at("CL"), right=Fraction(2, 3), sigma_plus=1, sigma_minus=1)
+    node = _with_state(node_at("CL.UL"), left=Fraction(2, 5), right=Fraction(1, 2),
+                       sigma_plus=2, sigma_minus=5)
+    return node, parent
+
+
+def _tampered_pairs():
+    """(node, parent) pairs that between them break every check of the battery."""
+    r, cl, cr, ul, dl = (node_at(w) for w in ("", "CL", "CR", "UL", "DL"))
+    cl_tr, ul_tl = node_at("CL.TR"), node_at("UL.TL")
+    skewed_cl = _with_state(cl, right=Fraction(2, 3))  # edges not friendly
+    pairs = [
+        (_with_state(cl, sigma_plus=cl.state.sigma_plus + 1), r),  # slope sum, gap
+        (_with_state(ul, left=ul.state.right, right=ul.state.left), r),  # order
+        (skewed_cl, r),  # friendly, numerators, width
+        (_with_state(cl, left=Fraction(1, 2), right=Fraction(1, 4)), r),  # recovery
+        (dataclasses.replace(ul, label=dl.label), r),  # label, replay, cross-route
+        (dataclasses.replace(cl, cell_class="E-cell"), r),
+        (dataclasses.replace(cl, tail_direction="left"), r),
+        (_with_state(cl, sigma_plus=4, sigma_minus=0), r),  # gap index 0, slopes
+        (_with_state(ul, sigma_plus=dl.state.sigma_plus,
+                     sigma_minus=dl.state.sigma_minus), r),  # Delta-sigma
+        (dataclasses.replace(ul, word=(K.D_L,)), r),  # replay disagrees
+        (dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)),
+         dataclasses.replace(cl, word=(K.C_CR,))),  # replay fails
+        (ul, dataclasses.replace(r, state=cl.state)),  # q_c, baby, E-cell
+        (cl, dataclasses.replace(r, state=ul.state)),  # parity
+        (cl_tr, _with_state(cl, left=cr.state.left, right=cr.state.right)),  # tail step
+        (cl_tr, dataclasses.replace(cl, tail_direction="left")),  # chain-between
+        (ul_tl, dataclasses.replace(ul, tail_direction="right")),  # chain-between
+        (_with_state(ul_tl, right=Fraction(2, 7)), ul),  # chain member moved
+        (node_at("CL.UL"), skewed_cl),  # a parent whose routes reduce
+        _reducing_pair(),
+    ]
+    # Again without a parent, for every node whose prefix replays.
+    return pairs + [(node, None) for node, _ in pairs if node.word[:1] != (K.C_CR,)]
+
+
+def test_verify_node_equals_the_fraction_battery_on_every_node():
+    by_word = {}
+    for node in expand(ExpansionLimits(3, 2)):
+        by_word[node.word] = node
+        parent = by_word[node.word[:-1]] if node.word else None
+        for given in (parent, None):
+            report = verify_node(node, given)
+            assert report == seed_verify_node(node, given)
+            assert report.ok, (node.word_str, report.failures)
+    assert len(by_word) == 343
+
+
+def test_verify_node_equals_the_fraction_battery_on_tampered_nodes():
+    texts = set()
+    for node, parent in _tampered_pairs():
+        want = seed_verify_node(node, parent)
+        assert verify_node(node, parent) == want, (node.word_str, parent)
+        assert parent is None or not want.ok
+        texts.update(want.failures)
+    needed = ["slope sum", "edges out of order", "edges not friendly",
+              "slopes must be positive", "does not match state", "numerators",
+              "edge recovery failed", "width", "cell class", "tail direction",
+              "central gap congruence failed", "central gap index",
+              "word replay disagrees", "word replay failed", "cross-route: C_",
+              "cross-route: stepping the parent failed", "q_c ", "Delta-sigma",
+              "between parent edge", "between accumulation point",
+              "baby interval escapes", "parity-preserving", "E-cell step"]
+    assert [n for n in needed if not any(n in t for t in texts)] == []
+    node, parent = _reducing_pair()
+    assert not any(f.startswith("cross-route") for f in verify_node(node, parent).failures)
+
+
+def test_verify_node_sees_a_slope_shift_that_keeps_the_sum():
+    # sigma_+ + 1 and sigma_- - 1 keep the slope sum and the central gap;
+    # the label moves with them, so only the routes and the replay disagree.
+    node = node_at("UL.CR")
+    shifted = dataclasses.replace(
+        _with_state(node, sigma_plus=node.state.sigma_plus + 1,
+                    sigma_minus=node.state.sigma_minus - 1),
+        label=dataclasses.replace(node.label, delta_sigma=node.label.delta_sigma + 2))
+    with_parent = verify_node(shifted, node_at("UL"))
+    assert with_parent.failures == (
+        "word replay disagrees with stored node",
+        "cross-route: C_R on the parent gives state (2, 7, 4, 5, 1, 3) and label "
+        "(2, 7, -1), the node has (2, 7, 5, 4, 1, 3) and (2, 7, 1)",
+        "Delta-sigma 1 != expected -1")
+    assert verify_node(shifted) == with_parent  # the replayed parent is the same
+
+
+def test_verify_node_reports_what_it_used_to_raise():
+    # A chain letter over a parent with q_R == q_L: no accumulation point.
+    node = dataclasses.replace(node_at("CL.TR"), word=(K.C_CR,))
+    tail = "C_cR needs q_R > q_L, state has (1, 1)"
+    for parent in (root(), None):
+        report = verify_node(node, parent)
+        assert report.failures == (
+            f"word replay failed: word fails at prefix TR: {tail}",
+            f"cross-route: stepping the parent failed: {tail}",
+            "q_c 8 != expected 2",
+            "chain member of a parent with no accumulation point: "
+            "equal denominators in 0, 1")
+        assert report.checks == 16
+    # No parent given and a prefix that does not replay.
+    report = verify_node(dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)))
+    assert report.failures == (f"word replay failed: word fails at prefix TR: {tail}",
+                               f"parent replay failed: word fails at prefix TR: {tail}")
+    assert report.checks == 12
+
+
+def test_verify_node_builds_no_fraction_on_passing_nodes(monkeypatch):
+    nodes = list(expand(ExpansionLimits(3, 2)))
+    by_word = {node.word: node for node in nodes}
+    made = []
+    real = fractions.Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(fractions.Fraction, "__new__", counting)
+    Fraction(1, 2)
+    assert made == [(1, 2)]  # the patch sees construction
+    made.clear()
+    for node in nodes:
+        assert verify_node(node, by_word.get(node.word[:-1]) if node.word else None)
+        assert verify_node(node)
+    assert made == []
