@@ -57,10 +57,10 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
-    node = tree_mod.node_at(args.word)
-    members = tree_mod.chain(node, args.steps)
+    # Every row is built before the output opens, so an error writes nothing.
+    rows = list(tree_mod.chain_rows(tree_mod.node_at(args.word), args.steps))
     with _out_stream(args.output) as fp:
-        tree_mod.write_jsonl(members, fp)
+        tree_mod.write_jsonl_rows(rows, fp)
     return 0
 
 
@@ -155,12 +155,12 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from . import scaling as scaling_mod
     word = tree_mod.parse_word(args.word)
-    block = scaling_mod.word_block(word)
-    surd = scaling_mod.scaling_exponent(word)
+    (a, _), (_, d) = scaling_mod.word_block(word)
+    surd = scaling_mod.trace_exponent(a + d, word)
     cf = scaling_mod.cf_expansion(surd, args.cf_terms)
     print(json.dumps({
         "word": tree_mod.word_string(word),
-        "trace": block[0][0] + block[1][1],
+        "trace": a + d,
         "surd": {"trace": surd.trace, "discriminant": surd.discriminant},
         "value": surd.value,
         "continuedFraction": {"preperiod": list(cf.preperiod),

@@ -62,11 +62,10 @@ class GeneratorKind(enum.Enum):
 
     @classmethod
     def from_token(cls, text: str) -> "GeneratorKind":
-        key = text.strip().upper().replace("_", "")
-        for kind, token in _TOKENS.items():
-            if key == token or key == kind.value.upper().replace("_", ""):
-                return kind
-        raise ValueError(f"unknown generator token {text!r}")
+        try:
+            return _BY_KEY[text.strip().upper().replace("_", "")]
+        except KeyError:
+            raise ValueError(f"unknown generator token {text!r}") from None
 
     @property
     def is_parity_preserving(self) -> bool:
@@ -84,6 +83,9 @@ _TOKENS = {
     GeneratorKind.C_CL: "TL",
     GeneratorKind.C_CR: "TR",
 }
+# Every accepted spelling, normalised as `from_token` normalises its input.
+_BY_KEY = {key: kind for kind, token in _TOKENS.items()
+           for key in (token, kind.value.upper().replace("_", ""))}
 for _kind, _token in _TOKENS.items():
     _kind.token = _token
     _kind.is_chain = _kind in (GeneratorKind.C_CL, GeneratorKind.C_CR)

@@ -173,6 +173,8 @@ def triple_tree(c_max: Optional[int] = None,
     """
     if c_max is None and max_depth is None:
         raise ValueError("need c_max or max_depth, the tree is infinite")
+    if max_depth is not None and max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
     if c_max is not None and c_max < 5:
         return
     queue = deque([((), PythTriple(3, 4, 5))])

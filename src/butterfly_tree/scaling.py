@@ -7,9 +7,10 @@ period, i.e. the self-similarity exponent of that periodic path.  Words
 built purely from C/chain letters are unipotent (trace 2, polynomial
 growth) and have no such exponent.
 
-Everything is integer arithmetic: surds are (trace, discriminant) pairs,
-continued fractions come from the exact (P, Q) recurrence for quadratic
-irrationals, and powers use the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
+Everything is integer arithmetic: word blocks are folded on four ints,
+surds are (trace, discriminant) pairs, continued fractions come from the
+exact (P, Q) recurrence for quadratic irrationals, and powers use the
+trace recurrence t_{k+1} = t*t_k - t_{k-1}.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Sequence
 
 from . import intmat
 from .errors import InvariantViolation, ParabolicWord
-from .generators import GeneratorKind, canonical_matrices
+from .generators import GeneratorKind
 
 
 @dataclass(frozen=True)
@@ -63,27 +64,32 @@ class QuadraticSurd:
 
 
 def word_block(word: Sequence[GeneratorKind]) -> intmat.Matrix:
-    """Product of the 2x2 blocks of a word, left to right.
+    """Product of the 2x2 blocks of a word, left to right, on four ints.
 
-    The tree's tail preconditions do not apply here: any word denotes a
-    group element even if no tree walk realizes it.
+    Each letter's block is the first four entries of its `step`.  Tail
+    preconditions do not apply: any word denotes a group element.
     """
     if not word:
         raise ValueError("word must be nonempty")
-    out = canonical_matrices(word[0]).two_by_two
-    for kind in word[1:]:
-        out = intmat.mat_mul(out, canonical_matrices(kind).two_by_two)
-    return out
+    a, b, c, d = 1, 0, 0, 1
+    for kind in word:
+        e, f, g, h = kind.step[:4]
+        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    return ((a, b), (c, d))
 
 
-def scaling_exponent(word: Sequence[GeneratorKind]) -> QuadraticSurd:
-    """Dominant eigenvalue magnitude of the word block, as an exact surd."""
-    t = word_block(word)
-    trace = t[0][0] + t[1][1]
+def trace_exponent(trace: int, word: Sequence[GeneratorKind]) -> QuadraticSurd:
+    """The exact surd of a word whose block has this (signed) trace."""
     if abs(trace) < 3:
         raise ParabolicWord(
             f"trace {trace}: no hyperbolic exponent for {[k.value for k in word]}")
     return QuadraticSurd(abs(trace))
+
+
+def scaling_exponent(word: Sequence[GeneratorKind]) -> QuadraticSurd:
+    """Dominant eigenvalue magnitude of the word block, as an exact surd."""
+    (a, _), (_, d) = word_block(word)
+    return trace_exponent(a + d, word)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ Every step runs on the checked integer core (`generators.step_core`).
 its core, word, word string and trailing chain run.  `expand` builds a
 node (Fraction state and label) from each of them; `expand_rows` builds
 only the export row (`record_row`), which the JSONL and CSV writers format
-directly, so the CLI streams records with no object per record.
+directly, so the CLI streams records with no object per record;
+`chain_rows` does the same for the members of a chain.
 
 `verify_node` runs every check on the integers of the node's core and its
 parent's, the word's replay from the root (shared with `node_at`) too.
@@ -139,9 +140,12 @@ def children(node: TreeNode) -> list[TreeNode]:
 def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
     """Checked cores of the first `steps` chain members below `core`.
 
-    `word` addresses `core` and only names it in errors: NoTail when there
-    is no tail, InvariantViolation if the tail ever flips sides.
+    `word` addresses `core` and only names it in errors: ValueError for
+    negative `steps`, NoTail when there is no tail, InvariantViolation if
+    the tail ever flips sides.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be non-negative, got {steps}")
     kind = tail_generator(core[0], core[1])
     if kind is None:
         raise NoTail(f"{word_string(word) or 'root'} has no tail")
@@ -156,14 +160,21 @@ def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
 
 def chain(node: TreeNode, steps: int) -> list[TreeNode]:
     """The first `steps` members of the chain hanging off the node's tail."""
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
     kind = node.state.tail_generator
     out, word = [], node.word
     for member in chain_cores(node.state.core, steps, word):
         word += (kind,)
         out.append(_node(member, word))
     return out
+
+
+def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
+    """The row of each member of `chain(node, steps)`, built straight from the cores."""
+    core, text, depth = node.state.core, node.word_str, len(node.word)
+    kind, side = tail_generator(core[0], core[1]), tail_side(core[0], core[1])
+    for member in chain_cores(core, steps, node.word):
+        text, depth = f"{text}.{kind.token}", depth + 1
+        yield record_row(member, text, "chain", side, depth)
 
 
 def _replay(word: Word, start: int = 0, core: Core = ROOT_STATE.core) -> Core:
@@ -188,7 +199,8 @@ def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     naming the prefix that failed.
     """
     if isinstance(word, str):
-        word = parse_word(word)
+        kinds = parse_word(word)
+        return _node(_replay(kinds), kinds)
     kinds: list[GeneratorKind] = []
     try:
         for step in word:

@@ -6,8 +6,9 @@ import json
 
 import pytest
 
-from butterfly_tree import skeleton, tree
+from butterfly_tree import scaling, skeleton, tree
 from butterfly_tree.cli import main
+from butterfly_tree.errors import NoTail
 
 
 def run(capsys, *argv):
@@ -116,6 +117,44 @@ def test_chain_command(capsys):
         (5, 3, 0), (7, 5, 0)]
 
 
+# 40 U letters take the integers past 2^53, then a C letter and its chain
+# letter set the tail's side.
+LEFT_TAIL = ".".join(["UR"] * 40 + ["CR", "TL"])
+RIGHT_TAIL = ".".join(["UL"] * 40 + ["CL", "TR"])
+
+
+@pytest.mark.parametrize("word, side", [(LEFT_TAIL, "left"), (RIGHT_TAIL, "right")],
+                         ids=["left-tail", "right-tail"])
+@pytest.mark.parametrize("steps", [0, 1, 50])
+def test_chain_bytes_equal_the_node_writer(capsys, word, side, steps):
+    node = tree.node_at(word)
+    assert node.tail_direction == side and node.state.q_r > 2 ** 53
+    want = io.StringIO()
+    assert tree.write_jsonl(tree.chain(node, steps), want) == steps
+    assert run(capsys, "chain", "--word", word, "--steps", str(steps)) == (
+        0, want.getvalue(), "")
+
+
+def test_chain_errors_come_before_any_output(capsys, tmp_path):
+    path = tmp_path / "chain.jsonl"
+    assert run(capsys, "chain", "--word=", "--steps", "2", "-o", str(path)) == (
+        1, "", "error: root has no tail\n")
+    assert not path.exists()
+    assert run(capsys, "chain", "--word=", "--steps", "0") == (
+        1, "", "error: root has no tail\n")
+    assert run(capsys, "chain", "--word=", "--steps", "-1") == (
+        2, "", "error: steps must be non-negative, got -1\n")
+    with pytest.raises(NoTail, match="root has no tail"):
+        tree.chain(tree.root(), 0)
+    with pytest.raises(ValueError, match="got -1"):
+        tree.chain(tree.root(), -1)
+
+
+def test_node_accepts_mixed_spellings(capsys):
+    want = run(capsys, "node", "--word=UL.TL.DR.CR.TL")
+    assert run(capsys, "node", "--word", " ul, c_cl.Dr  C_R,tl ") == want
+
+
 def test_pyth_tree_stream(capsys):
     code, out, _ = run(capsys, "pyth", "--depth", "1")
     assert code == 0
@@ -198,6 +237,31 @@ def test_scaling_command(capsys):
     assert (cf["preperiod"], cf["period"]) == ([2], [1])
     assert len(cf["terms"]) == 12
     assert run(capsys, "scaling", "--word", "CL")[0] == 1
+
+
+def test_scaling_folds_the_word_block_once(capsys, monkeypatch):
+    calls = []
+
+    def counted(word):
+        calls.append(len(word))
+        return real(word)
+
+    real = scaling.word_block
+    monkeypatch.setattr(scaling, "word_block", counted)
+    code, out, err = run(capsys, "scaling", "--word", "CL.CL.CL.TL", "--cf-terms", "3")
+    assert (code, err, calls) == (0, "", [4])
+    report = json.loads(out)
+    assert (report["trace"], report["surd"]) == (-4, {"trace": 4, "discriminant": 12})
+    assert report["continuedFraction"]["terms"] == [3, 1, 2]
+    calls.clear()
+    code, out, err = run(capsys, "scaling", "--word", "TL.TR")
+    assert (code, out, calls) == (1, "", [2])
+    assert err == "error: trace 2: no hyperbolic exponent for ['C_cL', 'C_cR']\n"
+
+
+def test_pyth_rejects_negative_depth(capsys):
+    assert run(capsys, "pyth", "--depth", "-1") == (
+        2, "", "error: max_depth must be non-negative\n")
 
 
 def test_wannier_command(capsys):

@@ -237,6 +237,40 @@ def test_generator_kind_tokens():
         K.from_token("XX")
 
 
+# The linear scan that `from_token` ran before it became one dict lookup,
+# kept as the oracle for every spelling.
+OLD_TOKENS = {K.C_L: "CL", K.C_R: "CR", K.U_L: "UL", K.U_R: "UR",
+              K.D_L: "DL", K.D_R: "DR", K.C_CL: "TL", K.C_CR: "TR"}
+
+
+def scanned_token(text):
+    key = text.strip().upper().replace("_", "")
+    for kind, token in OLD_TOKENS.items():
+        if key == token or key == kind.value.upper().replace("_", ""):
+            return kind
+    raise ValueError(f"unknown generator token {text!r}")
+
+
+ACCEPTED = [spelled for kind, token in OLD_TOKENS.items()
+            for name in (token, kind.value)
+            for spelled in (name, name.lower(), name.swapcase(), "_".join(name),
+                            f"  {name}\t", f"_{name}_\n")]
+REJECTED = ["", " ", "_", "C", "T", "CC", "CLL", "TLR", "XX", "T L", "C.L",
+            "C-L", "S1", "CcLR", "ccr l", "\u00c7L", "C_L_C_R"]
+
+
+def test_from_token_matches_the_linear_scan():
+    assert len(ACCEPTED) == 96
+    for text in ACCEPTED:
+        assert K.from_token(text) is scanned_token(text), text
+    for text in REJECTED:
+        with pytest.raises(ValueError) as oracle:
+            scanned_token(text)
+        with pytest.raises(ValueError) as got:
+            K.from_token(text)
+        assert str(got.value) == str(oracle.value)
+
+
 def test_cell_classes():
     assert K.C_L.cell_class == "C-cell"
     assert K.U_R.cell_class == "E-cell"

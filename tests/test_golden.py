@@ -7,9 +7,13 @@ chain word whose integers pass 2^53, a --max-qc expansion and a small
 Wannier table) before the writers formatted lines directly.  The 43 129-line
 Wannier table, the Apollonian correspondence report and the small
 Pythagorean oracle row are the benchmark's own digests, captured before any
-optimisation, and pin the views on integer rows.  Any change
-that moves a byte of these outputs fails here.  Arguments are split on
-spaces, so the palette needs no quoting.
+optimisation, and pin the views on integer rows.  The last three pin the
+bignum commands (`scaling` on a 500-letter word whose value is still a
+finite float, a 20-step chain below a 1 000-letter word, and `node` with a
+word in mixed spellings); they were captured before the word block was
+folded on four ints, tokens were looked up in one dict and chain rows were
+built from the cores.  Any change that moves a byte of these outputs fails
+here.  Arguments are split on spaces, so the palette needs no quoting.
 """
 
 import hashlib
@@ -17,6 +21,30 @@ import hashlib
 import pytest
 
 from butterfly_tree.cli import main
+
+BABIES = ("CL", "CR", "UL", "UR", "DL", "DR")
+# The chain letter every baby leaves valid: its tail side, which chain
+# letters keep.
+TAIL = {"CL": "TR", "CR": "TL", "UL": "TL", "UR": "TR", "DL": "TL", "DR": "TR"}
+
+
+def lcg_word(length, seed):
+    """A fixed valid word: letters drawn by a linear congruential generator,
+    one draw in four the chain letter of the last baby."""
+    x, last, letters = seed, None, []
+    for _ in range(length):
+        x = (x * 1103515245 + 12345) % 2 ** 31
+        pick = (x >> 16) % 8
+        if pick >= 6 and last:
+            letters.append(TAIL[last])
+        else:
+            last = BABIES[pick % 6]
+            letters.append(last)
+    return ".".join(letters)
+
+
+SCALING_ARGV = "scaling --cf-terms 8 --word=" + lcg_word(500, 1)
+CHAIN_ARGV = "chain --steps 20 --word=" + lcg_word(1000, 2)
 
 # argv -> (SHA-256 of stdout, stdout length in bytes)
 GOLDEN = {
@@ -45,10 +73,21 @@ GOLDEN = {
         ("77cc222d03a0a8e7738a39b929ad7ac60300ca08e3118f5608851ce21e459365", 948),
     "pyth --oracle-cmax 50":
         ("edec99eb3f5a829e6ec80b4e5d39e6cb9107da3a619cc5c7b0d11892ea040ebe", 62),
+    SCALING_ARGV:
+        ("1a181911195806b565791be5f94476b9b8afe6eef13dccd41db7100ca5ffb77e", 3014),
+    CHAIN_ARGV:
+        ("3bb2caedcdd3062ddec2509208bc4adf08f5beb2051aa55471614def8298c80c", 120223),
+    "node --word=ul,c_cl.Dr..C_R,tl":
+        ("437d34f4164607bf334104f4b387646e7c5e8dad867e98d2874a51c8406ab17f", 194),
 }
 
 
-@pytest.mark.parametrize("argv", sorted(GOLDEN))
+def short_id(argv):
+    """The argv as a test id, with a long word cut."""
+    return argv if len(argv) < 200 else argv[:60] + "..."
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN), ids=short_id)
 def test_cli_output_bytes(capsys, argv):
     code = main(argv.split())
     out = capsys.readouterr().out.encode("utf-8")

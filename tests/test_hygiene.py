@@ -1,5 +1,6 @@
-"""Invariants must survive `python -O`, which strips `assert` statements;
-the package must load only what a command uses and keep its public names."""
+"""Invariants must survive `python -O`, which strips `assert` statements:
+the verify line and the expand and bignum-word goldens are checked under it.
+The package must load only what a command uses and keep its public names."""
 
 import ast
 import hashlib
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import butterfly_tree
-from test_golden import GOLDEN
+from test_golden import CHAIN_ARGV, GOLDEN, SCALING_ARGV, short_id
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -52,6 +53,13 @@ def test_expand_under_optimize_flag():
     argv = "expand --depth 3 --chain-cap 2"
     proc = _optimized(argv.split())
     assert proc.returncode == 0, proc.stderr
+    assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", [SCALING_ARGV, CHAIN_ARGV], ids=short_id)
+def test_bignum_words_under_optimize_flag(argv):
+    proc = _optimized(argv.split())
+    assert (proc.returncode, proc.stderr) == (0, b"")
     assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]
 
 

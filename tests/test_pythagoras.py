@@ -140,6 +140,11 @@ def test_tree_depth_truncation():
                          (3,): PythTriple(15, 8, 17)}
 
 
+def test_tree_rejects_negative_depth():
+    with pytest.raises(ValueError, match="max_depth must be non-negative"):
+        list(triple_tree(max_depth=-1))
+
+
 def test_cbranch_reference_values():
     assert cbranch_to_triple(node_at("")) == PythTriple(1, 0, 1)
     assert cbranch_to_triple(node_at("CL")) == PythTriple(3, 4, 5)

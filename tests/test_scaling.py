@@ -1,13 +1,15 @@
 """Exact scaling exponents of generator words and their continued fractions."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from butterfly_tree import intmat
 from butterfly_tree.errors import ParabolicWord
-from butterfly_tree.generators import GeneratorKind
+from butterfly_tree.generators import GeneratorKind, canonical_matrices
 from butterfly_tree.scaling import (
     QuadraticSurd,
     cf_expansion,
@@ -27,6 +29,29 @@ def test_word_block_reference_values():
     assert word_block([K.U_L]) == ((1, 1), (1, 2))
     assert word_block([K.C_L, K.C_R]) == ((5, 2), (2, 1))
     assert block_trace([K.C_L]) == 2
+
+
+def mat_mul_block(word):
+    """The oracle: a left-to-right `intmat.mat_mul` fold of the canonical blocks."""
+    out = canonical_matrices(word[0]).two_by_two
+    for kind in word[1:]:
+        out = intmat.mat_mul(out, canonical_matrices(kind).two_by_two)
+    return out
+
+
+def test_word_block_matches_a_mat_mul_fold():
+    # Letters are drawn from all eight kinds, so chain letters land against
+    # the tail too: word_block ignores tail preconditions.
+    rng = random.Random(8)
+    kinds = list(K)
+    words = [[K.C_CL] * 5 + [K.C_CR] * 7, [K.C_CR, K.C_L, K.C_CL, K.C_R]]
+    words += [rng.choices(kinds, k=rng.randint(1, 300)) for _ in range(150)]
+    for word in words:
+        assert word_block(word) == mat_mul_block(word)
+    long_word = rng.choices(kinds, k=10_000)
+    (a, _), (_, d) = mat_mul_block(long_word)
+    assert block_trace(long_word) == a + d
+    assert (a + d).bit_length() > 5_000
 
 
 def test_exponent_reference_values():
