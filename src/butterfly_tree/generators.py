@@ -15,11 +15,12 @@ Each generator is realised three ways and the routes must agree:
 * its projections, 3x3 on (q_R, q_L, Delta-sigma) and 2x2 on (q_R, q_L).
 
 The tree steps only the integer core: the 4x4 vector plus the edge
-numerators, which follow the 2x2 block (`step_core`).  Fraction states and
-labels are views built from it.  The other routes are cross-checks on
-plain integers too: `state_route` is the explicit recursion and
-`label_route` the 3x3 matrix; `apply_state` and `apply_label` are their
-object views.
+numerators, which follow the 2x2 block (`step_core`, which checks each
+result in full; a word's replay checks friendliness once, see
+`_check_steps`).  Fraction states and labels are views built from it.
+The other routes are cross-checks on plain integers too: `state_route` is
+the explicit recursion and `label_route` the 3x3 matrix; `apply_state`
+and `apply_label` are their object views.
 
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and
@@ -150,6 +151,17 @@ Core = tuple[int, int, int, int, int, int]
 # Each member keeps them as a plain attribute, like its token.
 for _kind, _m in _FOUR.items():
     _kind.step = _m[0][:2] + _m[1][:2] + _m[2][:2] + _m[3][:2]
+
+
+def _check_steps() -> None:
+    """Raise unless every step block has determinant 1, as `tree._replay` assumes."""
+    for kind in GeneratorKind:
+        det = kind.step[0] * kind.step[3] - kind.step[1] * kind.step[2]
+        if det != 1:
+            raise InvariantViolation(f"{kind.value} step block has determinant {det}, not 1")
+
+
+_check_steps()
 
 
 def _project_three(m4: intmat.Matrix) -> intmat.Matrix:

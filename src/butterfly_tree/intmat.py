@@ -1,8 +1,10 @@
 """Small exact integer matrices as tuples of tuples.
 
 Everything here is plain Python integers, so entries never overflow no
-matter how long a generator word gets.  Sizes are tiny (2x2 to 4x4), so
-naive algorithms are the right tool.
+matter how long a generator word gets.  Nothing here checks an invariant:
+friendliness is checked by `generators.step_core` on every step and by
+`tree._replay` once per word.  Sizes are tiny (2x2 to 4x4), so naive
+algorithms are the right tool.
 """
 
 from __future__ import annotations

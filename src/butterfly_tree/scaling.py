@@ -7,10 +7,10 @@ period, i.e. the self-similarity exponent of that periodic path.  Words
 built purely from C/chain letters are unipotent (trace 2, polynomial
 growth) and have no such exponent.
 
-Everything is integer arithmetic: word blocks are folded on four ints,
-surds are (trace, discriminant) pairs, continued fractions come from the
-exact (P, Q) recurrence for quadratic irrationals, and powers use the
-trace recurrence t_{k+1} = t*t_k - t_{k-1}.
+Everything is integer arithmetic: word blocks are balanced products on
+four ints, surds are (trace, discriminant) pairs, continued fractions come
+from the exact (P, Q) recurrence for quadratic irrationals, and powers use
+the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
 """
 
 from __future__ import annotations
@@ -63,26 +63,42 @@ class QuadraticSurd:
         return QuadraticSurd(cur)
 
 
-def word_block(word: Sequence[GeneratorKind]) -> intmat.Matrix:
-    """Product of the 2x2 blocks of a word, left to right, on four ints.
+_LEAF = 16  # letters folded one at a time into each leaf of `word_block`
 
-    Each letter's block is the first four entries of its `step`.  Tail
-    preconditions do not apply: any word denotes a group element.
+
+def word_block(word: Sequence[GeneratorKind]) -> intmat.Matrix:
+    """Product of the 2x2 blocks of a word, in order, on four ints.
+
+    Each letter's block is the first four entries of its `step`.  Leaves
+    of `_LEAF` letters are folded left to right, then neighbours are
+    multiplied pairwise, level by level: a balanced product, whose bignum
+    work grows with the size of the result, not with letters times size.
+    Tail preconditions do not apply: any word denotes a group element.
     """
     if not word:
         raise ValueError("word must be nonempty")
-    a, b, c, d = 1, 0, 0, 1
-    for kind in word:
-        e, f, g, h = kind.step[:4]
-        a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+    blocks = []
+    for start in range(0, len(word), _LEAF):
+        a, b, c, d = 1, 0, 0, 1
+        for kind in word[start:start + _LEAF]:
+            e, f, g, h = kind.step[:4]
+            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
+        blocks.append((a, b, c, d))
+    while len(blocks) > 1:  # an odd block out moves up a level as it is
+        blocks = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+                  for (a, b, c, d), (e, f, g, h) in zip(blocks[::2], blocks[1::2])
+                  ] + blocks[len(blocks) // 2 * 2:]
+    a, b, c, d = blocks[0]
     return ((a, b), (c, d))
 
 
 def trace_exponent(trace: int, word: Sequence[GeneratorKind]) -> QuadraticSurd:
     """The exact surd of a word whose block has this (signed) trace."""
     if abs(trace) < 3:
-        raise ParabolicWord(
-            f"trace {trace}: no hyperbolic exponent for {[k.value for k in word]}")
+        names = [k.value for k in word]
+        if len(names) > 20:  # bound the error line: the count and both ends
+            names = f"{len(names)} letters {names[:4]} ... {names[-4:]}"
+        raise ParabolicWord(f"trace {trace}: no hyperbolic exponent for {names}")
     return QuadraticSurd(abs(trace))
 
 

@@ -11,7 +11,9 @@ Expansion is breadth-first and fully deterministic; limits cap the depth,
 optionally the center denominator, and the number of consecutive chain
 letters at the end of a word (a chain cap of 0 disables chain successors).
 
-Every step runs on the checked integer core (`generators.step_core`).
+Every step runs on the integer core and is checked by
+`generators.step_core`, except in a word's replay (`_replay`), which
+checks friendliness once, on the core it reaches.
 `walk` is the one breadth-first traversal: it yields each emitted node as
 its core, word, word string and trailing chain run.  `expand` builds a
 node (Fraction state and label) from each of them; `expand_rows` builds
@@ -51,6 +53,8 @@ from .generators import (
     GeneratorKind,
     ROOT_LABEL,
     ROOT_STATE,
+    _BY_KEY,
+    _check_tail,
     _problems,
     apply_label,
     apply_state,
@@ -72,7 +76,7 @@ RECORD_FIELDS = ("word", "qR", "qL", "dSigma", "pL", "pR", "pc", "qc",
 def parse_word(text: str) -> Word:
     """Parse a dot-separated generator word such as 'UL.CR.TR'."""
     parts = [p for p in text.replace(",", ".").replace(" ", ".").split(".") if p]
-    return tuple(GeneratorKind.from_token(p) for p in parts)
+    return tuple([_BY_KEY.get(p) or GeneratorKind.from_token(p) for p in parts])
 
 
 def word_string(word: Sequence[GeneratorKind]) -> str:
@@ -178,17 +182,36 @@ def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
 
 
 def _replay(word: Word, start: int = 0, core: Core = ROOT_STATE.core) -> Core:
-    """The core reached by stepping word[start:] from `core`, the root's by default.
+    """The checked core reached by stepping word[start:] from `core`, the root's by default.
 
     A chain letter applied against the tail raises TailDirectionMismatch
-    naming the prefix that failed.
+    naming the prefix that failed.  Every step block has determinant 1
+    (`generators._check_steps`), so no step changes the friendly
+    determinant: a letter gets only the checks that need no product (one
+    that fails them is redone by `step_core` for its error), and the full
+    check runs once, on the core returned.
     """
     for i in range(start, len(word)):
-        try:
-            core = step_core(word[i], core)
-        except TailDirectionMismatch as exc:
-            raise TailDirectionMismatch(
-                f"word fails at prefix {word_string(word[:i + 1])}: {exc}") from exc
+        kind = word[i]
+        q_r, q_l, s_p, s_m, p_r, p_l = core
+        if kind.is_chain:
+            try:
+                _check_tail(kind, q_r, q_l, "state")
+            except TailDirectionMismatch as exc:
+                raise TailDirectionMismatch(
+                    f"word fails at prefix {word_string(word[:i + 1])}: {exc}") from exc
+        a, b, c, d, e, f, g, h = kind.step
+        new = q_r, q_l, s_p, s_m, p_r, p_l = (
+            a * q_r + b * q_l, c * q_r + d * q_l, s_p + e * q_r + f * q_l,
+            s_m + g * q_r + h * q_l, a * p_r + b * p_l, c * p_r + d * p_l)
+        if not (q_r >= 1 and q_l >= 1 and s_p >= 1 and s_m >= 1 and 0 <= p_l
+                and p_r <= q_r and s_p + s_m == q_r + q_l):
+            step_core(kind, core)
+        core = new
+    problems = _problems(core)
+    if problems:
+        raise InvariantViolation(f"{len(word)}-letter word replays to a bad state: "
+                                 + "; ".join(problems))
     return core
 
 
@@ -476,8 +499,25 @@ def expand_rows(limits: ExpansionLimits) -> Iterator[tuple]:
                          tail_side(core[0], core[1]), len(word))
 
 
+def _decimal(n: int) -> str:
+    """Decimal text of an integer of any size.
+
+    str() refuses integers past the interpreter's digit limit (4 300 by
+    default), which guards `int()` on input and is left as it is; such an
+    integer is written in 600-digit chunks, under the lowest limit (640).
+    """
+    try:
+        return str(n)
+    except ValueError:
+        chunks, rest = [], abs(n)
+        while rest:
+            rest, low = divmod(rest, 10 ** 600)
+            chunks.append(f"{low:0600d}")
+        return "-" * (n < 0) + "".join(reversed(chunks)).lstrip("0")
+
+
 def _json_int(n: int) -> Union[int, str]:
-    return n if -_JSON_SAFE <= n <= _JSON_SAFE else str(n)
+    return n if -_JSON_SAFE <= n <= _JSON_SAFE else _decimal(n)
 
 
 def node_record(node: TreeNode) -> dict:
@@ -554,7 +594,7 @@ _CSV_LINE = (",".join(["{}"] * len(RECORD_FIELDS)) + "\n").format
 
 def _json_text(n: int) -> Union[int, str]:
     """An integer field as JSON text: quoted decimal beyond +/-(2^53 - 1)."""
-    return n if -_JSON_SAFE <= n <= _JSON_SAFE else f'"{n}"'
+    return n if -_JSON_SAFE <= n <= _JSON_SAFE else f'"{_decimal(n)}"'
 
 
 def write_jsonl_rows(rows: Iterable[tuple], fp: IO[str]) -> int:
@@ -593,7 +633,11 @@ def write_csv_rows(rows: Iterable[tuple], fp: IO[str]) -> int:
     fp.write(",".join(RECORD_FIELDS) + "\n")
     count = 0
     for row in rows:
-        fp.write(_CSV_LINE(*row))
+        try:
+            line = _CSV_LINE(*row)
+        except ValueError:  # an integer past the interpreter's digit limit
+            line = _CSV_LINE(row[0], *map(_decimal, row[1:10]), *row[10:])
+        fp.write(line)
         count += 1
     return count
 

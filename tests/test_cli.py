@@ -1,14 +1,19 @@
 """End-to-end checks of the command-line interface via cli.main()."""
 
+import contextlib
 import dataclasses
 import io
 import json
+import sys
 
 import pytest
 
 from butterfly_tree import scaling, skeleton, tree
 from butterfly_tree.cli import main
-from butterfly_tree.errors import NoTail
+from butterfly_tree.errors import MalformedRecord, NoTail
+from butterfly_tree.generators import GeneratorKind, step_core
+from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, lcg_word
+from test_tree import step_fold
 
 
 def run(capsys, *argv):
@@ -135,6 +140,76 @@ def test_chain_bytes_equal_the_node_writer(capsys, word, side, steps):
         0, want.getvalue(), "")
 
 
+INT_FIELDS = ("qR", "qL", "dSigma", "pL", "pR", "pc", "qc", "sigmaPlus", "sigmaMinus")
+
+
+def record_ints(core):
+    """The integer fields of a record, from its core."""
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    return dict(zip(INT_FIELDS, (q_r, q_l, s_p - s_m, p_l, p_r, p_l + p_r, q_r + q_l,
+                                 s_p, s_m)))
+
+
+def json_int(n):
+    return n if abs(n) < 2 ** 53 else str(n)
+
+
+@pytest.mark.parametrize("length, seed", [(1, 1), (2, 2), (40, 3), (999, 4), (3000, 5)])
+def test_chain_rows_equal_a_step_core_fold(capsys, length, seed):
+    word = lcg_word(length, seed)
+    core = step_fold(tree.parse_word(word))
+    tail = GeneratorKind.C_CR if core[0] > core[1] else GeneratorKind.C_CL
+    side = "right" if core[0] > core[1] else "left"
+    code, out, err = run(capsys, "chain", "--steps", "4", f"--word={word}")
+    assert (code, err) == (0, "")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert len(rows) == 4
+    for depth, row in enumerate(rows, length + 1):
+        core, word = step_core(tail, core), f"{word}.{tail.token}"
+        want = {key: json_int(n) for key, n in record_ints(core).items()}
+        want.update(word=word, cellClass="chain", tailDirection=side, depth=depth)
+        assert row == want
+
+
+def digit_limit():
+    """The interpreter's int/str digit limit, 0 where it has none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@contextlib.contextmanager
+def unlimited_digits():
+    """Lift the interpreter's int/str digit limit, where it has one, in the block."""
+    limit = digit_limit()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_node_and_chain_print_integers_past_the_digit_limit(capsys):
+    limit = digit_limit()
+    outputs = [run(capsys, *argv.split()) for argv in (BIG_NODE_ARGV, BIG_CHAIN_ARGV)]
+    assert [(code, err) for code, _, err in outputs] == [(0, ""), (0, "")]
+    assert digit_limit() == limit
+    word = BIG_NODE_ARGV.split("=", 1)[1]
+    node = tree.node_at(word)
+    cores = [node.state.core] + [m.state.core for m in tree.chain(node, 2)]
+    csv_text = io.StringIO()
+    tree.write_csv([node], csv_text)
+    with pytest.raises(MalformedRecord, match="field qR is not an integer"):
+        tree.read_jsonl(io.StringIO(outputs[0][1]))  # the limit still guards input
+    with unlimited_digits():
+        assert len(str(node.state.q_r)) > 4_300
+        records = [json.loads(line) for _, out, _ in outputs for line in out.splitlines()]
+        assert [{key: int(r[key]) for key in INT_FIELDS} for r in records] == [
+            record_ints(core) for core in cores]
+        assert csv_text.getvalue().splitlines()[1].split(",")[1:10] == [
+            str(n) for n in record_ints(node.state.core).values()]
+
+
 def test_chain_errors_come_before_any_output(capsys, tmp_path):
     path = tmp_path / "chain.jsonl"
     assert run(capsys, "chain", "--word=", "--steps", "2", "-o", str(path)) == (
@@ -257,6 +332,15 @@ def test_scaling_folds_the_word_block_once(capsys, monkeypatch):
     code, out, err = run(capsys, "scaling", "--word", "TL.TR")
     assert (code, out, calls) == (1, "", [2])
     assert err == "error: trace 2: no hyperbolic exponent for ['C_cL', 'C_cR']\n"
+
+
+def test_a_long_parabolic_word_gets_a_bounded_error_line(capsys):
+    tokens, names = ["TL", "TR"] * 5_000, ["C_cL", "C_cR"] * 5_000
+    for letters in (20, 21, 10_000):
+        named = names[:letters] if letters <= 20 else (
+            f"{letters} letters {names[:4]} ... {names[letters - 4:letters]}")
+        assert run(capsys, "scaling", "--word=" + ".".join(tokens[:letters])) == (
+            1, "", f"error: trace 2: no hyperbolic exponent for {named}\n")
 
 
 def test_pyth_rejects_negative_depth(capsys):

@@ -22,6 +22,7 @@ from butterfly_tree.generators import (
     canonical_matrices,
     representation_consistency,
 )
+from butterfly_tree.tree import parse_word
 
 K = GeneratorKind
 
@@ -269,6 +270,24 @@ def test_from_token_matches_the_linear_scan():
         with pytest.raises(ValueError) as got:
             K.from_token(text)
         assert str(got.value) == str(oracle.value)
+
+
+def test_parse_word_matches_from_token_on_every_part():
+    def split_then_convert(text):  # the oracle: from_token on each part
+        parts = [p for p in text.replace(",", ".").replace(" ", ".").split(".") if p]
+        return tuple(K.from_token(p) for p in parts)
+
+    for text in ACCEPTED + [".".join(ACCEPTED), ",".join(ACCEPTED)]:
+        assert parse_word(text) == split_then_convert(text), text
+    for text in REJECTED + ["UL." + text for text in REJECTED]:
+        try:
+            want = split_then_convert(text)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                parse_word(text)
+            assert str(got.value) == str(exc)
+        else:
+            assert parse_word(text) == want, text
 
 
 def test_cell_classes():

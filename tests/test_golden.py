@@ -7,13 +7,17 @@ chain word whose integers pass 2^53, a --max-qc expansion and a small
 Wannier table) before the writers formatted lines directly.  The 43 129-line
 Wannier table, the Apollonian correspondence report and the small
 Pythagorean oracle row are the benchmark's own digests, captured before any
-optimisation, and pin the views on integer rows.  The last three pin the
+optimisation, and pin the views on integer rows.  Three more pin the
 bignum commands (`scaling` on a 500-letter word whose value is still a
 finite float, a 20-step chain below a 1 000-letter word, and `node` with a
 word in mixed spellings); they were captured before the word block was
 folded on four ints, tokens were looked up in one dict and chain rows were
-built from the cores.  Any change that moves a byte of these outputs fails
-here.  Arguments are split on spaces, so the palette needs no quoting.
+built from the cores.  The last two (`node` and `chain` on a 14 000-letter
+word, integers of over 4 300 digits) have no earlier output to capture,
+as those commands used to exit 2 on them; `test_cli.py` checks their
+values against the library's cores.  Any change that moves a byte of
+these outputs fails here.  Arguments are split on spaces, so the palette
+needs no quoting.
 """
 
 import hashlib
@@ -45,6 +49,9 @@ def lcg_word(length, seed):
 
 SCALING_ARGV = "scaling --cf-terms 8 --word=" + lcg_word(500, 1)
 CHAIN_ARGV = "chain --steps 20 --word=" + lcg_word(1000, 2)
+# Integers of more than 4 300 digits, Python's default int-to-string limit.
+BIG_NODE_ARGV = "node --word=" + lcg_word(14_000, 3)
+BIG_CHAIN_ARGV = "chain --steps 2 --word=" + lcg_word(14_000, 3)
 
 # argv -> (SHA-256 of stdout, stdout length in bytes)
 GOLDEN = {
@@ -79,6 +86,10 @@ GOLDEN = {
         ("3bb2caedcdd3062ddec2509208bc4adf08f5beb2051aa55471614def8298c80c", 120223),
     "node --word=ul,c_cl.Dr..C_R,tl":
         ("437d34f4164607bf334104f4b387646e7c5e8dad867e98d2874a51c8406ab17f", 194),
+    BIG_NODE_ARGV:
+        ("5992a726badf5f1929d65b5ceacdca846921dbc0ed988a782f9fe5cd81ad0c1e", 82135),
+    BIG_CHAIN_ARGV:
+        ("d77b39093838baaf60d46cba616dec6a644d7c7eec9f779c4985c3e25c7477a2", 164229),
 }
 
 

@@ -1,5 +1,6 @@
 """Invariants must survive `python -O`, which strips `assert` statements:
-the verify line and the expand and bignum-word goldens are checked under it.
+the verify line and the expand and bignum-word goldens (the 14 000-letter
+`node` and `chain` ones too) are checked under it.
 The package must load only what a command uses and keep its public names."""
 
 import ast
@@ -13,7 +14,8 @@ from pathlib import Path
 import pytest
 
 import butterfly_tree
-from test_golden import CHAIN_ARGV, GOLDEN, SCALING_ARGV, short_id
+from test_golden import (BIG_CHAIN_ARGV, BIG_NODE_ARGV, CHAIN_ARGV, GOLDEN,
+                         SCALING_ARGV, short_id)
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -56,7 +58,8 @@ def test_expand_under_optimize_flag():
     assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]
 
 
-@pytest.mark.parametrize("argv", [SCALING_ARGV, CHAIN_ARGV], ids=short_id)
+@pytest.mark.parametrize("argv", [SCALING_ARGV, CHAIN_ARGV, BIG_NODE_ARGV, BIG_CHAIN_ARGV],
+                         ids=short_id)
 def test_bignum_words_under_optimize_flag(argv):
     proc = _optimized(argv.split())
     assert (proc.returncode, proc.stderr) == (0, b"")

@@ -11,6 +11,7 @@ from butterfly_tree import intmat
 from butterfly_tree.errors import ParabolicWord
 from butterfly_tree.generators import GeneratorKind, canonical_matrices
 from butterfly_tree.scaling import (
+    _LEAF,
     QuadraticSurd,
     cf_expansion,
     scaling_exponent,
@@ -46,12 +47,16 @@ def test_word_block_matches_a_mat_mul_fold():
     kinds = list(K)
     words = [[K.C_CL] * 5 + [K.C_CR] * 7, [K.C_CR, K.C_L, K.C_CL, K.C_R]]
     words += [rng.choices(kinds, k=rng.randint(1, 300)) for _ in range(150)]
+    # Around the leaf size and two of it, so a leaf, a pair and an odd
+    # block out at the end of a level all occur.
+    words += [rng.choices(kinds, k=n)
+              for n in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF + 1)]
     for word in words:
         assert word_block(word) == mat_mul_block(word)
     long_word = rng.choices(kinds, k=10_000)
-    (a, _), (_, d) = mat_mul_block(long_word)
-    assert block_trace(long_word) == a + d
-    assert (a + d).bit_length() > 5_000
+    block = mat_mul_block(long_word)
+    assert word_block(long_word) == block
+    assert (block[0][0] + block[1][1]).bit_length() > 5_000
 
 
 def test_exponent_reference_values():

@@ -17,13 +17,16 @@ from butterfly_tree.errors import (
     NoTail,
     TailDirectionMismatch,
 )
-from butterfly_tree import tree
+from butterfly_tree import generators, tree
 from butterfly_tree.farey import stern_brocot_friendly_triplets
 from butterfly_tree.generators import (
+    ROOT_STATE,
     ButterflyState,
     GeneratorKind,
+    _check_steps,
     _check_tail,
     apply_label,
+    step_core,
 )
 from butterfly_tree.tree import (
     RECORD_FIELDS,
@@ -47,6 +50,7 @@ from butterfly_tree.tree import (
     write_csv,
     write_jsonl,
 )
+from test_golden import lcg_word
 
 K = GeneratorKind
 
@@ -306,6 +310,85 @@ def test_csv_round_trip():
     assert header == list(RECORD_FIELDS)
     buf.seek(0)
     assert read_csv(buf) == nodes
+
+
+def step_fold(word):
+    """The oracle: `step_core` on each letter in turn, the replay as it used to run."""
+    core = ROOT_STATE.core
+    for i, kind in enumerate(word):
+        try:
+            core = step_core(kind, core)
+        except TailDirectionMismatch as exc:
+            raise TailDirectionMismatch(
+                f"word fails at prefix {word_string(word[:i + 1])}: {exc}") from exc
+    return core
+
+
+@pytest.mark.parametrize("length, seed", [(1, 1), (2, 2), (3, 3), (17, 4), (100, 5),
+                                          (999, 6), (3000, 7)])
+def test_node_at_equals_a_step_core_fold(length, seed):
+    text = lcg_word(length, seed)
+    word = parse_word(text)
+    assert length < 17 or any(kind.is_chain for kind in word)
+    want = step_fold(word)
+    assert node_at(text).state.core == want
+    assert node_at(text.split(".")).state.core == want
+
+
+def test_a_bad_chain_letter_past_letter_1000_names_its_prefix():
+    word = parse_word(lcg_word(1200, 9))
+    for cut in (1001, 1100, 1200):
+        q_r, q_l = step_fold(word[:cut])[:2]
+        against = K.C_CL if q_r > q_l else K.C_CR
+        bad = word[:cut] + (against,) + word[cut:cut + 5]
+        with pytest.raises(TailDirectionMismatch) as oracle:
+            step_fold(bad)
+        with pytest.raises(TailDirectionMismatch) as got:
+            node_at(word_string(bad))
+        assert str(got.value) == str(oracle.value)
+        assert str(got.value).startswith(
+            f"word fails at prefix {word_string(word[:cut])}.{against.token}: ")
+
+
+def test_a_letter_failing_a_sign_check_gets_the_step_error(monkeypatch):
+    # C_L's slope shifts replaced by ones that drive sigma_+ below 1.
+    monkeypatch.setattr(K.C_L, "step", (1, 2, 0, 1, -9, 0, 0, 1))
+    with pytest.raises(InvariantViolation) as oracle:
+        step_fold(parse_word("UL.UR.CL.DR"))
+    with pytest.raises(InvariantViolation) as got:
+        node_at("UL.UR.CL.DR")
+    assert str(got.value) == str(oracle.value)
+    assert "C_L on " in str(got.value) and "slopes must be positive" in str(got.value)
+
+
+def test_an_unimodularity_breach_is_caught_at_import_and_by_the_replay(monkeypatch):
+    _check_steps()
+    # The swap has determinant -1 and keeps every sign and the slope sum, so
+    # only the final check sees C_L used an odd number of times.
+    monkeypatch.setattr(K.C_L, "step", (0, 1, 1, 0, 0, 0, 0, 0))
+    with pytest.raises(InvariantViolation,
+                       match="^C_L step block has determinant -1, not 1$"):
+        _check_steps()
+    with pytest.raises(InvariantViolation, match="^5-letter word replays to a bad "
+                       "state: edges out of order: 5/8, 3/5; edges not friendly: "
+                       "determinant 1$"):
+        node_at("CL.UL.CL.UR.CL")
+    with pytest.raises(InvariantViolation, match="edges not friendly: determinant 1"):
+        child(root(), K.C_L)
+
+
+def test_a_replay_runs_the_full_check_once(monkeypatch):
+    calls = []
+
+    def counted(core):
+        calls.append(core)
+        return real(core)
+
+    real = generators._problems
+    monkeypatch.setattr(generators, "_problems", counted)
+    monkeypatch.setattr(tree, "_problems", counted)
+    node = node_at(lcg_word(500, 10))
+    assert calls == [node.state.core]
 
 
 def test_expansion_limit_validation():
