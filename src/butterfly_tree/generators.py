@@ -338,6 +338,19 @@ ROOT_STATE = ButterflyState(Fraction(0), Fraction(1), 1, 1)
 ROOT_LABEL = ButterflyLabel(1, 1, 0)
 
 
+def _text(value: object) -> str:
+    """str() of an int, Fraction, int tuple or state for an error text; an int
+    past the digit limit, which str() refuses, shows its bit length (a state, its core)."""
+    try:
+        return str(value)
+    except ValueError:
+        if isinstance(value, int):
+            return f"<{value.bit_length()}-bit integer>"
+        if isinstance(value, Fraction):
+            return f"{_text(value.numerator)}/{_text(value.denominator)}"
+        return "(" + ", ".join(map(_text, getattr(value, "core", value))) + ")"
+
+
 def _problems(core: Core) -> list[str]:
     """Invariant failures of an integer core, empty when it is consistent.
 
@@ -348,28 +361,26 @@ def _problems(core: Core) -> list[str]:
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
     if q_r < 1 or q_l < 1:
-        return [f"denominators must be positive: q_R={q_r}, q_L={q_l}"]
+        return [f"denominators must be positive: q_R={_text(q_r)}, q_L={_text(q_l)}"]
     problems = []
     cross, other = p_l * q_r, p_r * q_l
     if not (0 <= p_l and cross < other and p_r <= q_r):
-        problems.append(
-            f"edges out of order: {Fraction(p_l, q_l)}, {Fraction(p_r, q_r)}")
+        problems.append(f"edges out of order: {_text(Fraction(p_l, q_l))}, "
+                        f"{_text(Fraction(p_r, q_r))}")
     if cross - other != -1:
-        problems.append(f"edges not friendly: determinant {cross - other}")
+        problems.append(f"edges not friendly: determinant {_text(cross - other)}")
     if s_p < 1 or s_m < 1:
-        problems.append(f"slopes must be positive: ({s_p}, {s_m})")
+        problems.append(f"slopes must be positive: {_text((s_p, s_m))}")
     if s_p + s_m != q_r + q_l:
-        problems.append(f"slope sum {s_p + s_m} != q_c {q_r + q_l}")
+        problems.append(f"slope sum {_text(s_p + s_m)} != q_c {_text(q_r + q_l)}")
     return problems
 
 
 def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
-    if kind is GeneratorKind.C_CR and q_r <= q_l:
+    if kind.is_chain and (q_r <= q_l if kind is GeneratorKind.C_CR else q_l <= q_r):
+        need = "q_R > q_L" if kind is GeneratorKind.C_CR else "q_L > q_R"
         raise TailDirectionMismatch(
-            f"C_cR needs q_R > q_L, {holder} has ({q_r}, {q_l})")
-    if kind is GeneratorKind.C_CL and q_l <= q_r:
-        raise TailDirectionMismatch(
-            f"C_cL needs q_L > q_R, {holder} has ({q_r}, {q_l})")
+            f"{kind.value} needs {need}, {holder} has {_text((q_r, q_l))}")
 
 
 def step_core(kind: GeneratorKind, core: Core) -> Core:
@@ -389,9 +400,8 @@ def step_core(kind: GeneratorKind, core: Core) -> Core:
            a * p_r + b * p_l, c * p_r + d * p_l)
     problems = _problems(new)
     if problems:
-        raise InvariantViolation(
-            f"{kind.value} on {ButterflyState.from_core(core)} produced a bad "
-            f"state: " + "; ".join(problems))
+        raise InvariantViolation(f"{kind.value} on {_text(ButterflyState.from_core(core))} "
+                                 "produced a bad state: " + "; ".join(problems))
     return new
 
 
@@ -435,7 +445,7 @@ def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
     problems = new.check()
     if problems:
         raise InvariantViolation(
-            f"{kind.value} on {state} produced a bad state: " + "; ".join(problems))
+            f"{kind.value} on {_text(state)} produced a bad state: " + "; ".join(problems))
     return new
 
 

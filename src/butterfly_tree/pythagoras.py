@@ -199,4 +199,4 @@ def cbranch_to_triple(node) -> PythTriple:
         raise NotCCell(
             f"{node.word_str} is an E-cell node; only parity-preserving "
             "nodes carry a triple")
-    return euclid_to_triple(EuclidPair(node.state.q_r, node.state.q_l))
+    return euclid_to_triple(EuclidPair(*node.core[:2]))

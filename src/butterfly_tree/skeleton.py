@@ -113,7 +113,7 @@ def _apex(first: Core, second: Core) -> tuple[int, int, int]:
 def cell_geometry(node: TreeNode) -> SkeletonCell:
     """Exact cell geometry of a node; propagates InconsistentChernPair."""
     state = node.state
-    (p_c, q_c, r_c), left, right = _cell(state.core)
+    (p_c, q_c, r_c), left, right = _cell(node.core)
     color = None if not node.word else _KIND_ORDER.index(node.word[-1])
     return SkeletonCell(
         phi_left=state.left,
@@ -138,7 +138,7 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     this is the limit of the chain centers).
     """
     cell = cell_geometry(node)
-    p, q, r = _apex(*chain_cores(node.state.core, 2, node.word))
+    p, q, r = _apex(*chain_cores(node.core, 2, node.word))
     if node.tail_direction == "right":
         base = ((cell.phi_right, cell.plus_at_right),
                 (cell.phi_right, cell.minus_at_right))
@@ -208,7 +208,7 @@ def _decimal9(x: Fraction) -> str:
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:
     """Deterministic SVG of the given cells (typically an expand() stream)."""
-    return _render([(node.state.core, node.word, node.word_str, node.tail_direction)
+    return _render([(node.core, node.word, node.word_str, node.tail_direction)
                     for node in nodes], options)
 
 

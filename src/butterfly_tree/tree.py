@@ -1,9 +1,9 @@
 """The octonary tree of butterflies with tails.
 
-Nodes are immutable: each carries its integer label, full state, and the
-generator word that produced it from the root [0/1, 1/2, 1/1].  A node has
-six babies (C_L, C_R, U_L, U_R, D_L, D_R) and, whenever its two edge
-denominators differ, one chain successor along the tail side, eight
+Nodes are immutable: each holds its integer core and the generator word
+that produced it from the root [0/1, 1/2, 1/1]; the rest are views.  A
+node has six babies (C_L, C_R, U_L, U_R, D_L, D_R) and, whenever its two
+edge denominators differ, one chain successor along the tail side, eight
 generators but at most seven children.  Words therefore address nodes
 uniquely; the converse (which labels are reached) is not claimed here.
 
@@ -15,11 +15,11 @@ Every step runs on the integer core and is checked by
 `generators.step_core`, except in a word's replay (`_replay`), which
 checks friendliness once, on the core it reaches.
 `walk` is the one breadth-first traversal: it yields each emitted node as
-its core, word, word string and trailing chain run.  `expand` builds a
-node (Fraction state and label) from each of them; `expand_rows` builds
-only the export row (`record_row`), which the JSONL and CSV writers format
-directly, so the CLI streams records with no object per record;
-`chain_rows` does the same for the members of a chain.
+its core, word, word string and trailing chain run.  `expand` wraps each
+core and word in a node, whose Fraction state and label are built only on
+access; `expand_rows` builds only the export row (`record_row`), which the
+JSONL and CSV writers format directly, so the CLI streams records with no
+object per record; `chain_rows` does the same for the members of a chain.
 
 `verify_node` runs every check on the integers of the node's core and its
 parent's, the word's replay from the root (shared with `node_at`) too.
@@ -51,7 +51,6 @@ from .generators import (
     ButterflyState,
     Core,
     GeneratorKind,
-    ROOT_LABEL,
     ROOT_STATE,
     _BY_KEY,
     _check_tail,
@@ -85,14 +84,35 @@ def word_string(word: Sequence[GeneratorKind]) -> str:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """One butterfly of the hierarchy, addressed by its generator word."""
+    """One butterfly: its integer core and its word; everything else is a view.
 
-    label: ButterflyLabel
-    state: ButterflyState
+    Construction does not validate; `.label` raises InvariantViolation on
+    an inconsistent core.
+    """
+
+    core: Core
     word: Word
-    depth: int
-    cell_class: str
-    tail_direction: str
+
+    @property
+    def state(self) -> ButterflyState:
+        return ButterflyState.from_core(self.core)
+
+    @property
+    def label(self) -> ButterflyLabel:
+        q_r, q_l, s_p, s_m = self.core[:4]
+        return ButterflyLabel(q_r, q_l, s_p - s_m)
+
+    @property
+    def depth(self) -> int:
+        return len(self.word)
+
+    @property
+    def cell_class(self) -> str:
+        return self.word[-1].cell_class if self.word else "root"
+
+    @property
+    def tail_direction(self) -> str:
+        return tail_side(self.core[0], self.core[1])
 
     @property
     def word_str(self) -> str:
@@ -110,15 +130,7 @@ class TreeNode:
 
 
 def root() -> TreeNode:
-    return TreeNode(ROOT_LABEL, ROOT_STATE, (), 0, "root", "none")
-
-
-def _node(core: Core, word: Word) -> TreeNode:
-    """The public view of the integer core that `word` reaches."""
-    q_r, q_l, s_p, s_m = core[:4]
-    return TreeNode(ButterflyLabel(q_r, q_l, s_p - s_m), ButterflyState.from_core(core),
-                    word, len(word), word[-1].cell_class if word else "root",
-                    tail_side(q_r, q_l))
+    return TreeNode(ROOT_STATE.core, ())
 
 
 def _kid_cores(core: Core) -> Iterator[tuple[GeneratorKind, Core]]:
@@ -132,13 +144,12 @@ def _kid_cores(core: Core) -> Iterator[tuple[GeneratorKind, Core]]:
 
 def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
     """Apply one generator by the checked integer step."""
-    return _node(step_core(kind, node.state.core), node.word + (kind,))
+    return TreeNode(step_core(kind, node.core), node.word + (kind,))
 
 
 def children(node: TreeNode) -> list[TreeNode]:
     """The six babies plus the chain successor when a tail exists."""
-    return [_node(kid, node.word + (kind,))
-            for kind, kid in _kid_cores(node.state.core)]
+    return [TreeNode(kid, node.word + (kind,)) for kind, kid in _kid_cores(node.core)]
 
 
 def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
@@ -164,17 +175,14 @@ def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
 
 def chain(node: TreeNode, steps: int) -> list[TreeNode]:
     """The first `steps` members of the chain hanging off the node's tail."""
-    kind = node.state.tail_generator
-    out, word = [], node.word
-    for member in chain_cores(node.state.core, steps, word):
-        word += (kind,)
-        out.append(_node(member, word))
-    return out
+    kind = tail_generator(node.core[0], node.core[1])
+    return [TreeNode(member, node.word + (kind,) * i)
+            for i, member in enumerate(chain_cores(node.core, steps, node.word), 1)]
 
 
 def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
     """The row of each member of `chain(node, steps)`, built straight from the cores."""
-    core, text, depth = node.state.core, node.word_str, len(node.word)
+    core, text, depth = node.core, node.word_str, len(node.word)
     kind, side = tail_generator(core[0], core[1]), tail_side(core[0], core[1])
     for member in chain_cores(core, steps, node.word):
         text, depth = f"{text}.{kind.token}", depth + 1
@@ -223,7 +231,7 @@ def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     """
     if isinstance(word, str):
         kinds = parse_word(word)
-        return _node(_replay(kinds), kinds)
+        return TreeNode(_replay(kinds), kinds)
     kinds: list[GeneratorKind] = []
     try:
         for step in word:
@@ -232,7 +240,7 @@ def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     except ValueError:
         _replay(kinds)  # a bad chain letter before the bad token fails first
         raise
-    return _node(_replay(kinds), tuple(kinds))
+    return TreeNode(_replay(kinds), tuple(kinds))
 
 
 @dataclass(frozen=True)
@@ -282,8 +290,7 @@ def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
 
 def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
     """The nodes of `walk(limits)`, in the same order."""
-    for core, word, _, _ in walk(limits):
-        yield _node(core, word)
+    return (TreeNode(core, word) for core, word, _, _ in walk(limits))
 
 
 @dataclass(frozen=True)
@@ -321,18 +328,20 @@ def _cross_route_failure(kind: GeneratorKind, parent: TreeNode,
                          node: TreeNode) -> Optional[str]:
     """The cross-route failure on the object views, None if they agree.
 
-    Run only when the integer routes differ: the Fraction view reduces the
-    edges stepped from an unfriendly parent, so it can still agree.
+    Run only when the integer routes differ or the node fails its own
+    checks: the views still agree with a core that is its parent's step.
     """
+    q_r, q_l, s_p, s_m = node.core[:4]
+    label = (q_r, q_l, s_p - s_m)  # not node.label: the view raises on a bad core
     try:
         via_state = apply_state(kind, parent.state)
-        via_label = apply_label(kind, parent.label)
+        via_label = apply_label(kind, parent.label).as_tuple()
     except ButterflyError as exc:
         return f"cross-route: stepping the parent failed: {exc}"
-    if via_state != node.state or via_label != node.label:
+    if via_state != node.state or via_label != label:
         return (f"cross-route: {kind.value} on the parent gives state "
-                f"{via_state.core} and label {via_label.as_tuple()}, the node "
-                f"has {node.state.core} and {node.label.as_tuple()}")
+                f"{via_state.core} and label {via_label}, the node "
+                f"has {node.core} and {label}")
     return None
 
 
@@ -345,18 +354,12 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     the replay's core of word[:-1] stands in for it, and a prefix that
     does not replay is reported in place of the parent relations.
     """
-    word, label, state = node.word, node.label, node.state
-    core = state.core
+    word, core = node.word, node.core
     q_r, q_l, s_p, s_m, p_r, p_l = core
+    label = (q_r, q_l, s_p - s_m)
     failures = _problems(core)
     clean = not failures
     checks = 4
-
-    checks += 1
-    state_tuple = (q_r, q_l, s_p - s_m)
-    label_tuple = label.as_tuple()
-    if label_tuple != state_tuple:
-        failures.append(f"label {label} does not match state {state_tuple}")
 
     checks += 1
     try:
@@ -368,17 +371,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
 
     checks += 1
     if p_r * q_l - p_l * q_r != 1:
-        failures.append(f"width {state.width} != 1/(q_L q_R)")
-
-    checks += 1
-    expected_class = "root" if not word else word[-1].cell_class
-    if node.cell_class != expected_class:
-        failures.append(f"cell class {node.cell_class} != {expected_class}")
-
-    checks += 1
-    tail = tail_side(q_r, q_l)
-    if node.tail_direction != tail:
-        failures.append(f"tail direction {node.tail_direction} != {tail}")
+        failures.append(f"width {node.state.width} != 1/(q_L q_R)")
 
     checks += 1
     q_c, p_c = q_r + q_l, p_r + p_l
@@ -399,34 +392,28 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
         failures.append(f"word replay failed: {exc}")
         replay_error = exc
     else:
-        if replayed != core or label_tuple != state_tuple:
+        if replayed != core:
             failures.append("word replay disagrees with stored node")
 
     if word:
-        if parent is not None:
-            if parent.word != prefix:
-                raise ValueError("given parent does not match word prefix")
-            p_core, p_label = parent.state.core, parent.label.as_tuple()
-            p_tail = parent.tail_direction
-        elif head is None:
+        if parent is not None and parent.word != prefix:
+            raise ValueError("given parent does not match word prefix")
+        if parent is None and head is None:
             checks += 1
             failures.append(f"parent replay failed: {replay_error}")
             return NodeVerification(node.word_str, checks, tuple(failures))
-        else:
-            p_core, p_label = head, (head[0], head[1], head[2] - head[3])
-            p_tail = tail_side(head[0], head[1])
+        p_core = head if parent is None else parent.core
         last = word[-1]
         pq_r, pq_l, ps_p, ps_m, pp_r, pp_l = p_core
 
         checks += 1
         try:
             agree = (clean and state_route(last, p_core) == core
-                     and label_route(last, p_label) == label_tuple)
+                     and label_route(last, (pq_r, pq_l, ps_p - ps_m)) == label)
         except TailDirectionMismatch:
             agree = False
         if not agree:
-            failure = _cross_route_failure(
-                last, _node(head, prefix) if parent is None else parent, node)
+            failure = _cross_route_failure(last, parent or TreeNode(head, prefix), node)
             if failure:
                 failures.append(failure)
 
@@ -451,7 +438,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
                 failures.append(f"chain member of a parent with no accumulation "
                                 f"point: equal denominators in "
                                 f"{Fraction(pp_l, pq_l)}, {Fraction(pp_r, pq_r)}")
-            elif p_tail == "right":
+            elif pq_r > pq_l:
                 if (p_l, q_l) != (pp_r, pq_r) or not p_r * acc_q < acc_p * q_r:
                     failures.append("chain member not between parent edge "
                                     "and accumulation point")
@@ -487,8 +474,8 @@ def record_row(core: Core, text: str, cell_class: str, tail_direction: str,
 
 
 def node_row(node: TreeNode) -> tuple:
-    """`record_row` of a node, with its stored class, tail direction and depth."""
-    return record_row(node.state.core, node.word_str, node.cell_class,
+    """`record_row` of a node's core and word."""
+    return record_row(node.core, node.word_str, node.cell_class,
                       node.tail_direction, node.depth)
 
 
@@ -547,7 +534,10 @@ def _int_value(key: str, got: object) -> int:
             return int(got)
         except ValueError:
             pass
-    raise MalformedRecord(f"field {key} is not an integer: {got!r}")
+    text = repr(got)  # bounded: a field can hold thousands of digits
+    if len(text) > 60:
+        text = f"{text[:40]}... ({len(text)} characters)"
+    raise MalformedRecord(f"field {key} is not an integer: {text}")
 
 
 def node_from_record(record: dict) -> TreeNode:
@@ -622,7 +612,7 @@ def read_jsonl(fp: IO[str]) -> list[TreeNode]:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # a JSON integer past the digit limit too
             raise MalformedRecord(f"line {number}: not JSON: {exc}") from exc
         out.append(_located(f"line {number}", record))
     return out

@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import re
 import sys
 
 import pytest
@@ -12,7 +13,7 @@ from butterfly_tree import scaling, skeleton, tree
 from butterfly_tree.cli import main
 from butterfly_tree.errors import MalformedRecord, NoTail
 from butterfly_tree.generators import GeneratorKind, step_core
-from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, lcg_word
+from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, lcg_word, short_id
 from test_tree import step_fold
 
 
@@ -199,8 +200,11 @@ def test_node_and_chain_print_integers_past_the_digit_limit(capsys):
     cores = [node.state.core] + [m.state.core for m in tree.chain(node, 2)]
     csv_text = io.StringIO()
     tree.write_csv([node], csv_text)
-    with pytest.raises(MalformedRecord, match="field qR is not an integer"):
+    with pytest.raises(MalformedRecord) as info:
         tree.read_jsonl(io.StringIO(outputs[0][1]))  # the limit still guards input
+    assert re.fullmatch(r"line 1: field qR is not an integer: '\d{39}\.\.\. "
+                        r"\(\d{4} characters\)", str(info.value))
+    assert len(str(info.value)) < 200
     with unlimited_digits():
         assert len(str(node.state.q_r)) > 4_300
         records = [json.loads(line) for _, out, _ in outputs for line in out.splitlines()]
@@ -208,6 +212,19 @@ def test_node_and_chain_print_integers_past_the_digit_limit(capsys):
             record_ints(core) for core in cores]
         assert csv_text.getvalue().splitlines()[1].split(",")[1:10] == [
             str(n) for n in record_ints(node.state.core).values()]
+
+
+# A chain letter against the tail of the 14 000-letter word (its q_R > q_L).
+# The error names the denominators, past the digit limit, by bit length.
+BIG_WORD = BIG_NODE_ARGV.split("=", 1)[1]
+AGAINST_THE_TAIL = [f"node --word={BIG_WORD}.TL", f"chain --steps 2 --word={BIG_WORD}.TL"]
+AGAINST_THE_TAIL_ERROR = (f"error: word fails at prefix {BIG_WORD}.TL: C_cL needs "
+                          "q_L > q_R, state has (<14745-bit integer>, <14744-bit integer>)\n")
+
+
+@pytest.mark.parametrize("argv", AGAINST_THE_TAIL, ids=short_id)
+def test_a_tail_error_past_the_digit_limit_exits_1(capsys, argv):
+    assert run(capsys, *argv.split()) == (1, "", AGAINST_THE_TAIL_ERROR)
 
 
 def test_chain_errors_come_before_any_output(capsys, tmp_path):

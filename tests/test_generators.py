@@ -21,6 +21,7 @@ from butterfly_tree.generators import (
     apply_state,
     canonical_matrices,
     representation_consistency,
+    step_core,
 )
 from butterfly_tree.tree import parse_word
 
@@ -225,6 +226,29 @@ def test_core_check_needs_positive_denominators():
         "denominators must be positive: q_R=1, q_L=0"]
     with pytest.raises(InvariantViolation, match="denominators must be positive"):
         ButterflyLabel(3, -1, 0)
+
+
+def test_error_texts_name_integers_past_the_digit_limit_by_bit_length():
+    big = 1 << 20_000  # 6 021 digits, past the default limit of 4 300
+    core = (big, 1, 1, big, 1, 0)  # edges 0/1 and 1/big
+    assert _problems(core) == []
+    with pytest.raises(TailDirectionMismatch,
+                       match=r"^C_cL needs q_L > q_R, state has \(<20001-bit integer>, 1\)$"):
+        step_core(K.C_CL, core)
+    with pytest.raises(InvariantViolation) as info:
+        step_core(K.C_L, core[:2] + (2,) + core[3:])
+    assert str(info.value) == (
+        "C_L on (<20001-bit integer>, 1, 2, <20001-bit integer>, 1, 0) produced a bad "
+        "state: slope sum <20001-bit integer> != q_c <20001-bit integer>")
+    with pytest.raises(InvariantViolation, match=r"^C_L on \(<20001-bit integer>, 1, 2, "):
+        apply_state(K.C_L, ButterflyState.from_core(core[:2] + (2,) + core[3:]))
+    assert _problems((big, 1, 1, big, 1, 1)) == [
+        "edges out of order: 1, 1/<20001-bit integer>",
+        "edges not friendly: determinant <20000-bit integer>"]
+    assert _problems((big, 0, 1, big, 1, 0)) == [
+        "denominators must be positive: q_R=<20001-bit integer>, q_L=0"]
+    assert _problems((big, 1, 0, big + 1, 1, 0)) == [
+        "slopes must be positive: (0, <20001-bit integer>)"]
 
 
 def test_generator_kind_tokens():

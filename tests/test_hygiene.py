@@ -1,6 +1,7 @@
 """Invariants must survive `python -O`, which strips `assert` statements:
 the verify line and the expand and bignum-word goldens (the 14 000-letter
-`node` and `chain` ones too) are checked under it.
+`node` and `chain` ones too) are checked under it, and so is the error of a
+chain letter against the tail of that word.
 The package must load only what a command uses and keep its public names."""
 
 import ast
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import butterfly_tree
+from test_cli import AGAINST_THE_TAIL, AGAINST_THE_TAIL_ERROR
 from test_golden import (BIG_CHAIN_ARGV, BIG_NODE_ARGV, CHAIN_ARGV, GOLDEN,
                          SCALING_ARGV, short_id)
 
@@ -64,6 +66,13 @@ def test_bignum_words_under_optimize_flag(argv):
     proc = _optimized(argv.split())
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]
+
+
+@pytest.mark.parametrize("argv", AGAINST_THE_TAIL, ids=short_id)
+def test_bignum_tail_error_under_optimize_flag(argv):
+    proc = _optimized(argv.split())
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == AGAINST_THE_TAIL_ERROR
 
 
 # The names `butterfly_tree` has re-exported since its first release, by

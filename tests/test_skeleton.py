@@ -153,17 +153,17 @@ def test_geometry_of_unfriendly_tampered_edges_matches_oracle():
     # tampered pair (here 2/5, 2/3, whose mediant 4/8 reduces) still gets
     # the geometry that Fraction arithmetic gives.
     node = tree.node_at("UL")
-    skewed = dataclasses.replace(node, state=dataclasses.replace(
+    skewed = dataclasses.replace(node, core=dataclasses.replace(
         node.state, left=Fraction(2, 5), right=Fraction(2, 3),
-        sigma_plus=1, sigma_minus=1))
+        sigma_plus=1, sigma_minus=1).core)
     cell = cell_geometry(skewed)
     want = _oracle_cell(skewed.state)
     assert cell.center == (Fraction(1, 2), Fraction(1, 2))
     assert {key: getattr(cell, key) for key in want} == want
     # Slopes that disagree are reported at the reduced center, as its
     # Fraction view names them.
-    clash = dataclasses.replace(skewed, state=dataclasses.replace(
-        skewed.state, sigma_plus=2))
+    clash = dataclasses.replace(skewed, core=dataclasses.replace(
+        skewed.state, sigma_plus=2).core)
     with pytest.raises(InconsistentChernPair, match="gaps 0 != 1 at flux 1/2"):
         render_svg([clash])
 
@@ -173,8 +173,8 @@ def test_render_rejects_inconsistent_slope_pair():
     state = node.state
     # sigma_+ bumped and sigma_- lowered by more: the slopes no longer sum
     # to q_c, so the two congruences name different gaps.
-    tampered = dataclasses.replace(node, state=dataclasses.replace(
-        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 2))
+    tampered = dataclasses.replace(node, core=dataclasses.replace(
+        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 2).core)
     with pytest.raises(InconsistentChernPair,
                        match=r"slopes \+3/-1 give gaps 1 != 3 at flux 2/5"):
         render_svg([tree.root(), tampered])
@@ -182,8 +182,8 @@ def test_render_rejects_inconsistent_slope_pair():
         cell_geometry(tampered)
     # Bumping one and lowering the other by the same amount keeps the sum,
     # and with it the congruence: only the verifier's slope checks see it.
-    shifted = dataclasses.replace(node, state=dataclasses.replace(
-        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 1))
+    shifted = dataclasses.replace(node, core=dataclasses.replace(
+        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 1).core)
     assert render_svg([shifted]).count("<polygon") == 2
 
 

@@ -18,19 +18,23 @@ from butterfly_tree.errors import (
     TailDirectionMismatch,
 )
 from butterfly_tree import generators, tree
+from butterfly_tree.cli import main
 from butterfly_tree.farey import stern_brocot_friendly_triplets
 from butterfly_tree.generators import (
     ROOT_STATE,
+    ButterflyLabel,
     ButterflyState,
     GeneratorKind,
     _check_steps,
     _check_tail,
     apply_label,
     step_core,
+    tail_side,
 )
 from butterfly_tree.tree import (
     RECORD_FIELDS,
     ExpansionLimits,
+    TreeNode,
     chain,
     child,
     children,
@@ -224,14 +228,12 @@ def test_verify_node_sweep_with_parents():
         parent = by_word[n.word[:-1]] if n.word else None
         report = verify_node(n, parent)
         assert report.ok, (n.word_str, report.failures)
-        assert report.checks >= 11
+        assert report.checks >= 8
 
 
 def test_verify_node_negative_control():
     node = node_at("CL")
-    tampered = dataclasses.replace(
-        node, state=dataclasses.replace(node.state,
-                                        sigma_plus=node.state.sigma_plus + 1))
+    tampered = _with_state(node, sigma_plus=node.state.sigma_plus + 1)
     report = verify_node(tampered)
     assert not report.ok
     assert any("slope sum" in f for f in report.failures)
@@ -239,21 +241,18 @@ def test_verify_node_negative_control():
 
 def test_child_checks_a_tampered_state():
     node = node_at("CL")
-    bumped = dataclasses.replace(
-        node, state=dataclasses.replace(node.state,
-                                        sigma_plus=node.state.sigma_plus + 1))
+    bumped = _with_state(node, sigma_plus=node.state.sigma_plus + 1)
     with pytest.raises(InvariantViolation, match="slope sum"):
         child(bumped, K.C_L)
     # CL has edges 0/1 and 1/3; 2/3 keeps both denominators but not friendliness.
-    skewed = dataclasses.replace(
-        node, state=dataclasses.replace(node.state, right=Fraction(2, 3)))
+    skewed = _with_state(node, right=Fraction(2, 3))
     with pytest.raises(InvariantViolation, match="edges not friendly: determinant -2"):
         child(skewed, K.U_L)
 
 
 def test_verify_node_cross_route_catches_a_tampered_label():
     node = node_at("UL")
-    tampered = dataclasses.replace(node, label=node_at("DL").label)
+    tampered = dataclasses.replace(node, core=node_at("DL").core)
     report = verify_node(tampered, root())
     assert any(f.startswith("cross-route:") for f in report.failures)
     assert not any(f.startswith("cross-route:") for f in verify_node(node).failures)
@@ -414,6 +413,10 @@ def test_record_readers_name_the_bad_line_and_field():
     for text in ("{oops", "[1, 2]", json.dumps(dict(good, word=5))):
         with pytest.raises(MalformedRecord, match="^line 2: "):
             read_jsonl(io.StringIO(json.dumps(good) + "\n" + text + "\n"))
+    # An unquoted integer past the interpreter's digit limit fails json.loads.
+    unquoted = json.dumps(good).replace('"qR": 2', '"qR": 1' + "0" * 5000)
+    with pytest.raises(MalformedRecord, match="^line 1: not JSON: Exceeds the limit"):
+        read_jsonl(io.StringIO(unquoted + "\n"))
 
     buf = io.StringIO()
     write_csv([root(), node_at("UL")], buf)
@@ -430,10 +433,11 @@ def test_record_readers_name_the_bad_line_and_field():
 def _writer_cases():
     """Root, babies, chain members, tampered nodes and a q_c beyond 2^53."""
     ul = node_at("UL")
-    bumped = dataclasses.replace(ul, state=dataclasses.replace(
-        ul.state, sigma_plus=ul.state.sigma_plus + 1), cell_class="chain")
-    far_left = dataclasses.replace(ul, state=dataclasses.replace(
-        ul.state, left=Fraction(-(2 ** 60), 3)), depth=7)
+    # Class and depth are views of the word, so those tampers change the word.
+    bumped = dataclasses.replace(_with_state(ul, sigma_plus=ul.state.sigma_plus + 1),
+                                 word=(K.C_CL,))
+    far_left = dataclasses.replace(_with_state(ul, left=Fraction(-(2 ** 60), 3)),
+                                   word=(K.U_L,) * 7)
     return ([root()] + children(root()) + chain(ul, 3)
             + [bumped, far_left, node_at(["UL"] * 45)])
 
@@ -552,11 +556,7 @@ def seed_verify_node(node, parent=None):
     failures = list(node.state.check())
     checks = 4
     state = node.state
-
-    checks += 1
-    state_tuple = (state.q_r, state.q_l, state.delta_sigma)
-    if node.label.as_tuple() != state_tuple:
-        failures.append(f"label {node.label} does not match state {state_tuple}")
+    label = (state.q_r, state.q_l, state.delta_sigma)  # the view raises on a bad core
 
     checks += 1
     try:
@@ -573,16 +573,6 @@ def seed_verify_node(node, parent=None):
         failures.append(f"width {state.width} != 1/(q_L q_R)")
 
     checks += 1
-    expected_class = "root" if not node.word else node.word[-1].cell_class
-    if node.cell_class != expected_class:
-        failures.append(f"cell class {node.cell_class} != {expected_class}")
-
-    checks += 1
-    if node.tail_direction != state.tail_direction:
-        failures.append(
-            f"tail direction {node.tail_direction} != {state.tail_direction}")
-
-    checks += 1
     try:
         r_c, _ = center_gap_index(state)
         if not 0 < r_c < state.q_c:
@@ -593,7 +583,7 @@ def seed_verify_node(node, parent=None):
     checks += 1
     try:
         replay = node_at(node.word)
-        if replay.state != state or replay.label != node.label:
+        if replay.state != state or replay.label.as_tuple() != label:
             failures.append("word replay disagrees with stored node")
     except Exception as exc:
         failures.append(f"word replay failed: {exc}")
@@ -613,11 +603,11 @@ def seed_verify_node(node, parent=None):
         except ButterflyError as exc:
             failures.append(f"cross-route: stepping the parent failed: {exc}")
         else:
-            if via_state != state or via_label != node.label:
+            if via_state != state or via_label.as_tuple() != label:
                 failures.append(
                     f"cross-route: {last.value} on the parent gives state "
                     f"{via_state.core} and label {via_label.as_tuple()}, the node "
-                    f"has {state.core} and {node.label.as_tuple()}")
+                    f"has {state.core} and {label}")
 
         checks += 1
         expected_qc = _SEED_QC_STEP[last](p_state.q_r, p_state.q_l)
@@ -661,14 +651,14 @@ def seed_verify_node(node, parent=None):
 
 
 def _with_state(node, **changes):
-    return dataclasses.replace(node, state=dataclasses.replace(node.state, **changes))
+    return dataclasses.replace(node, core=dataclasses.replace(node.state, **changes).core)
 
 
 def _reducing_pair():
     """A parent with unfriendly edges and a child that matches its Fraction step.
 
     U_L on edges 0/1, 2/3 gives 2/5 and 2/4 on the integers, which the
-    Fraction view reduces to 1/2: only the view agrees with this child.
+    Fraction view reduces to 1/2: only the state view agrees with this child.
     """
     parent = _with_state(node_at("CL"), right=Fraction(2, 3), sigma_plus=1, sigma_minus=1)
     node = _with_state(node_at("CL.UL"), left=Fraction(2, 5), right=Fraction(1, 2),
@@ -686,20 +676,20 @@ def _tampered_pairs():
         (_with_state(ul, left=ul.state.right, right=ul.state.left), r),  # order
         (skewed_cl, r),  # friendly, numerators, width
         (_with_state(cl, left=Fraction(1, 2), right=Fraction(1, 4)), r),  # recovery
-        (dataclasses.replace(ul, label=dl.label), r),  # label, replay, cross-route
-        (dataclasses.replace(cl, cell_class="E-cell"), r),
-        (dataclasses.replace(cl, tail_direction="left"), r),
+        (dataclasses.replace(ul, core=dl.core), r),  # replay, cross-route
+        (dataclasses.replace(cl, word=(K.C_R,)), r),  # the cell class's letter
+        (dataclasses.replace(cl, core=cr.core), r),  # the tail side's denominators
         (_with_state(cl, sigma_plus=4, sigma_minus=0), r),  # gap index 0, slopes
         (_with_state(ul, sigma_plus=dl.state.sigma_plus,
                      sigma_minus=dl.state.sigma_minus), r),  # Delta-sigma
         (dataclasses.replace(ul, word=(K.D_L,)), r),  # replay disagrees
         (dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)),
          dataclasses.replace(cl, word=(K.C_CR,))),  # replay fails
-        (ul, dataclasses.replace(r, state=cl.state)),  # q_c, baby, E-cell
-        (cl, dataclasses.replace(r, state=ul.state)),  # parity
+        (ul, dataclasses.replace(r, core=cl.core)),  # q_c, baby, E-cell
+        (cl, dataclasses.replace(r, core=ul.core)),  # parity
         (cl_tr, _with_state(cl, left=cr.state.left, right=cr.state.right)),  # tail step
-        (cl_tr, dataclasses.replace(cl, tail_direction="left")),  # chain-between
-        (ul_tl, dataclasses.replace(ul, tail_direction="right")),  # chain-between
+        (_with_state(cl_tr, right=Fraction(3, 5)), cl),  # chain-between
+        (_with_state(node_at("CR.TL"), left=Fraction(2, 5)), cr),  # chain-between
         (_with_state(ul_tl, right=Fraction(2, 7)), ul),  # chain member moved
         (node_at("CL.UL"), skewed_cl),  # a parent whose routes reduce
         _reducing_pair(),
@@ -728,26 +718,32 @@ def test_verify_node_equals_the_fraction_battery_on_tampered_nodes():
         assert parent is None or not want.ok
         texts.update(want.failures)
     needed = ["slope sum", "edges out of order", "edges not friendly",
-              "slopes must be positive", "does not match state", "numerators",
-              "edge recovery failed", "width", "cell class", "tail direction",
+              "slopes must be positive", "numerators",
+              "edge recovery failed", "width",
               "central gap congruence failed", "central gap index",
               "word replay disagrees", "word replay failed", "cross-route: C_",
               "cross-route: stepping the parent failed", "q_c ", "Delta-sigma",
               "between parent edge", "between accumulation point",
               "baby interval escapes", "parity-preserving", "E-cell step"]
     assert [n for n in needed if not any(n in t for t in texts)] == []
+    # The reduced child's edges match the parent's Fraction step, but its
+    # label is now read from those edges, not kept from the unreduced one.
     node, parent = _reducing_pair()
-    assert not any(f.startswith("cross-route") for f in verify_node(node, parent).failures)
+    assert any(f.startswith("cross-route") for f in verify_node(node, parent).failures)
+    # The unreduced integer step, a core no Fraction state holds: every route
+    # agrees with it, so only its own checks fail.
+    stepped = TreeNode(generators.state_route(K.U_L, parent.core), node.word)
+    failures = verify_node(stepped, parent).failures
+    assert "edges not friendly: determinant -2" in failures
+    assert not any(f.startswith("cross-route") for f in failures)
 
 
 def test_verify_node_sees_a_slope_shift_that_keeps_the_sum():
     # sigma_+ + 1 and sigma_- - 1 keep the slope sum and the central gap;
     # the label moves with them, so only the routes and the replay disagree.
     node = node_at("UL.CR")
-    shifted = dataclasses.replace(
-        _with_state(node, sigma_plus=node.state.sigma_plus + 1,
-                    sigma_minus=node.state.sigma_minus - 1),
-        label=dataclasses.replace(node.label, delta_sigma=node.label.delta_sigma + 2))
+    shifted = _with_state(node, sigma_plus=node.state.sigma_plus + 1,
+                          sigma_minus=node.state.sigma_minus - 1)
     with_parent = verify_node(shifted, node_at("UL"))
     assert with_parent.failures == (
         "word replay disagrees with stored node",
@@ -769,17 +765,18 @@ def test_verify_node_reports_what_it_used_to_raise():
             "q_c 8 != expected 2",
             "chain member of a parent with no accumulation point: "
             "equal denominators in 0, 1")
-        assert report.checks == 16
+        assert report.checks == 13
     # No parent given and a prefix that does not replay.
     report = verify_node(dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)))
     assert report.failures == (f"word replay failed: word fails at prefix TR: {tail}",
                                f"parent replay failed: word fails at prefix TR: {tail}")
-    assert report.checks == 12
+    assert report.checks == 9
 
 
-def test_verify_node_builds_no_fraction_on_passing_nodes(monkeypatch):
+def test_verify_node_builds_no_fraction_on_passing_nodes(monkeypatch, capsys):
     nodes = list(expand(ExpansionLimits(3, 2)))
     by_word = {node.word: node for node in nodes}
+    word = lcg_word(300, 12)
     made = []
     real = fractions.Fraction.__new__
 
@@ -794,4 +791,45 @@ def test_verify_node_builds_no_fraction_on_passing_nodes(monkeypatch):
     for node in nodes:
         assert verify_node(node, by_word.get(node.word[:-1]) if node.word else None)
         assert verify_node(node)
+    # Building nodes builds no Fraction either: state and label are views.
+    assert len(list(expand(ExpansionLimits(3, 2)))) == 343
+    deep = node_at(word)
+    assert node_at(word.split(".")) == deep
+    assert len(children(deep)) == 7 and len(chain(deep, 5)) == 5
+    assert main(["verify", "--depth", "3", "--chain-cap", "2"]) == 0
+    assert capsys.readouterr().out == "verified 343 nodes: all invariants hold\n"
     assert made == []
+
+
+def test_a_node_holds_its_core_and_word_alone():
+    assert [field.name for field in dataclasses.fields(TreeNode)] == ["core", "word"]
+
+
+def stored_fields(core, word):
+    """Label, state, depth, cell class and tail direction, built as a node stored them."""
+    q_r, q_l, s_p, s_m = core[:4]
+    return (ButterflyLabel(q_r, q_l, s_p - s_m), ButterflyState.from_core(core), len(word),
+            word[-1].cell_class if word else "root", tail_side(q_r, q_l))
+
+
+def stored_record(core, word):
+    """The export record of a node as it was built from the stored fields."""
+    label, state, depth, cell, tail = stored_fields(core, word)
+    ints = {"qR": state.q_r, "qL": state.q_l, "dSigma": label.delta_sigma,
+            "pL": state.left.numerator, "pR": state.right.numerator,
+            "pc": state.left.numerator + state.right.numerator, "qc": state.q_c,
+            "sigmaPlus": state.sigma_plus, "sigmaMinus": state.sigma_minus}
+    return {"word": word_string(word),
+            **{key: n if abs(n) < 2 ** 53 else str(n) for key, n in ints.items()},
+            "cellClass": cell, "tailDirection": tail, "depth": depth}
+
+
+def test_node_views_equal_the_fields_a_node_stored():
+    deep = node_at(lcg_word(3000, 11))
+    nodes = (list(expand(ExpansionLimits(4, 2))) + [deep] + chain(deep, 3)
+             + children(deep) + chain(node_at("UL"), 4))
+    assert len(nodes) > 1000 and deep.state.q_c > 2 ** 1000
+    for node in nodes:
+        assert (node.label, node.state, node.depth, node.cell_class,
+                node.tail_direction) == stored_fields(node.core, node.word)
+        assert node_record(node) == stored_record(node.core, node.word)
