@@ -23,8 +23,7 @@ _EXPORTS = {
     "diophantine": ("BandLabel", "GapLabel", "band_cherns", "center_gap_index",
                     "gap_labels", "hierarchy_gap_cherns", "recover_edges"),
     "generators": ("BABY_KINDS", "ButterflyLabel", "ButterflyState", "GeneratorKind",
-                   "GeneratorMatrix", "apply_label", "apply_state", "canonical_matrices",
-                   "representation_consistency"),
+                   "GeneratorMatrix", "apply_label", "apply_state", "canonical_matrices"),
     "tree": ("ExpansionLimits", "TreeNode", "chain", "children", "expand", "node_at",
              "parse_word", "root", "verify_node", "word_string"),
     "pythagoras": ("EuclidPair", "PythTriple", "apply_H", "apply_h", "cbranch_to_triple",

@@ -8,7 +8,7 @@ two central gap slopes.  Six generators produce the babies inside a parent
 not), and two chain generators (C_cL, C_cR) walk the tail attached to the
 edge with the larger denominator.
 
-Each generator is realised three ways and the routes must agree:
+Each generator is realised three ways, and the routes agree:
 
 * an explicit recursion on the full state (flux edges + slope pair),
 * a 4x4 integer matrix on (q_R, q_L, sigma_+, sigma_-),
@@ -18,9 +18,10 @@ The tree steps only the integer core: the 4x4 vector plus the edge
 numerators, which follow the 2x2 block (`step_core`, which checks each
 result in full; a word's replay checks friendliness once, see
 `_check_steps`).  Fraction states and labels are views built from it.
-The other routes are cross-checks on plain integers too: `state_route` is
-the explicit recursion and `label_route` the 3x3 matrix; `apply_state`
-and `apply_label` are their object views.
+`tree.verify_node` redoes each step on plain integers by two other routes:
+`state_route`, the explicit recursion, and `label_route`, the 3x3 matrix.
+`apply_state` and `apply_label` are their checked object views.  The
+property tests compare every route with the canonical matrices.
 
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and
@@ -466,48 +467,3 @@ def label_route(kind: GeneratorKind, label: tuple[int, int, int]) -> tuple[int, 
 def apply_label(kind: GeneratorKind, label: ButterflyLabel) -> ButterflyLabel:
     """One generator step on the integer label: the checked view of `label_route`."""
     return ButterflyLabel(*label_route(kind, label.as_tuple()))
-
-
-@dataclass(frozen=True)
-class ConsistencyReport:
-    """Agreement of the state recursion with the three matrix routes."""
-
-    kind: GeneratorKind
-    from_state: tuple[int, int, int, int]
-    from_four: tuple[int, ...]
-    from_three: tuple[int, ...]
-    from_two: tuple[int, ...]
-    failures: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def representation_consistency(kind: GeneratorKind,
-                               state: ButterflyState) -> ConsistencyReport:
-    """Apply one generator along all routes and compare the results.
-
-    The state route uses the explicit recursion; the matrix routes act on
-    (q_R, q_L, sigma_+, sigma_-), (q_R, q_L, Delta-sigma) and (q_R, q_L).
-    """
-    mats = canonical_matrices(kind)
-    new = apply_state(kind, state)
-    from_state = (new.q_r, new.q_l, new.sigma_plus, new.sigma_minus)
-    four = intmat.mat_vec(mats.four_by_four, (state.q_r, state.q_l,
-                                              state.sigma_plus, state.sigma_minus))
-    three = intmat.mat_vec(mats.three_by_three,
-                           (state.q_r, state.q_l, state.delta_sigma))
-    two = intmat.mat_vec(mats.two_by_two, (state.q_r, state.q_l))
-    failures = []
-    if four != from_state:
-        failures.append(f"4x4 route {four} != state route {from_state}")
-    if three != (new.q_r, new.q_l, new.delta_sigma):
-        failures.append(f"3x3 route {three} != state route "
-                        f"{(new.q_r, new.q_l, new.delta_sigma)}")
-    if two != (new.q_r, new.q_l):
-        failures.append(f"2x2 route {two} != state route {(new.q_r, new.q_l)}")
-    return ConsistencyReport(kind, from_state, four, three, two, tuple(failures))

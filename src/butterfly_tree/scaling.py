@@ -8,8 +8,8 @@ built purely from C/chain letters are unipotent (trace 2, polynomial
 growth) and have no such exponent.
 
 Everything is integer arithmetic: word blocks are balanced products on
-four ints, surds are (trace, discriminant) pairs, continued fractions come
-from the exact (P, Q) recurrence for quadratic irrationals, and powers use
+four ints, surds are (trace, discriminant) pairs, continued fractions are
+the closed form [t-1; (1, t-2)] that x = t - 1/x gives, and powers use
 the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
 """
 
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Sequence
 
 from . import intmat
-from .errors import InvariantViolation, ParabolicWord
+from .errors import ParabolicWord
 from .generators import GeneratorKind
 
 
@@ -136,30 +135,16 @@ class ContinuedFraction:
 
 
 def cf_expansion(s: QuadraticSurd, terms: int = 12) -> ContinuedFraction:
-    """Exact periodic continued fraction of a surd.
+    """Exact periodic continued fraction of a surd, in closed form.
 
-    Runs the integer (P, Q) recurrence for (P + sqrt(D))/Q; the state
-    space is finite, so the first repeated state marks the period.
+    x = t - 1/x with 0 < 1/x < 1, so x = [t-1; (1, t-2)]: after t-1 the
+    remainder is x/(x-1) = 1 + 1/(x-1), and x-1 = t-2 + (1 - 1/x) has
+    the same fraction part as x.  When t = 3, x-1 = x/(x-1): the period is (1).
     """
     if terms < 1:
         raise ValueError("terms must be >= 1")
-    d = s.discriminant
-    root = isqrt(d)
-    p, q = s.trace, 2
-    seen: dict[tuple[int, int], int] = {}
-    quotients: list[int] = []
-    while (p, q) not in seen:
-        seen[(p, q)] = len(quotients)
-        a = (p + root) // q
-        quotients.append(a)
-        p = a * q - p
-        q_next, rem = divmod(d - p * p, q)
-        if rem or q_next <= 0:
-            raise InvariantViolation(f"recurrence left the surd domain at {(p, q)}")
-        q = q_next
-    start = seen[(p, q)]
-    preperiod = tuple(quotients[:start])
-    period = tuple(quotients[start:])
+    t = s.trace
+    preperiod, period = (t - 1,), (1,) if t == 3 else (1, t - 2)
     out = list(preperiod)
     while len(out) < terms:
         out.extend(period)

@@ -21,10 +21,11 @@ access; `expand_rows` builds only the export row (`record_row`), which the
 JSONL and CSV writers format directly, so the CLI streams records with no
 object per record; `chain_rows` does the same for the members of a chain.
 
-`verify_node` runs every check on the integers of the node's core and its
-parent's, the word's replay from the root (shared with `node_at`) too.
-The parent's step is redone by two routes other than `step_core`: the
-explicit recursion and the 3x3 label matrix.
+`verify_node` is one induction on the integers: the root's core is the
+root state's, and every other node is checked against its parent's core
+alone, whose step is redone by two routes other than `step_core` (the
+explicit recursion and the 3x3 label matrix).  So a given parent must
+itself have passed; without one, the replay of the word's prefix stands in.
 """
 
 from __future__ import annotations
@@ -33,13 +34,11 @@ import csv
 import json
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import IO, Iterable, Iterator, Optional, Sequence, Union
 
 from .diophantine import central_gap, recover_edges
 from .errors import (
-    ButterflyError,
     InvariantViolation,
     MalformedRecord,
     NoTail,
@@ -55,8 +54,7 @@ from .generators import (
     _BY_KEY,
     _check_tail,
     _problems,
-    apply_label,
-    apply_state,
+    _text,
     label_route,
     state_route,
     step_core,
@@ -189,8 +187,8 @@ def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
         yield record_row(member, text, "chain", side, depth)
 
 
-def _replay(word: Word, start: int = 0, core: Core = ROOT_STATE.core) -> Core:
-    """The checked core reached by stepping word[start:] from `core`, the root's by default.
+def _replay(word: Word) -> Core:
+    """The checked core reached by stepping the word from the root.
 
     A chain letter applied against the tail raises TailDirectionMismatch
     naming the prefix that failed.  Every step block has determinant 1
@@ -199,8 +197,8 @@ def _replay(word: Word, start: int = 0, core: Core = ROOT_STATE.core) -> Core:
     that fails them is redone by `step_core` for its error), and the full
     check runs once, on the core returned.
     """
-    for i in range(start, len(word)):
-        kind = word[i]
+    core = ROOT_STATE.core
+    for i, kind in enumerate(word):
         q_r, q_l, s_p, s_m, p_r, p_l = core
         if kind.is_chain:
             try:
@@ -324,41 +322,30 @@ _EXPECTED_STEP = {
 }
 
 
-def _cross_route_failure(kind: GeneratorKind, parent: TreeNode,
-                         node: TreeNode) -> Optional[str]:
-    """The cross-route failure on the object views, None if they agree.
-
-    Run only when the integer routes differ or the node fails its own
-    checks: the views still agree with a core that is its parent's step.
-    """
-    q_r, q_l, s_p, s_m = node.core[:4]
-    label = (q_r, q_l, s_p - s_m)  # not node.label: the view raises on a bad core
-    try:
-        via_state = apply_state(kind, parent.state)
-        via_label = apply_label(kind, parent.label).as_tuple()
-    except ButterflyError as exc:
-        return f"cross-route: stepping the parent failed: {exc}"
-    if via_state != node.state or via_label != label:
-        return (f"cross-route: {kind.value} on the parent gives state "
-                f"{via_state.core} and label {via_label}, the node "
-                f"has {node.core} and {label}")
-    return None
+def _ratio(p: int, q: int) -> str:
+    """p/q for a failure text, in lowest terms as its Fraction prints it; q may be 0."""
+    g = gcd(p, q) if q else 1
+    if q < 0:
+        g = -g
+    p, q = p // g, q // g
+    return _text(p) if q == 1 else f"{_text(p)}/{_text(q)}"
 
 
 def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerification:
-    """Run every node invariant; optionally also the parent relations.
+    """Run every node invariant and, below the root, the relations to the parent.
 
-    Each check compares plain integers read once from the node's core and
-    the parent's; a Fraction is built only to word a failure.  The word is
-    replayed from the root even when `parent` is given.  When it is not,
-    the replay's core of word[:-1] stands in for it, and a prefix that
-    does not replay is reported in place of the parent relations.
+    One induction on the integers: the root's core must be the root
+    state's, and every other node is checked against its parent's core
+    alone.  A given `parent` is taken as verified, so it must itself have
+    passed: a tampered parent is caught where it is verified, not here.
+    Without one, the replay of word[:-1] from the root stands in for it,
+    and a prefix that does not replay is reported in place of the parent
+    relations.  No Fraction is built, not even to word a failure.
     """
     word, core = node.word, node.core
     q_r, q_l, s_p, s_m, p_r, p_l = core
     label = (q_r, q_l, s_p - s_m)
     failures = _problems(core)
-    clean = not failures
     checks = 4
 
     checks += 1
@@ -370,8 +357,9 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
         failures.append(f"edge recovery failed: {exc}")
 
     checks += 1
-    if p_r * q_l - p_l * q_r != 1:
-        failures.append(f"width {node.state.width} != 1/(q_L q_R)")
+    det = p_r * q_l - p_l * q_r
+    if det != 1:
+        failures.append(f"width {_ratio(det, q_r * q_l)} != 1/(q_L q_R)")
 
     checks += 1
     q_c, p_c = q_r + q_l, p_r + p_l
@@ -383,80 +371,75 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     except Exception as exc:
         failures.append(f"central gap congruence failed: {exc}")
 
-    checks += 1
-    prefix, head = word[:-1], None
-    try:
-        head = _replay(prefix)
-        replayed = _replay(word, len(prefix), head)
-    except Exception as exc:
-        failures.append(f"word replay failed: {exc}")
-        replay_error = exc
-    else:
-        if replayed != core:
+    checks += 1  # the root's core, else the parent's replay or the cross-route
+    if not word:
+        if core != ROOT_STATE.core:
             failures.append("word replay disagrees with stored node")
-
-    if word:
-        if parent is not None and parent.word != prefix:
+        return NodeVerification(node.word_str, checks, tuple(failures))
+    prefix, last = word[:-1], word[-1]
+    if parent is not None:
+        if parent.word != prefix:
             raise ValueError("given parent does not match word prefix")
-        if parent is None and head is None:
-            checks += 1
-            failures.append(f"parent replay failed: {replay_error}")
-            return NodeVerification(node.word_str, checks, tuple(failures))
-        p_core = head if parent is None else parent.core
-        last = word[-1]
-        pq_r, pq_l, ps_p, ps_m, pp_r, pp_l = p_core
-
-        checks += 1
+        p_core = parent.core
+    else:
         try:
-            agree = (clean and state_route(last, p_core) == core
-                     and label_route(last, (pq_r, pq_l, ps_p - ps_m)) == label)
-        except TailDirectionMismatch:
-            agree = False
-        if not agree:
-            failure = _cross_route_failure(last, parent or TreeNode(head, prefix), node)
-            if failure:
-                failures.append(failure)
+            p_core = _replay(prefix)
+        except Exception as exc:
+            failures.append(f"parent replay failed: {exc}")
+            return NodeVerification(node.word_str, checks, tuple(failures))
+    pq_r, pq_l, ps_p, ps_m, pp_r, pp_l = p_core
 
-        a, b, c, d = _EXPECTED_STEP[last]
-        checks += 1
-        expected_qc = a * pq_r + b * pq_l
-        if q_c != expected_qc:
-            failures.append(f"q_c {q_c} != expected {expected_qc}")
+    try:
+        via_state = state_route(last, p_core)
+        via_label = label_route(last, (pq_r, pq_l, ps_p - ps_m))
+    except TailDirectionMismatch as exc:
+        failures.append(f"cross-route: stepping the parent failed: {exc}")
+    else:
+        if via_state != core or via_label != label:
+            failures.append(f"cross-route: {last.value} on the parent gives state "
+                            f"{_text(via_state)} and label {_text(via_label)}, the node "
+                            f"has {_text(core)} and {_text(label)}")
 
-        checks += 1
-        expected_ds = ps_p - ps_m + c * pq_r + d * pq_l
-        if s_p - s_m != expected_ds:
-            failures.append(f"Delta-sigma {s_p - s_m} != expected {expected_ds}")
+    a, b, c, d = _EXPECTED_STEP[last]
+    checks += 1
+    expected_qc = a * pq_r + b * pq_l
+    if q_c != expected_qc:
+        failures.append(f"q_c {q_c} != expected {expected_qc}")
 
-        checks += 1
-        if last.is_chain:
-            # The accumulation point (pp_r - pp_l)/(pq_r - pq_l).
-            acc_p, acc_q = pp_r - pp_l, pq_r - pq_l
-            if acc_q < 0:
-                acc_p, acc_q = -acc_p, -acc_q
-            if acc_q == 0:
-                failures.append(f"chain member of a parent with no accumulation "
-                                f"point: equal denominators in "
-                                f"{Fraction(pp_l, pq_l)}, {Fraction(pp_r, pq_r)}")
-            elif pq_r > pq_l:
-                if (p_l, q_l) != (pp_r, pq_r) or not p_r * acc_q < acc_p * q_r:
-                    failures.append("chain member not between parent edge "
-                                    "and accumulation point")
-            elif (p_r, q_r) != (pp_l, pq_l) or not p_l * acc_q > acc_p * q_l:
-                failures.append("chain member not between accumulation "
-                                "point and parent edge")
-        elif not (pp_l * q_l <= p_l * pq_l and p_r * pq_r <= pp_r * q_r):
-            failures.append("baby interval escapes the parent interval")
+    checks += 1
+    expected_ds = ps_p - ps_m + c * pq_r + d * pq_l
+    if s_p - s_m != expected_ds:
+        failures.append(f"Delta-sigma {s_p - s_m} != expected {expected_ds}")
 
-        checks += 1
-        p_qc = pq_r + pq_l
-        if last.cell_class in ("C-cell", "chain"):
-            if (q_c - p_qc) % 2:
-                failures.append("parity-preserving step changed q_c parity")
-        else:
-            side = pq_l if last in (GeneratorKind.U_L, GeneratorKind.D_L) else pq_r
-            if q_c != 2 * p_qc + side:
-                failures.append("E-cell step is not q_c' = 2 q_c + q_edge")
+    checks += 1
+    if last.is_chain:
+        # The accumulation point (pp_r - pp_l)/(pq_r - pq_l).
+        acc_p, acc_q = pp_r - pp_l, pq_r - pq_l
+        if acc_q < 0:
+            acc_p, acc_q = -acc_p, -acc_q
+        if acc_q == 0:
+            failures.append(f"chain member of a parent with no accumulation "
+                            f"point: equal denominators in "
+                            f"{_ratio(pp_l, pq_l)}, {_ratio(pp_r, pq_r)}")
+        elif pq_r > pq_l:
+            if (p_l, q_l) != (pp_r, pq_r) or not p_r * acc_q < acc_p * q_r:
+                failures.append("chain member not between parent edge "
+                                "and accumulation point")
+        elif (p_r, q_r) != (pp_l, pq_l) or not p_l * acc_q > acc_p * q_l:
+            failures.append("chain member not between accumulation "
+                            "point and parent edge")
+    elif not (pp_l * q_l <= p_l * pq_l and p_r * pq_r <= pp_r * q_r):
+        failures.append("baby interval escapes the parent interval")
+
+    checks += 1
+    p_qc = pq_r + pq_l
+    if last.cell_class in ("C-cell", "chain"):
+        if (q_c - p_qc) % 2:
+            failures.append("parity-preserving step changed q_c parity")
+    else:
+        side = pq_l if last in (GeneratorKind.U_L, GeneratorKind.D_L) else pq_r
+        if q_c != 2 * p_qc + side:
+            failures.append("E-cell step is not q_c' = 2 q_c + q_edge")
 
     return NodeVerification(node.word_str, checks, tuple(failures))
 

@@ -20,7 +20,8 @@ from butterfly_tree.generators import (
     apply_label,
     apply_state,
     canonical_matrices,
-    representation_consistency,
+    label_route,
+    state_route,
     step_core,
 )
 from butterfly_tree.tree import parse_word
@@ -339,14 +340,20 @@ def valid_states(draw):
 
 @given(valid_states(), st.sampled_from(list(K)))
 def test_representation_consistency_everywhere(state, kind):
-    if kind is K.C_CL and state.q_l <= state.q_r:
+    if kind.is_chain and kind is not state.tail_generator:
         return
-    if kind is K.C_CR and state.q_r <= state.q_l:
-        return
-    report = representation_consistency(kind, state)
-    assert report.ok, report.failures
-    assert bool(report)
-    assert report.from_four == report.from_state
+    core = state.core
+    q_r, q_l, s_p, s_m = core[:4]
+    stepped = step_core(kind, core)
+    assert state_route(kind, core) == stepped
+    assert label_route(kind, (q_r, q_l, s_p - s_m)) == (
+        stepped[0], stepped[1], stepped[2] - stepped[3])
+    mats = canonical_matrices(kind)
+    assert intmat.mat_vec(mats.four_by_four, (q_r, q_l, s_p, s_m)) == stepped[:4]
+    assert intmat.mat_vec(mats.three_by_three, (q_r, q_l, s_p - s_m)) == (
+        stepped[0], stepped[1], stepped[2] - stepped[3])
+    assert intmat.mat_vec(mats.two_by_two, (q_r, q_l)) == stepped[:2]
+    assert intmat.mat_vec(mats.two_by_two, core[4:]) == stepped[4:]
 
 
 @given(valid_states())

@@ -75,8 +75,9 @@ def test_bignum_tail_error_under_optimize_flag(argv):
     assert proc.stderr.decode() == AGAINST_THE_TAIL_ERROR
 
 
-# The names `butterfly_tree` has re-exported since its first release, by
-# defining submodule, in `__all__` order.
+# The names `butterfly_tree` re-exports, by defining submodule, in `__all__`
+# order: those of its first release less `representation_consistency`, whose
+# cross-route is now the property test's own (test_generators.py).
 PUBLIC_NAMES = {
     "errors": ["ButterflyError", "DegenerateDifference", "EmptyInput",
                "InconsistentChernPair", "InvariantViolation", "NoTail", "NotCCell",
@@ -86,8 +87,7 @@ PUBLIC_NAMES = {
     "diophantine": ["BandLabel", "GapLabel", "band_cherns", "center_gap_index",
                     "gap_labels", "hierarchy_gap_cherns", "recover_edges"],
     "generators": ["BABY_KINDS", "ButterflyLabel", "ButterflyState", "GeneratorKind",
-                   "GeneratorMatrix", "apply_label", "apply_state", "canonical_matrices",
-                   "representation_consistency"],
+                   "GeneratorMatrix", "apply_label", "apply_state", "canonical_matrices"],
     "tree": ["ExpansionLimits", "TreeNode", "chain", "children", "expand", "node_at",
              "parse_word", "root", "verify_node", "word_string"],
     "pythagoras": ["EuclidPair", "PythTriple", "apply_H", "apply_h", "cbranch_to_triple",
@@ -103,7 +103,7 @@ ALL_NAMES = [name for names in PUBLIC_NAMES.values() for name in names]
 
 
 def test_public_names_are_unchanged():
-    assert len(ALL_NAMES) == 69
+    assert len(ALL_NAMES) == 68
     assert butterfly_tree.__all__ == ALL_NAMES
     for module, names in PUBLIC_NAMES.items():
         defining = importlib.import_module(f"butterfly_tree.{module}")
@@ -115,6 +115,46 @@ def test_public_names_are_unchanged():
     assert set(ALL_NAMES) <= set(dir(butterfly_tree))
     with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
         butterfly_tree.no_such_name
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def _package_references(tree):
+    """(module, attribute path) of every `butterfly_tree` name a module uses:
+    `from butterfly_tree.m import x` and `m.x.y` where m is an imported submodule."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "butterfly_tree":
+            modules.update((a.asname or a.name, f"butterfly_tree.{a.name}") for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("butterfly_tree."):
+            yield from ((node.module, (a.name,)) for a in node.names)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
+            path, base = [], node
+            while isinstance(base, ast.Attribute):
+                path.insert(0, base.attr)
+                base = base.value
+            if isinstance(base, ast.Name) and base.id in modules:
+                yield modules[base.id], tuple(path)
+
+
+def test_the_benchmark_uses_only_names_that_resolve():
+    # A simplification must not delete a name the benchmark harness reads.
+    seen, missing = set(), []
+    for path in sorted(PERFBENCH.glob("*.py")):
+        for module, attrs in _package_references(ast.parse(path.read_text(encoding="utf-8"))):
+            value = importlib.import_module(module)
+            for i, attr in enumerate(attrs):
+                if not hasattr(value, attr):
+                    missing.append(f"{path.name}: {module}.{'.'.join(attrs[:i + 1])}")
+                    break
+                value = getattr(value, attr)
+            seen.add(f"{module}.{attrs[0]}")
+    assert missing == []
+    assert {"butterfly_tree.generators.apply_state", "butterfly_tree.generators.apply_label",
+            "butterfly_tree.generators.canonical_matrices", "butterfly_tree.intmat.mat_vec",
+            "butterfly_tree.generators.ROOT_LABEL", "butterfly_tree.tree.verify_node"} <= seen
 
 
 def _python(flags, code, *argv):

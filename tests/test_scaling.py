@@ -127,6 +127,39 @@ def test_cf_reference_expansions():
             cf_expansion(QuadraticSurd(4)).period) == ((3,), (1, 2))
 
 
+def _above(t, a, b):
+    """Whether (t + sqrt(t^2 - 4))/2 > a/b, for b > 0, on integers: t^2 - 4 is no square."""
+    m = 2 * a - t * b
+    return m < 0 or b * b * (t * t - 4) > m * m
+
+
+def _bracketed(t, terms):
+    """Whether the surd of trace t lies strictly between each convergent of
+    `terms` and its mediant with the one before: the complete quotient that
+    would follow is > 1, so these are the surd's own partial quotients."""
+    (p, q), (p_prev, q_prev) = (terms[0], 1), (1, 0)
+    for a in terms[1:] + (None,):
+        if _above(t, p, q) == _above(t, p + p_prev, q + q_prev):
+            return False
+        if a is not None:
+            (p, q), (p_prev, q_prev) = (a * p + p_prev, a * q + q_prev), (p, q)
+    return True
+
+
+def test_cf_expansion_brackets_the_surd():
+    rng = random.Random(20)
+    traces = list(range(3, 2001)) + [rng.getrandbits(bits) | 1 << (bits - 1)
+                                     for bits in (64, 1000, 5000) for _ in range(5)]
+    for t in traces:
+        cf = cf_expansion(QuadraticSurd(t), terms=7)
+        assert _bracketed(t, cf.terms), t
+        assert cf.terms == (cf.preperiod + cf.period * 6)[:7]
+    # The oracle rejects a wrong quotient anywhere, the last one too.
+    assert not _bracketed(10, (9, 1, 8, 1, 7))
+    assert not _bracketed(10, (9, 2, 8))
+    assert _bracketed(10, (9, 1, 8, 1, 8))
+
+
 def test_cf_terms_materialization():
     cf = cf_expansion(QuadraticSurd(6), terms=9)
     assert cf.terms == (5, 1, 4, 1, 4, 1, 4, 1, 4)

@@ -551,7 +551,10 @@ def seed_verify_node(node, parent=None):
     """The invariant battery on Fraction states, as it ran before the integer one.
 
     The oracle of the differential test: every report of `verify_node`
-    must equal this one, word for word.
+    must equal this one, word for word, except where a given parent is
+    unfriendly (see `UNFRIENDLY_PARENT_FAILURES`).  Like `verify_node`, it
+    takes a given parent as verified: only the root's word and a missing
+    parent's prefix are replayed.
     """
     failures = list(node.state.check())
     checks = 4
@@ -580,13 +583,14 @@ def seed_verify_node(node, parent=None):
     except Exception as exc:
         failures.append(f"central gap congruence failed: {exc}")
 
-    checks += 1
-    try:
-        replay = node_at(node.word)
-        if replay.state != state or replay.label.as_tuple() != label:
-            failures.append("word replay disagrees with stored node")
-    except Exception as exc:
-        failures.append(f"word replay failed: {exc}")
+    if not node.word:
+        checks += 1
+        try:
+            replay = node_at(node.word)
+            if replay.state != state or replay.label.as_tuple() != label:
+                failures.append("word replay disagrees with stored node")
+        except Exception as exc:
+            failures.append(f"word replay failed: {exc}")
 
     if node.word:
         if parent is None:
@@ -676,15 +680,16 @@ def _tampered_pairs():
         (_with_state(ul, left=ul.state.right, right=ul.state.left), r),  # order
         (skewed_cl, r),  # friendly, numerators, width
         (_with_state(cl, left=Fraction(1, 2), right=Fraction(1, 4)), r),  # recovery
-        (dataclasses.replace(ul, core=dl.core), r),  # replay, cross-route
+        (dataclasses.replace(ul, core=dl.core), r),  # cross-route
         (dataclasses.replace(cl, word=(K.C_R,)), r),  # the cell class's letter
         (dataclasses.replace(cl, core=cr.core), r),  # the tail side's denominators
         (_with_state(cl, sigma_plus=4, sigma_minus=0), r),  # gap index 0, slopes
         (_with_state(ul, sigma_plus=dl.state.sigma_plus,
                      sigma_minus=dl.state.sigma_minus), r),  # Delta-sigma
-        (dataclasses.replace(ul, word=(K.D_L,)), r),  # replay disagrees
+        (dataclasses.replace(ul, word=(K.D_L,)), r),  # the last letter
+        (dataclasses.replace(r, core=cl.core), None),  # the root's core
         (dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)),
-         dataclasses.replace(cl, word=(K.C_CR,))),  # replay fails
+         dataclasses.replace(cl, word=(K.C_CR,))),  # passes; its parent fails
         (ul, dataclasses.replace(r, core=cl.core)),  # q_c, baby, E-cell
         (cl, dataclasses.replace(r, core=ul.core)),  # parity
         (cl_tr, _with_state(cl, left=cr.state.left, right=cr.state.right)),  # tail step
@@ -695,7 +700,21 @@ def _tampered_pairs():
         _reducing_pair(),
     ]
     # Again without a parent, for every node whose prefix replays.
-    return pairs + [(node, None) for node, _ in pairs if node.word[:1] != (K.C_CR,)]
+    return pairs + [(node, None) for node, parent in pairs
+                    if parent is not None and node.word[:1] != (K.C_CR,)]
+
+
+# verify_node's reports on the two pairs whose given parent is unfriendly,
+# in `_tampered_pairs` order.  Its routes step that parent on the integers as
+# they are; the oracle's Fraction view reduces the first step and raises on
+# the second, so only these texts differ from the oracle's.
+UNFRIENDLY_PARENT_FAILURES = [
+    ("cross-route: U_L on the parent gives state (4, 5, 3, 6, 2, 2) and label "
+     "(4, 5, -3), the node has (4, 5, 3, 6, 1, 1) and (4, 5, -3)",),
+    ("cross-route: U_L on the parent gives state (4, 5, 2, 5, 2, 2) and label "
+     "(4, 5, -3), the node has (2, 5, 2, 5, 1, 2) and (2, 5, -3)",
+     "q_c 7 != expected 9", "E-cell step is not q_c' = 2 q_c + q_edge"),
+]
 
 
 def test_verify_node_equals_the_fraction_battery_on_every_node():
@@ -711,23 +730,29 @@ def test_verify_node_equals_the_fraction_battery_on_every_node():
 
 
 def test_verify_node_equals_the_fraction_battery_on_tampered_nodes():
-    texts = set()
+    texts, unfriendly = set(), []
     for node, parent in _tampered_pairs():
-        want = seed_verify_node(node, parent)
-        assert verify_node(node, parent) == want, (node.word_str, parent)
-        assert parent is None or not want.ok
-        texts.update(want.failures)
+        report = verify_node(node, parent)
+        if parent is not None and parent.state.check():
+            unfriendly.append(report.failures)
+        else:
+            assert report == seed_verify_node(node, parent), (node.word_str, parent)
+        assert report.checks == (12 if node.word else 8)
+        # The induction: a pair passes only under a parent that fails itself.
+        assert parent is None or not report.ok or not verify_node(parent).ok
+        texts.update(report.failures)
+    assert unfriendly == UNFRIENDLY_PARENT_FAILURES
     needed = ["slope sum", "edges out of order", "edges not friendly",
               "slopes must be positive", "numerators",
               "edge recovery failed", "width",
               "central gap congruence failed", "central gap index",
-              "word replay disagrees", "word replay failed", "cross-route: C_",
+              "word replay disagrees", "cross-route: C_",
               "cross-route: stepping the parent failed", "q_c ", "Delta-sigma",
               "between parent edge", "between accumulation point",
               "baby interval escapes", "parity-preserving", "E-cell step"]
     assert [n for n in needed if not any(n in t for t in texts)] == []
-    # The reduced child's edges match the parent's Fraction step, but its
-    # label is now read from those edges, not kept from the unreduced one.
+    # The reduced child's edges match the parent's Fraction step, but not
+    # its integer step.
     node, parent = _reducing_pair()
     assert any(f.startswith("cross-route") for f in verify_node(node, parent).failures)
     # The unreduced integer step, a core no Fraction state holds: every route
@@ -740,13 +765,12 @@ def test_verify_node_equals_the_fraction_battery_on_tampered_nodes():
 
 def test_verify_node_sees_a_slope_shift_that_keeps_the_sum():
     # sigma_+ + 1 and sigma_- - 1 keep the slope sum and the central gap;
-    # the label moves with them, so only the routes and the replay disagree.
+    # the label moves with them, so only the parent relations disagree.
     node = node_at("UL.CR")
     shifted = _with_state(node, sigma_plus=node.state.sigma_plus + 1,
                           sigma_minus=node.state.sigma_minus - 1)
     with_parent = verify_node(shifted, node_at("UL"))
     assert with_parent.failures == (
-        "word replay disagrees with stored node",
         "cross-route: C_R on the parent gives state (2, 7, 4, 5, 1, 3) and label "
         "(2, 7, -1), the node has (2, 7, 5, 4, 1, 3) and (2, 7, 1)",
         "Delta-sigma 1 != expected -1")
@@ -760,17 +784,73 @@ def test_verify_node_reports_what_it_used_to_raise():
     for parent in (root(), None):
         report = verify_node(node, parent)
         assert report.failures == (
-            f"word replay failed: word fails at prefix TR: {tail}",
             f"cross-route: stepping the parent failed: {tail}",
             "q_c 8 != expected 2",
             "chain member of a parent with no accumulation point: "
             "equal denominators in 0, 1")
-        assert report.checks == 13
+        assert report.checks == 12
     # No parent given and a prefix that does not replay.
     report = verify_node(dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)))
-    assert report.failures == (f"word replay failed: word fails at prefix TR: {tail}",
-                               f"parent replay failed: word fails at prefix TR: {tail}")
-    assert report.checks == 9
+    assert report.failures == (f"parent replay failed: word fails at prefix TR: {tail}",)
+    assert report.checks == 8
+    # A zero denominator: reported, where the width text once raised from Fraction(0, 0).
+    node = dataclasses.replace(node_at("CL"), core=(0, 1, 1, 1, 0, 0))
+    for parent in (root(), None):
+        failures = verify_node(node, parent).failures
+        assert failures[:3] == ("denominators must be positive: q_R=0, q_L=1",
+                                "edge recovery failed: denominators must be positive, "
+                                "got (0, 1)",
+                                "width 0/0 != 1/(q_L q_R)")
+
+
+def test_a_verify_sweep_replays_no_word(monkeypatch, capsys):
+    nodes = list(expand(ExpansionLimits(3, 2)))
+    calls = []
+    real = tree._replay
+    monkeypatch.setattr(tree, "_replay", lambda *args: calls.append(args) or real(*args))
+    assert main(["verify", "--depth", "3", "--chain-cap", "2"]) == 0
+    assert capsys.readouterr().out == "verified 343 nodes: all invariants hold\n"
+    assert calls == []
+    # Without its parent, a node replays its prefix once.
+    node = nodes[-1]
+    assert verify_node(node)
+    assert calls == [(node.word[:-1],)]
+
+
+def _sweep(nodes):
+    """The words that fail `verify_node` when every parent is given, as CLI verify runs."""
+    by_word, failed = {}, []
+    for node in nodes:
+        by_word[node.word] = node
+        if not verify_node(node, by_word[node.word[:-1]] if node.word else None):
+            failed.append(node.word_str)
+    return failed
+
+
+@pytest.mark.parametrize("word, shift", [("UL.CR", 1), ("DL.TL", -1), ("CR.CL.UR", 2)])
+def test_a_verify_sweep_flags_a_slope_shift(word, shift):
+    # sigma_+ + k and sigma_- - k keep the slope sum and the central gap,
+    # so the node's own checks pass: only its parent's step tells.
+    nodes = list(expand(ExpansionLimits(3, 2)))
+    assert _sweep(nodes) == []
+    at = [n.word_str for n in nodes].index(word)
+    q_r, q_l, s_p, s_m, p_r, p_l = nodes[at].core
+    nodes[at] = TreeNode((q_r, q_l, s_p + shift, s_m - shift, p_r, p_l), nodes[at].word)
+    assert generators._problems(nodes[at].core) == []
+    # Its children are stepped from the true core, so they fail against it too.
+    kids = [n.word_str for n in nodes if n.word[:-1] == nodes[at].word]
+    assert _sweep(nodes) == [word] + kids
+
+
+def test_a_bogus_parent_is_caught_where_it_is_verified():
+    # CL's core under the word TR, and its U_L child under TR.UL: the child
+    # is its given parent's step, so it passes; the parent is no root's step.
+    parent = dataclasses.replace(node_at("CL"), word=(K.C_CR,))
+    node = dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L))
+    assert verify_node(node, parent).ok
+    assert verify_node(parent).failures[0] == (
+        "cross-route: stepping the parent failed: C_cR needs q_R > q_L, state has (1, 1)")
+    assert not verify_node(node).ok
 
 
 def test_verify_node_builds_no_fraction_on_passing_nodes(monkeypatch, capsys):
