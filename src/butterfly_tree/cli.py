@@ -66,15 +66,17 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     # The expansion is breadth-first, so every parent sits in the level just
-    # above its child: two levels are all that need to be held.
+    # above its child: two levels are all that need to be held.  They are
+    # keyed by word string, which hashes no generator.
     parents, level, depth = {}, {}, 0
     count = 0
     bad = []
-    for node in tree_mod.expand(_limits(args)):
-        if len(node.word) > depth:
-            parents, level, depth = level, {}, len(node.word)
-        level[node.word] = node
-        report = tree_mod.verify_node(node, parents.get(node.word[:-1]))
+    for core, word, text, _ in tree_mod.walk(_limits(args)):
+        node = tree_mod.TreeNode(core, word)
+        if len(word) > depth:
+            parents, level, depth = level, {}, len(word)
+        level[text] = node
+        report = tree_mod.verify_node(node, parents.get(text.rpartition(".")[0]))
         count += 1
         if not report.ok:
             bad.append(report)

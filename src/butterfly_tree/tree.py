@@ -15,11 +15,14 @@ Every step runs on the integer core and is checked by
 `generators.step_core`, except in a word's replay (`_replay`), which
 checks friendliness once, on the core it reaches.
 `walk` is the one breadth-first traversal: it yields each emitted node as
-its core, word, word string and trailing chain run.  `expand` wraps each
-core and word in a node, whose Fraction state and label are built only on
-access; `expand_rows` builds only the export row (`record_row`), which the
-JSONL and CSV writers format directly, so the CLI streams records with no
-object per record; `chain_rows` does the same for the members of a chain.
+its core, word, word string and trailing chain run.  It decides the chain
+cap and the q_c ceiling from the parent (q_c grows along every edge, so a
+pruned child hides nothing below the ceiling) and steps only the children
+it emits.  `expand` wraps each core and word in a node, whose Fraction
+state and label are built only on access; `expand_rows` builds only the
+export row, which the JSONL and CSV writers format with one f-string, so
+the CLI streams records with no object per record; `chain_rows` does the
+same for the members of a chain.
 
 `verify_node` is one induction on the integers: the root's core is the
 root state's, and every other node is checked against its parent's core
@@ -131,13 +134,24 @@ def root() -> TreeNode:
     return TreeNode(ROOT_STATE.core, ())
 
 
-def _kid_cores(core: Core) -> Iterator[tuple[GeneratorKind, Core]]:
-    """The checked child cores: the six babies, then the tail step if any."""
-    for kind in BABY_KINDS:
-        yield kind, step_core(kind, core)
-    tail = tail_generator(core[0], core[1])
-    if tail is not None:
-        yield tail, step_core(tail, core)
+def _qc_row(kind: GeneratorKind) -> tuple[GeneratorKind, int, int]:
+    """A generator with the row sums (u, v) of its 2x2 step block: the child
+    it makes of (q_R, q_L) has q_c = u q_R + v q_L."""
+    a, b, c, d = kind.step[:4]
+    return kind, a + c, b + d
+
+
+_BABY_ROWS = tuple(map(_qc_row, BABY_KINDS))
+_TAIL_ROWS = (_BABY_ROWS + (_qc_row(GeneratorKind.C_CL),),
+              _BABY_ROWS + (_qc_row(GeneratorKind.C_CR),))
+
+
+def _candidates(q_r: int, q_l: int,
+                tail_ok: bool = True) -> tuple[tuple[GeneratorKind, int, int], ...]:
+    """The `_qc_row` of each generator that may make a child of (q_R, q_L):
+    the six babies, then the tail letter when there is a tail and `tail_ok`."""
+    tail = tail_generator(q_r, q_l) if tail_ok else None
+    return _BABY_ROWS if tail is None else _TAIL_ROWS[tail is GeneratorKind.C_CR]
 
 
 def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
@@ -147,7 +161,9 @@ def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
 
 def children(node: TreeNode) -> list[TreeNode]:
     """The six babies plus the chain successor when a tail exists."""
-    return [TreeNode(kid, node.word + (kind,)) for kind, kid in _kid_cores(node.core)]
+    core = node.core
+    return [TreeNode(step_core(kind, core), node.word + (kind,))
+            for kind, _, _ in _candidates(core[0], core[1])]
 
 
 def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
@@ -265,25 +281,26 @@ def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
     """Breadth-first walk of the integer cores, deterministic order.
 
     Yields (core, word, word string, trailing chain run) for each emitted
-    node, the root first.  Every candidate child is stepped and checked;
-    only those that pass the chain cap and the q_c ceiling are emitted.
+    node, the root first.  Each prune is decided from the parent before any
+    step: the tail letter is a candidate only while the run is under the
+    chain cap, and a candidate's q_c is read from the parent's denominators
+    (`_qc_row`).  Only the children emitted are stepped, each checked in
+    full by `step_core`.
     """
+    max_depth, chain_cap, max_qc = limits.max_depth, limits.chain_cap, limits.max_qc
     queue = deque([(ROOT_STATE.core, (), "", 0)])
     while queue:
         item = queue.popleft()
         yield item
         core, word, text, run = item
-        if len(word) >= limits.max_depth:
+        if len(word) >= max_depth:
             continue
-        for kind, kid in _kid_cores(core):
-            chained = kind.is_chain
-            if chained and run >= limits.chain_cap:
-                continue
-            if limits.max_qc is not None and kid[0] + kid[1] > limits.max_qc:
-                continue
-            queue.append((kid, word + (kind,),
-                          f"{text}.{kind.token}" if word else kind.token,
-                          run + 1 if chained else 0))
+        q_r, q_l = core[0], core[1]
+        prefix = f"{text}." if word else ""
+        for kind, u, v in _candidates(q_r, q_l, run < chain_cap):
+            if max_qc is None or u * q_r + v * q_l <= max_qc:
+                queue.append((step_core(kind, core), word + (kind,), prefix + kind.token,
+                              run + 1 if kind.is_chain else 0))
 
 
 def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
@@ -307,18 +324,18 @@ class NodeVerification:
         return self.ok
 
 
-# The q_c and Delta-sigma step tables, as coefficients (a, b, c, d) on the
-# parent's denominators: q_c' = a q_R + b q_L and Delta-sigma' =
-# Delta-sigma + c q_R + d q_L.
+# The q_c and Delta-sigma step tables, keyed by token so that a lookup
+# hashes no enum member, as coefficients (a, b, c, d) on the parent's
+# denominators: q_c' = a q_R + b q_L and Delta-sigma' = Delta-sigma + c q_R + d q_L.
 _EXPECTED_STEP = {
-    GeneratorKind.C_L: (1, 3, 0, 0),
-    GeneratorKind.C_R: (3, 1, 0, 0),
-    GeneratorKind.U_L: (2, 3, -1, 0),
-    GeneratorKind.U_R: (3, 2, 0, 1),
-    GeneratorKind.D_L: (2, 3, 1, 0),
-    GeneratorKind.D_R: (3, 2, 0, -1),
-    GeneratorKind.C_CL: (-1, 3, 0, 0),
-    GeneratorKind.C_CR: (3, -1, 0, 0),
+    "CL": (1, 3, 0, 0),
+    "CR": (3, 1, 0, 0),
+    "UL": (2, 3, -1, 0),
+    "UR": (3, 2, 0, 1),
+    "DL": (2, 3, 1, 0),
+    "DR": (3, 2, 0, -1),
+    "TL": (-1, 3, 0, 0),
+    "TR": (3, -1, 0, 0),
 }
 
 
@@ -400,7 +417,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
                             f"{_text(via_state)} and label {_text(via_label)}, the node "
                             f"has {_text(core)} and {_text(label)}")
 
-    a, b, c, d = _EXPECTED_STEP[last]
+    a, b, c, d = _EXPECTED_STEP[last.token]
     checks += 1
     expected_qc = a * pq_r + b * pq_l
     if q_c != expected_qc:
@@ -465,8 +482,9 @@ def node_row(node: TreeNode) -> tuple:
 def expand_rows(limits: ExpansionLimits) -> Iterator[tuple]:
     """The row of each node of `expand(limits)`, built straight from the cores."""
     for core, word, text, _ in walk(limits):
-        yield record_row(core, text, word[-1].cell_class if word else "root",
-                         tail_side(core[0], core[1]), len(word))
+        q_r, q_l, s_p, s_m, p_r, p_l = core
+        yield (text, q_r, q_l, s_p - s_m, p_l, p_r, p_l + p_r, q_r + q_l, s_p, s_m,
+               word[-1].cell_class if word else "root", tail_side(q_r, q_l), len(word))
 
 
 def _decimal(n: int) -> str:
@@ -557,12 +575,8 @@ def _located(where: str, record: dict) -> TreeNode:
 
 # The text fields come from fixed ASCII sets: generator tokens joined by
 # ".", the cell classes and left/right/none.  No field holds ",", '"' or a
-# newline, so these lines equal json.dumps(record, separators=(",", ":"))
+# newline, so the writers' lines equal json.dumps(record, separators=(",", ":"))
 # and csv.DictWriter output with no escaping.
-_JSONL_LINE = ('{{"word":"{}","qR":{},"qL":{},"dSigma":{},"pL":{},"pR":{},"pc":{},'
-               '"qc":{},"sigmaPlus":{},"sigmaMinus":{},"cellClass":"{}",'
-               '"tailDirection":"{}","depth":{}}}\n').format
-_CSV_LINE = (",".join(["{}"] * len(RECORD_FIELDS)) + "\n").format
 
 
 def _json_text(n: int) -> Union[int, str]:
@@ -572,12 +586,17 @@ def _json_text(n: int) -> Union[int, str]:
 
 def write_jsonl_rows(rows: Iterable[tuple], fp: IO[str]) -> int:
     """Write record rows as JSONL, one line per row; returns the count."""
+    write, low, high = fp.write, -_JSON_SAFE, _JSON_SAFE
     count = 0
-    for row in rows:
-        ints = row[1:10]
-        if min(ints) < -_JSON_SAFE or max(ints) > _JSON_SAFE:
-            row = row[:1] + tuple(map(_json_text, ints)) + row[10:]
-        fp.write(_JSONL_LINE(*row))
+    for text, q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m, cell, tail, depth in rows:
+        if not (low <= q_r <= high and low <= q_l <= high and low <= d_s <= high
+                and low <= p_l <= high and low <= p_r <= high and low <= p_c <= high
+                and low <= q_c <= high and low <= s_p <= high and low <= s_m <= high):
+            q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m = map(
+                _json_text, (q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m))
+        write(f'{{"word":"{text}","qR":{q_r},"qL":{q_l},"dSigma":{d_s},"pL":{p_l},'
+              f'"pR":{p_r},"pc":{p_c},"qc":{q_c},"sigmaPlus":{s_p},"sigmaMinus":{s_m},'
+              f'"cellClass":"{cell}","tailDirection":"{tail}","depth":{depth}}}\n')
         count += 1
     return count
 
@@ -603,14 +622,17 @@ def read_jsonl(fp: IO[str]) -> list[TreeNode]:
 
 def write_csv_rows(rows: Iterable[tuple], fp: IO[str]) -> int:
     """Write a header and record rows as CSV; returns the row count."""
-    fp.write(",".join(RECORD_FIELDS) + "\n")
+    write = fp.write
+    write(",".join(RECORD_FIELDS) + "\n")
     count = 0
-    for row in rows:
+    for text, q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m, cell, tail, depth in rows:
         try:
-            line = _CSV_LINE(*row)
+            line = (f"{text},{q_r},{q_l},{d_s},{p_l},{p_r},{p_c},{q_c},{s_p},{s_m},"
+                    f"{cell},{tail},{depth}\n")
         except ValueError:  # an integer past the interpreter's digit limit
-            line = _CSV_LINE(row[0], *map(_decimal, row[1:10]), *row[10:])
-        fp.write(line)
+            ints = map(_decimal, (q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m))
+            line = ",".join([text, *ints, cell, tail, str(depth)]) + "\n"
+        write(line)
         count += 1
     return count
 

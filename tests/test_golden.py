@@ -5,9 +5,11 @@ refactor, the two render pins with a palette or a canvas before the SVG
 writer moved to integer pixel maths, and the last three (a 90-letter
 chain word whose integers pass 2^53, a --max-qc expansion and a small
 Wannier table) before the writers formatted lines directly.  The 43 129-line
-Wannier table, the Apollonian correspondence report and the small
-Pythagorean oracle row are the benchmark's own digests, captured before any
-optimisation, and pin the views on integer rows.  Three more pin the
+Wannier table, the Apollonian correspondence report, the small
+Pythagorean oracle row and the two large expansions (JSONL at depth 5, CSV
+at depth 6 under --max-qc 100) are the benchmark's own digests, captured
+before any optimisation; they pin the views on integer rows and the
+expansion the benchmark times.  Three more pin the
 bignum commands (`scaling` on a 500-letter word whose value is still a
 finite float, a 20-step chain below a 1 000-letter word, and `node` with a
 word in mixed spellings); they were captured before the word block was
@@ -59,6 +61,10 @@ GOLDEN = {
         ("d9e4d866f2d6f8975f6eaf79b6f560ddd4c951c33ed12ab59c0b896b85b45733", 171),
     "expand --depth 3 --chain-cap 2":
         ("cf41db8743d1bdda93625615c5c33d1bbceff16a088993487072908fe85da235", 54960),
+    "expand --depth 5 --chain-cap 2":
+        ("aa5969e953da5c35591c8b7eb40ddcb3ecb16f0f547cde3de3e7f49a322dfe52", 2865798),
+    "expand --depth 6 --chain-cap 2 --max-qc 100 --format csv":
+        ("ab6a932330ad2d6cf1f2a9339cf08c6c8408172e8dc54dc00165859025ceefc4", 743937),
     "expand --depth 3 --chain-cap 2 --max-qc 30 --format csv":
         ("b28b2724eb962a219f000b7396d0351f1f5090edfb09dabcef86562b1988cc4e", 13264),
     "render --depth 2 --chain-cap 1":

@@ -1,5 +1,6 @@
 """Octonary tree expansion, addressing, verification, and export round trips."""
 
+import collections
 import csv
 import dataclasses
 import fractions
@@ -457,6 +458,46 @@ def test_writers_match_the_library_encoders():
     assert got.getvalue() == want.getvalue()
 
 
+_SAFE = 2 ** 53 - 1
+# -(10^4400 + 12345): past the interpreter's 4 300-digit limit, so str() refuses it.
+_HUGE_DIGITS = "-1" + "0" * 4395 + "12345"
+_HUGE = -(10 ** 4400 + 12345)
+_INT_FIELDS = RECORD_FIELDS[1:10]
+
+
+def _boundary_rows():
+    """The row of UL with one integer field set to each boundary value."""
+    base = node_row(node_at("UL"))
+    for i in range(1, 10):
+        for value in (_SAFE, -_SAFE, _SAFE + 1, -_SAFE - 1, _HUGE, -_HUGE):
+            yield base[:i] + (value,) + base[i + 1:]
+
+
+def _record_text(row, key, value):
+    if value in (_HUGE, -_HUGE):
+        return _HUGE_DIGITS if value < 0 else _HUGE_DIGITS[1:]
+    return value if key not in _INT_FIELDS or -_SAFE <= value <= _SAFE else str(value)
+
+
+def test_writers_quote_and_chunk_every_integer_field_at_its_boundary():
+    rows = list(_boundary_rows())
+    assert len(rows) == 54
+    jsonl = io.StringIO()
+    assert tree.write_jsonl_rows(rows, jsonl) == len(rows)
+    assert jsonl.getvalue().splitlines() == [
+        json.dumps({key: _record_text(row, key, value)
+                    for key, value in zip(RECORD_FIELDS, row)}, separators=(",", ":"))
+        for row in rows]
+    got, want = io.StringIO(), io.StringIO()
+    assert tree.write_csv_rows(rows, got) == len(rows)
+    writer = csv.DictWriter(want, fieldnames=RECORD_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow({key: _record_text(row, key, value) if value in (_HUGE, -_HUGE)
+                         else value for key, value in zip(RECORD_FIELDS, row)})
+    assert got.getvalue() == want.getvalue()
+
+
 @pytest.mark.parametrize("limits", [ExpansionLimits(3, 0), ExpansionLimits(3, 2),
                                     ExpansionLimits(4, 1, max_qc=40)])
 def test_expand_is_the_core_walk(limits):
@@ -467,19 +508,50 @@ def test_expand_is_the_core_walk(limits):
     assert list(expand_rows(limits)) == [node_row(n) for n in nodes]
 
 
-def test_expand_steps_every_candidate_child(monkeypatch):
-    # Chain children over the cap and children over max_qc are still
-    # stepped and checked; only emission is limited.
-    limits = ExpansionLimits(4, 1, max_qc=40)
-    expected = sum(6 + (n.state.tail_generator is not None)
-                   for n in expand(limits) if n.depth < limits.max_depth)
+@pytest.mark.parametrize("limits, stepped", [
+    (ExpansionLimits(3, 0), None), (ExpansionLimits(3, 3), None),
+    (ExpansionLimits(4, 1, max_qc=40), None), (ExpansionLimits(5, 2), 16_722),
+    (ExpansionLimits(6, 2, max_qc=100), 13_310)])
+def test_expand_steps_only_the_children_it_emits(monkeypatch, limits, stepped):
+    # The chain cap and the q_c ceiling are decided from the parent, so
+    # every child stepped is emitted and nothing else is stepped.
     calls = []
     real = tree.step_core
     monkeypatch.setattr(tree, "step_core",
                         lambda kind, core: calls.append(kind) or real(kind, core))
-    for _ in walk(limits):
-        pass
-    assert len(calls) == expected
+    emitted = sum(1 for _ in walk(limits))
+    assert len(calls) == emitted - 1
+    if stepped is not None:
+        assert len(calls) == stepped
+
+
+def _walk_stepping_every_candidate(limits):
+    """The breadth-first walk that steps each candidate child, then filters."""
+    queue = collections.deque([(ROOT_STATE.core, (), "", 0)])
+    out = []
+    while queue:
+        item = queue.popleft()
+        out.append(item)
+        core, word, text, run = item
+        if len(word) >= limits.max_depth:
+            continue
+        tail = generators.tail_generator(core[0], core[1])
+        for kind in generators.BABY_KINDS + ((tail,) if tail else ()):
+            kid = step_core(kind, core)
+            if kind.is_chain and run >= limits.chain_cap:
+                continue
+            if limits.max_qc is not None and kid[0] + kid[1] > limits.max_qc:
+                continue
+            queue.append((kid, word + (kind,), word_string(word + (kind,)),
+                          run + 1 if kind.is_chain else 0))
+    return out
+
+
+@pytest.mark.parametrize("max_qc", [2, 3, 5, 40, 100, None])
+@pytest.mark.parametrize("chain_cap", [0, 1, 2, 3])
+def test_walk_equals_stepping_every_candidate(chain_cap, max_qc):
+    limits = ExpansionLimits(4, chain_cap, max_qc)
+    assert list(walk(limits)) == _walk_stepping_every_candidate(limits)
 
 
 # ------------------------------------------------ verify_node on the integers
