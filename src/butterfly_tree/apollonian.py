@@ -3,8 +3,11 @@
 Four mutually tangent circles have curvatures satisfying the Descartes
 identity 2*(k1^2+..+k4^2) = (k1+..+k4)^2.  Swapping the circle inscribed
 opposite circle i is the linear involution S_i: k_i -> 2*(sum of the
-others) - k_i.  The transposed ("adjoint") matrices also preserve the
-identity; together they generate the super-Apollonian group.
+others) - k_i.  Its transpose, the adjoint A_i: k_i -> -k_i and
+k_j -> k_j + 2*k_i for j != i, also preserves the identity; together they
+generate the super-Apollonian group.  Every move is computed in closed
+form on plain 4-tuples (`_reflect`, `_adjoin`); `S_MATRICES` and
+`adjoint_S` are the same moves as matrices, kept as data.
 
 Butterflies enter through Ford circles: the two edge fractions and the
 center of a butterfly own tangent Ford circles of curvatures q_L^2,
@@ -18,7 +21,6 @@ permutations work rather than hard-coding one convention.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence, Union
@@ -39,6 +41,11 @@ def _s_matrix(i: int) -> intmat.Matrix:
 S_MATRICES: dict[int, intmat.Matrix] = {i: _s_matrix(i) for i in (1, 2, 3, 4)}
 
 
+def _check_descartes(ks: tuple[int, ...]) -> None:
+    if 2 * sum(k * k for k in ks) != sum(ks) ** 2:
+        raise InvariantViolation(f"Descartes identity fails for {ks}")
+
+
 @dataclass(frozen=True)
 class DescartesQuadruple:
     """Curvatures of four mutually tangent circles; identity enforced."""
@@ -49,9 +56,7 @@ class DescartesQuadruple:
     k4: int
 
     def __post_init__(self) -> None:
-        ks = self.as_tuple()
-        if 2 * sum(k * k for k in ks) != sum(ks) ** 2:
-            raise InvariantViolation(f"Descartes identity fails for {ks}")
+        _check_descartes(self.as_tuple())
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.k1, self.k2, self.k3, self.k4)
@@ -72,45 +77,62 @@ def _as_quad(q: QuadLike) -> DescartesQuadruple:
     return DescartesQuadruple(*ks)
 
 
-def apply_S(i: int, q: QuadLike) -> DescartesQuadruple:
-    """Replace curvature k_i by 2*(sum of the others) - k_i."""
+def _reflect(i: int, quad: tuple[int, ...]) -> tuple[int, ...]:
+    """S_i in closed form: k_i -> 2*(k1+k2+k3+k4) - 3*k_i."""
+    j = i - 1
+    return quad[:j] + (2 * sum(quad) - 3 * quad[j],) + quad[i:]
+
+
+def _adjoin(i: int, quad: tuple[int, ...]) -> tuple[int, ...]:
+    """A_i = S_i transposed, in closed form: k_i -> -k_i, k_j -> k_j + 2*k_i."""
+    twice = 2 * quad[i - 1]
+    return tuple(-k if j == i else k + twice for j, k in enumerate(quad, 1))
+
+
+_MOVES = [(_reflect, i) for i in (1, 2, 3, 4)] + [(_adjoin, i) for i in (1, 2, 3, 4)]
+
+
+def _index(i: int) -> int:
     if i not in S_MATRICES:
         raise ValueError(f"S index must be 1..4, got {i}")
-    return DescartesQuadruple(*intmat.mat_vec(S_MATRICES[i], _as_quad(q).as_tuple()))
+    return i
+
+
+def apply_S(i: int, q: QuadLike) -> DescartesQuadruple:
+    """Replace curvature k_i by 2*(sum of the others) - k_i."""
+    return DescartesQuadruple(*_reflect(_index(i), _as_quad(q).as_tuple()))
+
+
+def apply_A(i: int, q: QuadLike) -> DescartesQuadruple:
+    """Apply the adjoint A_i: k_i -> -k_i, and k_j -> k_j + 2*k_i for j != i."""
+    return DescartesQuadruple(*_adjoin(_index(i), _as_quad(q).as_tuple()))
 
 
 def adjoint_S(i: int) -> intmat.Matrix:
-    """Transpose of S_i; with the S_i it generates the super-Apollonian group."""
-    if i not in S_MATRICES:
-        raise ValueError(f"S index must be 1..4, got {i}")
-    return intmat.transpose(S_MATRICES[i])
-
-
-def apply_matrix(matrix: intmat.Matrix, q: QuadLike) -> DescartesQuadruple:
-    """Apply any 4x4 integer matrix, re-validating the Descartes identity."""
-    return DescartesQuadruple(*intmat.mat_vec(matrix, _as_quad(q).as_tuple()))
+    """Transpose of S_i: the matrix of A_i."""
+    return tuple(zip(*S_MATRICES[_index(i)]))
 
 
 def super_orbit(seed: QuadLike, depth: int) -> set[tuple[int, int, int, int]]:
-    """Distinct quadruples within `depth` steps of S_1..S_4 and adjoints.
+    """Distinct quadruples within `depth` steps of S_1..S_4 and A_1..A_4.
 
-    Every element is revalidated on construction, so merely building the
-    orbit proves the identity is preserved along every word.
+    A breadth-first search, level by level, over plain tuples.  Each
+    quadruple is checked against the Descartes identity when it is first
+    reached, with the error of `DescartesQuadruple`, so building the orbit
+    proves that every word preserves the identity.
     """
     start = _as_quad(seed).as_tuple()
-    generators = [S_MATRICES[i] for i in (1, 2, 3, 4)]
-    generators += [adjoint_S(i) for i in (1, 2, 3, 4)]
-    seen = {start}
-    frontier = deque([(start, 0)])
-    while frontier:
-        quad, dist = frontier.popleft()
-        if dist >= depth:
-            continue
-        for gen in generators:
-            grown = DescartesQuadruple(*intmat.mat_vec(gen, quad)).as_tuple()
-            if grown not in seen:
-                seen.add(grown)
-                frontier.append((grown, dist + 1))
+    seen, level = {start}, [start]
+    for _ in range(depth):
+        grown = []
+        for quad in level:
+            for move, i in _MOVES:
+                new = move(i, quad)
+                if new not in seen:
+                    _check_descartes(new)
+                    seen.add(new)
+                    grown.append(new)
+        level = grown
     return seen
 
 
@@ -141,12 +163,6 @@ def _step_matrix(h_index: Union[int, str]) -> tuple[str, intmat.Matrix]:
     if step in ("U_L", "U_R"):
         return step, canonical_matrices(GeneratorKind[step]).two_by_two
     raise ValueError(f"unknown step {h_index!r}")
-
-
-def _reflect(i: int, quad: tuple[int, ...]) -> tuple[int, ...]:
-    """S_i in closed form: k_i -> 2*(k1+k2+k3+k4) - 3*k_i."""
-    j = i - 1
-    return quad[:j] + (2 * sum(quad) - 3 * quad[j],) + quad[i:]
 
 
 def _pair_ford(m: int, n: int) -> tuple[int, int, int, int]:

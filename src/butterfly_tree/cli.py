@@ -145,10 +145,8 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
             print(f"bad Apollonian token {token!r} (use S1..S4 or A1..A4)",
                   file=sys.stderr)
             return 2
-        if token[0] == "A":
-            current = apo.apply_matrix(apo.adjoint_S(int(token[1:])), current)
-        else:
-            current = apo.apply_S(int(token[1:]), current)
+        move = apo.apply_A if token[0] == "A" else apo.apply_S
+        current = move(int(token[1:]), current)
     print(json.dumps({"input": list(quad.as_tuple()), "word": args.word,
                       "result": list(current.as_tuple())}))
     return 0
@@ -190,7 +188,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
     options = skel.RenderOptions(width=args.width, height=args.height,
                                  margin=args.margin, palette=palette,
                                  chain_preview=args.chain_preview)
-    document = skel.render_expansion(_limits(args), options)
+    document = skel.render_svg(tree_mod.expand(_limits(args)), options)
     with _out_stream(args.output) as fp:
         fp.write(document)
     return 0

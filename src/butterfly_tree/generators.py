@@ -54,13 +54,15 @@ class GeneratorKind(enum.Enum):
     C_CR = "C_cR"
 
     # The two-letter command-line token (chains are TL/TR), whether the
-    # letter walks a chain, its cell class ("C-cell", "E-cell" or "chain")
-    # and the step coefficients of its 4x4 matrix, set on each member
-    # below: plain attributes, so reading one hashes no enum member.
+    # letter walks a chain, its cell class ("C-cell", "E-cell" or "chain"),
+    # the step coefficients of its 4x4 matrix and the rows of its 3x3
+    # matrix, set on each member below: plain attributes, so reading one
+    # hashes no enum member.
     token: str
     is_chain: bool
     cell_class: str
     step: tuple[int, ...]
+    label_rows: intmat.Matrix
 
     @classmethod
     def from_token(cls, text: str) -> "GeneratorKind":
@@ -193,6 +195,8 @@ class GeneratorMatrix:
 
 _MATRICES = {kind: GeneratorMatrix(kind, _project_two(four), _project_three(four), four)
              for kind, four in _FOUR.items()}
+for _kind, _m in _MATRICES.items():
+    _kind.label_rows = _m.three_by_three
 
 
 def canonical_matrices(kind: GeneratorKind) -> GeneratorMatrix:
@@ -459,7 +463,7 @@ def label_route(kind: GeneratorKind, label: tuple[int, int, int]) -> tuple[int, 
     """
     q_r, q_l, d_s = label
     _check_tail(kind, q_r, q_l, "label")
-    (a, b, c), (d, e, f), (g, h, i) = _MATRICES[kind].three_by_three
+    (a, b, c), (d, e, f), (g, h, i) = kind.label_rows
     return (a * q_r + b * q_l + c * d_s, d * q_r + e * q_l + f * d_s,
             g * q_r + h * q_l + i * d_s)
 

@@ -5,6 +5,10 @@ matter how long a generator word gets.  Nothing here checks an invariant:
 friendliness is checked by `generators.step_core` on every step and by
 `tree._replay` once per word.  Sizes are tiny (2x2 to 4x4), so naive
 algorithms are the right tool.
+
+`mat_vec` is the one the package calls (the Pythagorean moves and the
+Apollonian correspondence search).  `mat_mul`, `det` and `identity` are
+the reference the tests check the hand-written steps against.
 """
 
 from __future__ import annotations
@@ -31,23 +35,6 @@ def mat_vec(a: Matrix, v: Vector) -> Vector:
     if len(a[0]) != len(v):
         raise ValueError("incompatible shapes")
     return tuple(sum(row[k] * v[k] for k in range(len(v))) for row in a)
-
-
-def mat_pow(a: Matrix, k: int) -> Matrix:
-    if k < 0:
-        raise ValueError("negative power")
-    out = identity(len(a))
-    base = a
-    while k:
-        if k & 1:
-            out = mat_mul(out, base)
-        base = mat_mul(base, base)
-        k >>= 1
-    return out
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(tuple(a[i][j] for i in range(len(a))) for j in range(len(a[0])))
 
 
 def det(a: Matrix) -> int:

@@ -10,9 +10,7 @@ pairs, computed from each cell's integer core by one set of formulas
 (`_centre`, `_cell`, `_apex`); `cell_geometry` and `tail_triangle` are
 their public Fraction views.  The SVG writer maps the pairs to pixels in
 integers and writes fixed 9-digit decimals, so rendering the same input
-twice produces identical bytes.  `render_svg` draws given nodes;
-`render_expansion` draws the cores of `tree.walk` with the same writer and
-builds no node.
+twice produces identical bytes.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .diophantine import central_gap, gap_rows
 from .errors import EmptyInput
-from .generators import Core, GeneratorKind, tail_generator, tail_side
-from .tree import ExpansionLimits, TreeNode, Word, chain_cores, walk
+from .generators import Core, GeneratorKind, tail_generator
+from .tree import TreeNode, chain_cores
 
 DEFAULT_PALETTE = ("#80be8e", "#d9cb97", "#e6a37d", "#d37a7d",
                    "#a195c6", "#e3a8d2", "#7995c4", "#8bc8da")
@@ -208,20 +206,7 @@ def _decimal9(x: Fraction) -> str:
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:
     """Deterministic SVG of the given cells (typically an expand() stream)."""
-    return _render([(node.core, node.word, node.word_str, node.tail_direction)
-                    for node in nodes], options)
-
-
-def render_expansion(limits: ExpansionLimits,
-                     options: Optional[RenderOptions] = None) -> str:
-    """`render_svg(expand(limits), options)`, drawn straight from the cores."""
-    return _render([(core, word, text, tail_side(core[0], core[1]))
-                    for core, word, text, _ in walk(limits)], options)
-
-
-def _render(cells: list[tuple[Core, Word, str, str]],
-            options: Optional[RenderOptions]) -> str:
-    """The SVG of cells given as (core, word, word string, tail direction)."""
+    cells = [(node.core, node.word, node.word_str, node.tail_direction) for node in nodes]
     if not cells:
         raise EmptyInput("no nodes to render")
     opt = options or RenderOptions()

@@ -161,9 +161,7 @@ def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
 
 def children(node: TreeNode) -> list[TreeNode]:
     """The six babies plus the chain successor when a tail exists."""
-    core = node.core
-    return [TreeNode(step_core(kind, core), node.word + (kind,))
-            for kind, _, _ in _candidates(core[0], core[1])]
+    return [child(node, kind) for kind, _, _ in _candidates(node.core[0], node.core[1])]
 
 
 def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
@@ -207,7 +205,8 @@ def _replay(word: Word) -> Core:
     """The checked core reached by stepping the word from the root.
 
     A chain letter applied against the tail raises TailDirectionMismatch
-    naming the prefix that failed.  Every step block has determinant 1
+    naming the prefix that failed; past 20 letters, only the letter's
+    number and both ends of the prefix.  Every step block has determinant 1
     (`generators._check_steps`), so no step changes the friendly
     determinant: a letter gets only the checks that need no product (one
     that fails them is redone by `step_core` for its error), and the full
@@ -220,8 +219,11 @@ def _replay(word: Word) -> Core:
             try:
                 _check_tail(kind, q_r, q_l, "state")
             except TailDirectionMismatch as exc:
-                raise TailDirectionMismatch(
-                    f"word fails at prefix {word_string(word[:i + 1])}: {exc}") from exc
+                where = f"prefix {word_string(word[:i + 1])}"
+                if i >= 20:  # bound the error line: the letter and both ends
+                    where = (f"letter {i + 1} ({kind.token}) of prefix "
+                             f"{word_string(word[:4])} ... {word_string(word[i - 3:i + 1])}")
+                raise TailDirectionMismatch(f"word fails at {where}: {exc}") from exc
         a, b, c, d, e, f, g, h = kind.step
         new = q_r, q_l, s_p, s_m, p_r, p_l = (
             a * q_r + b * q_l, c * q_r + d * q_l, s_p + e * q_r + f * q_l,

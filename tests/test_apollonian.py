@@ -7,13 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from butterfly_tree import intmat
+from butterfly_tree import apollonian, intmat
 from butterfly_tree.apollonian import (
     S_MATRICES,
     DescartesQuadruple,
     adjoint_S,
+    apply_A,
     apply_S,
-    apply_matrix,
     correspondence_search,
     ford_quadruple,
     super_orbit,
@@ -42,6 +42,8 @@ def test_frozen_reflection_matrices():
 def test_apply_reference_values():
     assert apply_S(1, (-1, 2, 2, 3)).as_tuple() == (15, 2, 2, 3)
     assert apply_S(4, (1, 1, 4, 0)).as_tuple() == (1, 1, 4, 12)
+    assert apply_A(1, (-1, 2, 2, 3)).as_tuple() == (1, 0, 0, 1)
+    assert apply_A(2, (1, 1, 4, 0)).as_tuple() == (3, -1, 6, 2)
 
 
 def test_reflections_are_involutions():
@@ -60,7 +62,7 @@ def test_quadruple_validation():
 def test_adjoints_are_transposes_with_unit_absolute_determinant():
     for i in (1, 2, 3, 4):
         adj = adjoint_S(i)
-        assert adj == intmat.transpose(S_MATRICES[i])
+        assert adj == tuple(tuple(row[col] for row in S_MATRICES[i]) for col in range(4))
         assert intmat.det(S_MATRICES[i]) == -1
         assert intmat.det(adj) == -1
     assert adjoint_S(1) == ((-1, 0, 0, 0), (2, 1, 0, 0),
@@ -73,11 +75,13 @@ def test_index_validation():
             apply_S(bad, (-1, 2, 2, 3))
         with pytest.raises(ValueError):
             adjoint_S(bad)
+        with pytest.raises(ValueError, match=f"^S index must be 1..4, got {bad}$"):
+            apply_A(bad, (-1, 2, 2, 3))
 
 
 @pytest.mark.parametrize("apply, quad, message", [
     (lambda q: apply_S(1, q), (1, 2, 3), "needs 4 curvatures, got 3"),
-    (lambda q: apply_matrix(adjoint_S(1), q), (1, 2, 3), "needs 4 curvatures, got 3"),
+    (lambda q: apply_A(1, q), (1, 2, 3), "needs 4 curvatures, got 3"),
     (lambda q: apply_S(1, q), [1, "a", 2, 3], "curvature 2 is not an integer: 'a'"),
     (lambda q: super_orbit(q, 1), (-1, 2, 2, 3, 0), "needs 4 curvatures, got 5"),
 ], ids=["S-short", "adjoint-short", "S-non-int", "orbit-long"])
@@ -99,9 +103,55 @@ def test_orbit_counts_and_identity():
 def test_words_preserve_identity(word, use_adjoint):
     cur = DescartesQuadruple(-1, 2, 2, 3)
     for i in word:
-        matrix = adjoint_S(i) if use_adjoint else S_MATRICES[i]
-        cur = apply_matrix(matrix, cur)
+        cur = (apply_A if use_adjoint else apply_S)(i, cur)
         assert descartes_holds(cur.as_tuple())
+
+
+@given(st.sampled_from([(-1, 2, 2, 3), (1, 9, 16, 0), (0, 0, 1, 1), (1, 1, 4, 0)]),
+       st.lists(st.tuples(st.sampled_from("SA"), st.sampled_from([1, 2, 3, 4])),
+                max_size=8))
+def test_closed_forms_equal_the_matrices(seed, word):
+    """apply_S and apply_A on mixed words equal mat_vec with S_i and its transpose."""
+    cur = want = seed
+    for move, i in word:
+        matrix = S_MATRICES[i] if move == "S" else adjoint_S(i)
+        cur = (apply_S if move == "S" else apply_A)(i, cur).as_tuple()
+        want = intmat.mat_vec(matrix, want)
+        assert cur == want
+
+
+def _matrix_orbit(seed, depth):
+    """The orbit by breadth-first search through S_MATRICES, their zip
+    transposes and intmat.mat_vec."""
+    moves = [S_MATRICES[i] for i in (1, 2, 3, 4)]
+    moves += [tuple(zip(*S_MATRICES[i])) for i in (1, 2, 3, 4)]
+    seen, level = {seed}, [seed]
+    for _ in range(depth):
+        level = [new for quad in level for new in (intmat.mat_vec(m, quad) for m in moves)]
+        level = list(dict.fromkeys(new for new in level if new not in seen))
+        seen.update(level)
+    return seen
+
+
+@pytest.mark.parametrize("seed, sizes", [
+    ((-1, 2, 2, 3), [1, 8, 42, 212, 1062, 5312]),
+    ((1, 9, 16, 0), [1, 8, 45, 232, 1166, 5836]),
+    ((0, 0, 1, 1), [1, 5, 25, 125, 625, 3125]),
+])
+def test_super_orbit_equals_the_matrix_search(seed, sizes):
+    for depth, size in enumerate(sizes):
+        orbit = super_orbit(seed, depth)
+        assert orbit == _matrix_orbit(seed, depth)
+        assert len(orbit) == size
+
+
+def test_super_orbit_checks_every_new_quadruple(monkeypatch):
+    # A move that breaks the identity: the orbit raises as the quadruple does.
+    monkeypatch.setattr(apollonian, "_MOVES",
+                        apollonian._MOVES + [(lambda i, q: q[:3] + (q[3] + i,), 1)])
+    with pytest.raises(InvariantViolation,
+                       match=r"^Descartes identity fails for \(-1, 2, 2, 4\)$"):
+        super_orbit((-1, 2, 2, 3), 1)
 
 
 def test_ford_quadruple_reference_values():

@@ -215,11 +215,13 @@ def test_node_and_chain_print_integers_past_the_digit_limit(capsys):
 
 
 # A chain letter against the tail of the 14 000-letter word (its q_R > q_L).
-# The error names the denominators, past the digit limit, by bit length.
+# The error names the denominators, past the digit limit, by bit length, and
+# the prefix by the letter's number and both ends.
 BIG_WORD = BIG_NODE_ARGV.split("=", 1)[1]
 AGAINST_THE_TAIL = [f"node --word={BIG_WORD}.TL", f"chain --steps 2 --word={BIG_WORD}.TL"]
-AGAINST_THE_TAIL_ERROR = (f"error: word fails at prefix {BIG_WORD}.TL: C_cL needs "
-                          "q_L > q_R, state has (<14745-bit integer>, <14744-bit integer>)\n")
+AGAINST_THE_TAIL_ERROR = ("error: word fails at letter 14001 (TL) of prefix UR.UR.DR.CL ... "
+                          "UR.TR.TR.TL: C_cL needs q_L > q_R, state has "
+                          "(<14745-bit integer>, <14744-bit integer>)\n")
 
 
 @pytest.mark.parametrize("argv", AGAINST_THE_TAIL, ids=short_id)
@@ -275,6 +277,9 @@ def test_apollonian_word_application(capsys):
                        "--word", "S1.S1")
     assert code == 0
     assert json.loads(out)["result"] == [-1, 2, 2, 3]
+    assert run(capsys, "apollonian", "--quad=-1,2,2,3", "--word", "A1.S2.A3.S4.A2") == (
+        0, '{"input": [-1, 2, 2, 3], "word": "A1.S2.A3.S4.A2", "result": [9, -4, 8, 17]}\n',
+        "")
 
 
 def test_apollonian_correspondence_report(capsys):

@@ -2,7 +2,8 @@
 the verify line and the expand and bignum-word goldens (the 14 000-letter
 `node` and `chain` ones too) are checked under it, and so is the error of a
 chain letter against the tail of that word.
-The package must load only what a command uses and keep its public names."""
+The package must load only what a command uses, keep its public names, and
+define no function or class that only the tests use, unless it is listed."""
 
 import ast
 import hashlib
@@ -122,13 +123,19 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 def _package_references(tree):
     """(module, attribute path) of every `butterfly_tree` name a module uses:
-    `from butterfly_tree.m import x` and `m.x.y` where m is an imported submodule."""
+    `from butterfly_tree.m import x` and `m.x.y` where m is an imported submodule,
+    or the same by a relative import inside the package."""
     modules = {}
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "butterfly_tree":
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = node.module or ""
+        if node.level:
+            source = f"butterfly_tree.{source}".rstrip(".")
+        if source == "butterfly_tree":
             modules.update((a.asname or a.name, f"butterfly_tree.{a.name}") for a in node.names)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("butterfly_tree."):
-            yield from ((node.module, (a.name,)) for a in node.names)
+        elif source.startswith("butterfly_tree."):
+            yield from ((source, (a.name,)) for a in node.names)
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and not isinstance(node.ctx, ast.Store):
             path, base = [], node
@@ -201,3 +208,49 @@ def test_commands_load_only_the_views_they_use(flags, argv, views):
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
     assert "butterfly_tree.tree" in loaded
     assert loaded & VIEWS == views
+
+
+# Module-level functions and classes in src/ that no code in src/ or perfbench/
+# uses and that are not public, each with the reason it stays.
+TEST_ONLY = {
+    "diophantine.gap_label_oracle": "brute-force oracle of gap_labels for the tests",
+    "pythagoras.functor_holds": "the tests' check that the pair and triple moves commute",
+    "skeleton._decimal9": "the tests' 9-decimal rounding of an exact rational",
+    "intmat.mat_mul": "the tests' reference product",
+    "intmat.identity": "the tests' reference unit",
+    "intmat.det": "the tests' reference determinant",
+}
+
+
+def _definitions_without_a_use():
+    """module.name of each module-level function or class in src/ that nothing
+    outside its own body uses, other than the module hooks `__getattr__` and
+    `__dir__`."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted((SRC / "butterfly_tree").glob("*.py"))
+             + sorted(PERFBENCH.glob("*.py"))}
+    used = {(module.rpartition(".")[2], attrs[0])
+            for tree in trees.values() for module, attrs in _package_references(tree)}
+    unused = []
+    for path, tree in trees.items():
+        if path.parent == PERFBENCH:
+            continue
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if stmt.name.startswith("__") or (path.stem, stmt.name) in used:
+                continue
+            if not any(isinstance(node, ast.Name) and node.id == stmt.name
+                       for other in tree.body if other is not stmt
+                       for node in ast.walk(other)):
+                unused.append(f"{path.stem}.{stmt.name}")
+    return unused
+
+
+def test_every_definition_is_used_public_or_allowed():
+    # A definition that only its own tests call is dead code: delete it, or
+    # list it in TEST_ONLY with the reason it stays.
+    public = {f"{module}.{name}" for module, names in PUBLIC_NAMES.items() for name in names}
+    unused = _definitions_without_a_use()
+    assert [name for name in unused if name not in public and name not in TEST_ONLY] == []
+    assert sorted(name for name in unused if name in TEST_ONLY) == sorted(TEST_ONLY)

@@ -313,14 +313,21 @@ def test_csv_round_trip():
 
 
 def step_fold(word):
-    """The oracle: `step_core` on each letter in turn, the replay as it used to run."""
+    """The oracle: `step_core` on each letter in turn, the replay as it used to run.
+
+    A failing prefix is named in full up to 20 letters; past that, by the
+    letter's number and token and the first and last four letters."""
     core = ROOT_STATE.core
     for i, kind in enumerate(word):
         try:
             core = step_core(kind, core)
         except TailDirectionMismatch as exc:
-            raise TailDirectionMismatch(
-                f"word fails at prefix {word_string(word[:i + 1])}: {exc}") from exc
+            tokens = [k.token for k in word[:i + 1]]
+            where = f"prefix {'.'.join(tokens)}"
+            if len(tokens) > 20:
+                where = (f"letter {len(tokens)} ({kind.token}) of prefix "
+                         f"{'.'.join(tokens[:4])} ... {'.'.join(tokens[-4:])}")
+            raise TailDirectionMismatch(f"word fails at {where}: {exc}") from exc
     return core
 
 
@@ -347,7 +354,24 @@ def test_a_bad_chain_letter_past_letter_1000_names_its_prefix():
             node_at(word_string(bad))
         assert str(got.value) == str(oracle.value)
         assert str(got.value).startswith(
-            f"word fails at prefix {word_string(word[:cut])}.{against.token}: ")
+            f"word fails at letter {cut + 1} ({against.token}) of prefix "
+            f"{word_string(word[:4])} ... {word_string(word[cut - 3:cut])}.{against.token}: ")
+        assert len(str(got.value).partition(": ")[0]) < 80  # the state follows
+
+
+@pytest.mark.parametrize("cut", [0, 1, 18, 19, 20, 21, 40])
+def test_a_bad_chain_letter_names_a_prefix_of_up_to_20_letters_in_full(cut):
+    word = parse_word(lcg_word(60, 9))[:cut]
+    q_r, q_l = step_fold(word)[:2]
+    against = K.C_CL if q_r >= q_l else K.C_CR
+    bad = word + (against,)
+    with pytest.raises(TailDirectionMismatch) as oracle:
+        step_fold(bad)
+    with pytest.raises(TailDirectionMismatch) as got:
+        node_at(word_string(bad))
+    assert str(got.value) == str(oracle.value)
+    full = f"word fails at prefix {word_string(bad)}: "
+    assert str(got.value).startswith(full) == (cut < 20)
 
 
 def test_a_letter_failing_a_sign_check_gets_the_step_error(monkeypatch):
