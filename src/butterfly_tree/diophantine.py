@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterator, Sequence
 
 from .errors import InconsistentChernPair, InvariantViolation, NotCoprime
 
@@ -116,43 +116,43 @@ def recover_edges(q_r: int, q_l: int) -> tuple[int, int]:
     return p_l, p_r
 
 
-def hierarchy_gap_cherns(sigma0: int, q0: int,
-                         n_range: Union[int, Iterable[int]]) -> Union[int, list[int]]:
-    """Slopes sigma0 + n*q0 of the gaps converging on a parent gap.
+def hierarchy_gap_cherns(sigma0: int, q0: int, n: int) -> int:
+    """Slope sigma0 + n*q0 of the n-th gap converging on a parent gap.
 
     The minigaps accumulating on a gap of slope sigma0 at flux p0/q0 step
-    their slopes by the parent denominator.  Accepts one n or an iterable.
+    their slopes by the parent denominator.
     """
     if q0 < 1:
         raise NotCoprime(f"denominator must be positive, got {q0}")
-    if isinstance(n_range, int):
-        return sigma0 + n_range * q0
-    return [sigma0 + n * q0 for n in n_range]
+    return sigma0 + n * q0
 
 
-def central_gap(sigma_plus: int, sigma_minus: int, p_c: int, q_c: int) -> int:
-    """Gap index r_c of the central gap at flux p_c/q_c (in lowest terms).
+def central_gap(sigma_plus: int, sigma_minus: int, p_c: int,
+                q_c: int) -> tuple[int, int, int]:
+    """(p_c, q_c, r_c): the center flux p_c/q_c in lowest terms and its gap index.
 
-    The two diagonal density lines through the center cross at the same
-    gap: sigma_plus * p_c = -(-sigma_minus * p_c) mod q_c.  Raises
+    Takes any multiple of the center, such as the mediant sums of tampered
+    edges.  The two diagonal density lines through the center cross at the
+    same gap: sigma_plus * p_c = -(-sigma_minus * p_c) mod q_c.  Raises
     InconsistentChernPair when the two slopes disagree (impossible for
     states built by the generators, reachable by hand-tampered ones).
     """
+    g = gcd(p_c, q_c)  # 1 unless the edges are not friendly
+    p_c, q_c = p_c // g, q_c // g
     r_plus = (sigma_plus * p_c) % q_c
     r_minus = (-sigma_minus * p_c) % q_c
     if r_plus != r_minus:
         raise InconsistentChernPair(
             f"slopes +{sigma_plus}/-{sigma_minus} give gaps "
             f"{r_plus} != {r_minus} at flux {Fraction(p_c, q_c)}")
-    return r_plus
+    return p_c, q_c, r_plus
 
 
 def center_gap_index(state) -> tuple[int, Fraction]:
-    """Gap index r_c and density r_c/q_c of the central gap of a butterfly."""
-    center = state.center
-    r_c = central_gap(state.sigma_plus, state.sigma_minus,
-                      center.numerator, center.denominator)
-    return r_c, Fraction(r_c, center.denominator)
+    """Gap index r_c and density r_c/q_c of the central gap of a ButterflyState."""
+    q_r, q_l, s_p, s_m, p_r, p_l = state.core
+    _, q_c, r_c = central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
+    return r_c, Fraction(r_c, q_c)
 
 
 def gap_label_oracle(p: int, q: int, r: int,

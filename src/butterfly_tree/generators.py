@@ -15,9 +15,10 @@ Each generator is realised three ways, and the routes agree:
 * its projections, 3x3 on (q_R, q_L, Delta-sigma) and 2x2 on (q_R, q_L).
 
 The tree steps only the integer core: the 4x4 vector plus the edge
-numerators, which follow the 2x2 block (`step_core`, which checks each
-result in full; a word's replay checks friendliness once, see
-`_check_steps`).  Fraction states and labels are views built from it.
+numerators, which follow the 2x2 block.  `_step` is that step, with every
+check that needs no product; `step_core` adds the friendly determinant.
+A word's replay folds `_step` and checks friendliness once, at its end
+(see `_check_steps`).  Fraction states and labels are views built from it.
 `tree.verify_node` redoes each step on plain integers by two other routes:
 `state_route`, the explicit recursion, and `label_route`, the 3x3 matrix.
 `apply_state` and `apply_label` are their checked object views.  The
@@ -157,7 +158,7 @@ for _kind, _m in _FOUR.items():
 
 
 def _check_steps() -> None:
-    """Raise unless every step block has determinant 1, as `tree._replay` assumes."""
+    """Raise unless every step block has determinant 1, as `_step` assumes."""
     for kind in GeneratorKind:
         det = kind.step[0] * kind.step[3] - kind.step[1] * kind.step[2]
         if det != 1:
@@ -344,16 +345,20 @@ ROOT_LABEL = ButterflyLabel(1, 1, 0)
 
 
 def _text(value: object) -> str:
-    """str() of an int, Fraction, int tuple or state for an error text; an int
-    past the digit limit, which str() refuses, shows its bit length (a state, its core)."""
-    try:
-        return str(value)
-    except ValueError:
-        if isinstance(value, int):
-            return f"<{value.bit_length()}-bit integer>"
-        if isinstance(value, Fraction):
-            return f"{_text(value.numerator)}/{_text(value.denominator)}"
-        return "(" + ", ".join(map(_text, getattr(value, "core", value))) + ")"
+    """str() of an int, Fraction, int tuple or state for an error text.  An int
+    past 332 bits (about 100 digits) shows its bit length, so a text stays short
+    however deep the word; a value holding one is written part by part (a state,
+    as its core)."""
+    if isinstance(value, int):
+        bits = value.bit_length()
+        return str(value) if bits <= 332 else f"<{bits}-bit integer>"
+    if isinstance(value, Fraction):
+        num, den = _text(value.numerator), _text(value.denominator)
+        return num if den == "1" else f"{num}/{den}"
+    ints = getattr(value, "core", value)
+    if ints is value or any(n.bit_length() > 332 for n in ints):
+        return "(" + ", ".join(map(_text, ints)) + ")"
+    return str(value)
 
 
 def _problems(core: Core) -> list[str]:
@@ -388,25 +393,39 @@ def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
             f"{kind.value} needs {need}, {holder} has {_text((q_r, q_l))}")
 
 
-def step_core(kind: GeneratorKind, core: Core) -> Core:
-    """One generator step on the integer core: the hot path of the tree.
+def _bad_step(kind: GeneratorKind, state: object, new: Core) -> InvariantViolation:
+    """The error of a step from `state` whose result `new` breaks an invariant."""
+    return InvariantViolation(f"{kind.value} on {_text(state)} produced a bad state: "
+                              + "; ".join(_problems(new)))
+
+
+def _step(kind: GeneratorKind, core: Core) -> Core:
+    """One generator step on the integer core, with every check that needs no product.
 
     The 4x4 matrix acts on (q_R, q_L, sigma_+, sigma_-) and its 2x2 block
-    on the numerators (p_R, p_L).  Raises TailDirectionMismatch for a
-    chain step against the tail and InvariantViolation, with the message
-    of `apply_state`, if the result breaks an invariant.
+    on (p_R, p_L).  Raises TailDirectionMismatch for a chain step against
+    the tail and InvariantViolation if the result has a denominator or a
+    slope below 1, p_L < 0, p_R > q_R or a slope sum other than q_c.
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
     if kind.is_chain:
         _check_tail(kind, q_r, q_l, "state")
     a, b, c, d, e, f, g, h = kind.step
-    new = (a * q_r + b * q_l, c * q_r + d * q_l,
-           s_p + e * q_r + f * q_l, s_m + g * q_r + h * q_l,
-           a * p_r + b * p_l, c * p_r + d * p_l)
-    problems = _problems(new)
-    if problems:
-        raise InvariantViolation(f"{kind.value} on {_text(ButterflyState.from_core(core))} "
-                                 "produced a bad state: " + "; ".join(problems))
+    new = q_r, q_l, s_p, s_m, p_r, p_l = (
+        a * q_r + b * q_l, c * q_r + d * q_l, s_p + e * q_r + f * q_l,
+        s_m + g * q_r + h * q_l, a * p_r + b * p_l, c * p_r + d * p_l)
+    if not (q_r >= 1 and q_l >= 1 and s_p >= 1 and s_m >= 1 and 0 <= p_l
+            and p_r <= q_r and s_p + s_m == q_r + q_l):
+        raise _bad_step(kind, ButterflyState.from_core(core), new)
+    return new
+
+
+def step_core(kind: GeneratorKind, core: Core) -> Core:
+    """`_step` plus the friendly determinant: one step checked in full, the hot
+    path of the tree.  Raises as `_step` does, with the message of `apply_state`."""
+    new = _step(kind, core)
+    if new[5] * new[0] - new[4] * new[1] != -1:
+        raise _bad_step(kind, ButterflyState.from_core(core), new)
     return new
 
 
@@ -447,10 +466,8 @@ def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
     and InvariantViolation if the result fails its checks (never expected).
     """
     new = ButterflyState.from_core(state_route(kind, state.core))
-    problems = new.check()
-    if problems:
-        raise InvariantViolation(
-            f"{kind.value} on {_text(state)} produced a bad state: " + "; ".join(problems))
+    if new.check():
+        raise _bad_step(kind, state, new.core)
     return new
 
 

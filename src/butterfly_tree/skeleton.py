@@ -77,9 +77,7 @@ class WannierLine:
 def _centre(core: Core) -> tuple[int, int, int]:
     """(p_c, q_c, r_c): the center flux p_c/q_c in lowest terms and its gap."""
     q_r, q_l, s_p, s_m, p_r, p_l = core
-    g = gcd(p_l + p_r, q_l + q_r)  # 1 unless the edges were tampered
-    p_c, q_c = (p_l + p_r) // g, (q_l + q_r) // g
-    return p_c, q_c, central_gap(s_p, s_m, p_c, q_c)
+    return central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
 
 
 def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
@@ -135,14 +133,9 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     the line through the chain members' centers (they are collinear, so
     this is the limit of the chain centers).
     """
-    cell = cell_geometry(node)
+    corners = cell_geometry(node).corners()
     p, q, r = _apex(*chain_cores(node.core, 2, node.word))
-    if node.tail_direction == "right":
-        base = ((cell.phi_right, cell.plus_at_right),
-                (cell.phi_right, cell.minus_at_right))
-    else:
-        base = ((cell.phi_left, cell.plus_at_left),
-                (cell.phi_left, cell.minus_at_left))
+    base = corners[2:] if node.tail_direction == "right" else corners[:2]
     return base + ((Fraction(p, q), Fraction(r, q)),)
 
 
@@ -205,8 +198,12 @@ def _decimal9(x: Fraction) -> str:
 
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:
-    """Deterministic SVG of the given cells (typically an expand() stream)."""
-    cells = [(node.core, node.word, node.word_str, node.tail_direction) for node in nodes]
+    """Deterministic SVG of the given cells (typically an expand() stream).
+
+    One pass writes each cell's group and, after all the groups, the tail
+    triangle (on the right edge for C_cR, else the left) and preview dots
+    of each tailed cell."""
+    cells = [(node.core, node.word, node.word_str) for node in nodes]
     if not cells:
         raise EmptyInput("no nodes to render")
     opt = options or RenderOptions()
@@ -237,7 +234,9 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
         f'<rect x="{opt.margin}" y="{opt.margin}" width="{span_x}" '
         f'height="{span_y}" fill="#ffffff" stroke="#1a1a1a" stroke-width="1"/>',
     ]
-    for core, word, text, _ in cells:
+    tails = []
+    for cell in cells:
+        core, word, text = cell
         _, left, right = _cell(core)
         x_l, y_bl, y_tl = edge(*left)
         x_r, y_tr, y_br = edge(*right)
@@ -254,18 +253,16 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
         out.append(f'<line x1="{x_l}" y1="{y_tl}" x2="{x_r}" y2="{y_br}" '
                    f'stroke="#1a1a1a" stroke-width="0.75"/>')
         out.append('</g>')
-    for cell in cells:
-        core, word, text, tail_direction = cell
         kind = tail_generator(core[0], core[1])
         if kind is None:
             continue
-        _, left, right = _cell(core)
-        x, y_plus, y_minus = edge(*(right if tail_direction == "right" else left))
+        x, y_plus, y_minus = ((x_r, y_tr, y_br) if kind is GeneratorKind.C_CR
+                              else (x_l, y_bl, y_tl))
         p, q, r = _apex(*chain_cores(core, 2, word))
-        out.append(f'<polygon points="{x},{y_plus} {x},{y_minus} '
-                   f'{px(p, q)},{py(r, q)}" fill="none" stroke="{accent}" '
-                   f'stroke-width="1" stroke-dasharray="4 3" '
-                   f'data-tail-of="{text or "root"}"/>')
+        tails.append(f'<polygon points="{x},{y_plus} {x},{y_minus} '
+                     f'{px(p, q)},{py(r, q)}" fill="none" stroke="{accent}" '
+                     f'stroke-width="1" stroke-dasharray="4 3" '
+                     f'data-tail-of="{text or "root"}"/>')
         if opt.chain_preview:
             # The preview starts below the last rendered member of the chain.
             last = cell
@@ -277,7 +274,8 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
                 kind = tail_generator(last[0][0], last[0][1])
             for member in chain_cores(last[0], opt.chain_preview, last[1]):
                 p_c, q_c, r_c = _centre(member)
-                out.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
-                           f'fill="{accent}"/>')
+                tails.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
+                             f'fill="{accent}"/>')
+    out += tails
     out.append('</svg>')
     return "\n".join(out) + "\n"

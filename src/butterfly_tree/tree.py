@@ -11,9 +11,9 @@ Expansion is breadth-first and fully deterministic; limits cap the depth,
 optionally the center denominator, and the number of consecutive chain
 letters at the end of a word (a chain cap of 0 disables chain successors).
 
-Every step runs on the integer core and is checked by
-`generators.step_core`, except in a word's replay (`_replay`), which
-checks friendliness once, on the core it reaches.
+Every step is `generators._step` on the integer core: `step_core` adds
+the friendly determinant to each, and a word's replay (`_replay`) checks
+it once, on the core it reaches.
 `walk` is the one breadth-first traversal: it yields each emitted node as
 its core, word, word string and trailing chain run.  It decides the chain
 cap and the q_c ceiling from the parent (q_c grows along every edge, so a
@@ -55,8 +55,8 @@ from .generators import (
     GeneratorKind,
     ROOT_STATE,
     _BY_KEY,
-    _check_tail,
     _problems,
+    _step,
     _text,
     label_route,
     state_route,
@@ -168,20 +168,17 @@ def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
     """Checked cores of the first `steps` chain members below `core`.
 
     `word` addresses `core` and only names it in errors: ValueError for
-    negative `steps`, NoTail when there is no tail, InvariantViolation if
-    the tail ever flips sides.
+    negative `steps`, NoTail when there is no tail.  The tail never flips
+    sides: C_cR sends (q_R, q_L) to (2 q_R - q_L, q_R), which keeps
+    q_R - q_L, and C_cL likewise keeps q_L - q_R.
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     kind = tail_generator(core[0], core[1])
     if kind is None:
         raise NoTail(f"{word_string(word) or 'root'} has no tail")
-    side = tail_side(core[0], core[1])
     for _ in range(steps):
         core = step_core(kind, core)
-        if tail_side(core[0], core[1]) != side:
-            raise InvariantViolation(
-                f"tail flipped from {side} along the chain of {word_string(word)}")
         yield core
 
 
@@ -195,43 +192,31 @@ def chain(node: TreeNode, steps: int) -> list[TreeNode]:
 def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
     """The row of each member of `chain(node, steps)`, built straight from the cores."""
     core, text, depth = node.core, node.word_str, len(node.word)
-    kind, side = tail_generator(core[0], core[1]), tail_side(core[0], core[1])
+    kind = tail_generator(core[0], core[1])
     for member in chain_cores(core, steps, node.word):
         text, depth = f"{text}.{kind.token}", depth + 1
-        yield record_row(member, text, "chain", side, depth)
+        yield record_row(member, text, "chain", depth)
 
 
 def _replay(word: Word) -> Core:
     """The checked core reached by stepping the word from the root.
 
-    A chain letter applied against the tail raises TailDirectionMismatch
-    naming the prefix that failed; past 20 letters, only the letter's
-    number and both ends of the prefix.  Every step block has determinant 1
-    (`generators._check_steps`), so no step changes the friendly
-    determinant: a letter gets only the checks that need no product (one
-    that fails them is redone by `step_core` for its error), and the full
-    check runs once, on the core returned.
+    Folds `generators._step`.  A chain letter applied against the tail
+    raises TailDirectionMismatch naming the prefix that failed; past 20
+    letters, only the letter's number and both ends of the prefix.  No
+    step changes the friendly determinant (`generators._check_steps`), so
+    the full check runs once, on the core returned.
     """
     core = ROOT_STATE.core
-    for i, kind in enumerate(word):
-        q_r, q_l, s_p, s_m, p_r, p_l = core
-        if kind.is_chain:
-            try:
-                _check_tail(kind, q_r, q_l, "state")
-            except TailDirectionMismatch as exc:
-                where = f"prefix {word_string(word[:i + 1])}"
-                if i >= 20:  # bound the error line: the letter and both ends
-                    where = (f"letter {i + 1} ({kind.token}) of prefix "
-                             f"{word_string(word[:4])} ... {word_string(word[i - 3:i + 1])}")
-                raise TailDirectionMismatch(f"word fails at {where}: {exc}") from exc
-        a, b, c, d, e, f, g, h = kind.step
-        new = q_r, q_l, s_p, s_m, p_r, p_l = (
-            a * q_r + b * q_l, c * q_r + d * q_l, s_p + e * q_r + f * q_l,
-            s_m + g * q_r + h * q_l, a * p_r + b * p_l, c * p_r + d * p_l)
-        if not (q_r >= 1 and q_l >= 1 and s_p >= 1 and s_m >= 1 and 0 <= p_l
-                and p_r <= q_r and s_p + s_m == q_r + q_l):
-            step_core(kind, core)
-        core = new
+    try:
+        for i, kind in enumerate(word):
+            core = _step(kind, core)
+    except TailDirectionMismatch as exc:
+        where = f"prefix {word_string(word[:i + 1])}"
+        if i >= 20:  # bound the error line: the letter and both ends
+            where = (f"letter {i + 1} ({kind.token}) of prefix "
+                     f"{word_string(word[:4])} ... {word_string(word[i - 3:i + 1])}")
+        raise TailDirectionMismatch(f"word fails at {where}: {exc}") from exc
     problems = _problems(core)
     if problems:
         raise InvariantViolation(f"{len(word)}-letter word replays to a bad state: "
@@ -381,10 +366,9 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
         failures.append(f"width {_ratio(det, q_r * q_l)} != 1/(q_L q_R)")
 
     checks += 1
-    q_c, p_c = q_r + q_l, p_r + p_l
-    g = gcd(p_c, q_c)  # the centre in lowest terms, as its Fraction has it
+    q_c = q_r + q_l
     try:
-        r_c = central_gap(s_p, s_m, p_c // g, q_c // g)
+        r_c = central_gap(s_p, s_m, p_r + p_l, q_c)[2]
         if not 0 < r_c < q_c:
             failures.append(f"central gap index {r_c} out of range")
     except Exception as exc:
@@ -463,22 +447,21 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     return NodeVerification(node.word_str, checks, tuple(failures))
 
 
-def record_row(core: Core, text: str, cell_class: str, tail_direction: str,
-               depth: int) -> tuple:
+def record_row(core: Core, text: str, cell_class: str, depth: int) -> tuple:
     """The RECORD_FIELDS values, in order, of the node with this core and word.
 
     The nine integers stay Python ints of any size.  The center of
-    friendly edges is their mediant, so p_c = p_L + p_R.
+    friendly edges is their mediant, so p_c = p_L + p_R; the tail
+    direction is read from the denominators (`tail_side`).
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
     return (text, q_r, q_l, s_p - s_m, p_l, p_r, p_l + p_r, q_r + q_l, s_p, s_m,
-            cell_class, tail_direction, depth)
+            cell_class, tail_side(q_r, q_l), depth)
 
 
 def node_row(node: TreeNode) -> tuple:
     """`record_row` of a node's core and word."""
-    return record_row(node.core, node.word_str, node.cell_class,
-                      node.tail_direction, node.depth)
+    return record_row(node.core, node.word_str, node.cell_class, node.depth)
 
 
 def expand_rows(limits: ExpansionLimits) -> Iterator[tuple]:
@@ -520,9 +503,6 @@ def node_record(node: TreeNode) -> dict:
             "depth": depth}
 
 
-_TEXT_FIELDS = ("word", "cellClass", "tailDirection")
-
-
 def _field(record: dict, key: str) -> object:
     try:
         return record[key]
@@ -556,13 +536,13 @@ def node_from_record(record: dict) -> TreeNode:
     if not isinstance(word, str):
         raise MalformedRecord(f"field word is not a string: {word!r}")
     node = node_at(word)
-    expected = node_record(node)
-    for key in RECORD_FIELDS:
-        got, want = _field(record, key), expected[key]
-        if key in _TEXT_FIELDS:
+    for key, want in zip(RECORD_FIELDS, node_row(node)):
+        got = _field(record, key)
+        if isinstance(want, str):
             same = got == want
         else:
-            same = _int_value(key, got) == int(want)
+            same = _int_value(key, got) == want
+            want = _json_int(want)
         if not same:
             raise InvariantViolation(f"record field {key}: {got!r} != {want!r}")
     return node

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from butterfly_tree.diophantine import (
     band_cherns,
     center_gap_index,
+    central_gap,
     gap_label_oracle,
     gap_labels,
     gap_rows,
@@ -19,6 +20,7 @@ from butterfly_tree.diophantine import (
 from butterfly_tree.errors import InconsistentChernPair, NotCoprime
 from butterfly_tree.farey import is_friendly
 from butterfly_tree.generators import ButterflyState
+from butterfly_tree.tree import ExpansionLimits, expand
 
 
 def test_gap_labels_reference_sequences():
@@ -90,7 +92,7 @@ def test_hierarchy_reference_values():
     assert hierarchy_gap_cherns(-1, 3, 1) == 2
     assert hierarchy_gap_cherns(-1, 2, -1) == -3
     assert hierarchy_gap_cherns(0, 5, 0) == 0
-    assert hierarchy_gap_cherns(-1, 3, range(3)) == [-1, 2, 5]
+    assert [hierarchy_gap_cherns(-1, 3, n) for n in range(3)] == [-1, 2, 5]
 
 
 def test_center_gap_index_reference_values():
@@ -109,6 +111,22 @@ def test_center_gap_index_checks_both_congruences():
     bad = ButterflyState(Fraction(0), Fraction(1), 2, 1)
     with pytest.raises(InconsistentChernPair):
         center_gap_index(bad)
+
+
+def test_central_gap_reduces_the_centre_it_is_given():
+    for node in expand(ExpansionLimits(4, 2)):
+        q_r, q_l, s_p, s_m, p_r, p_l = node.core
+        center = node.state.center
+        r_c = (s_p * center.numerator) % center.denominator
+        assert central_gap(s_p, s_m, p_l + p_r, q_l + q_r) == (
+            center.numerator, center.denominator, r_c)
+    # The tampered edges 2/5 and 2/3 of tests/test_skeleton.py: their
+    # mediant sums 4/8 give what the reduced 1/2 gives, error text included.
+    assert central_gap(1, 1, 4, 8) == central_gap(1, 1, 1, 2) == (1, 2, 1)
+    for p_c, q_c in ((4, 8), (1, 2)):
+        with pytest.raises(InconsistentChernPair, match="^slopes \\+2/-1 give gaps "
+                                                        "0 != 1 at flux 1/2$"):
+            central_gap(2, 1, p_c, q_c)
 
 
 def test_gap_rows_equal_the_brute_force_oracle():

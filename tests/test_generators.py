@@ -16,15 +16,18 @@ from butterfly_tree.generators import (
     ButterflyLabel,
     ButterflyState,
     GeneratorKind,
+    _check_tail,
     _problems,
+    _text,
     apply_label,
     apply_state,
     canonical_matrices,
     label_route,
     state_route,
     step_core,
+    tail_generator,
 )
-from butterfly_tree.tree import parse_word
+from butterfly_tree.tree import node_at, parse_word, word_string
 
 K = GeneratorKind
 
@@ -385,3 +388,94 @@ def test_state_recursion_preserves_invariants(state, kind):
     }[kind]
     if not kind.is_chain:
         assert state.left <= out.left < out.right <= state.right
+
+
+def _unsplit_step(kind, core):
+    """The oracle of `step_core`: the whole step as one block of matrix
+    arithmetic, then every check on the result."""
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    if kind.is_chain:
+        _check_tail(kind, q_r, q_l, "state")
+    new = (intmat.mat_vec(FOUR[kind], (q_r, q_l, s_p, s_m))
+           + intmat.mat_vec(TWO[kind], (p_r, p_l)))
+    problems = _problems(new)
+    if problems:
+        raise InvariantViolation(f"{kind.value} on {_text(ButterflyState.from_core(core))} "
+                                 "produced a bad state: " + "; ".join(problems))
+    return new
+
+
+def _apply_state_oracle(kind, state):
+    """The oracle of `apply_state`: the recursion, then the checks on the result."""
+    new = ButterflyState.from_core(state_route(kind, state.core))
+    problems = new.check()
+    if problems:
+        raise InvariantViolation(
+            f"{kind.value} on {_text(state)} produced a bad state: " + "; ".join(problems))
+    return new
+
+
+def _outcome(step, *args):
+    """The result of a call, or the type and text of what it raised."""
+    try:
+        return step(*args)
+    except Exception as exc:  # the type and text are compared
+        return type(exc), str(exc)
+
+
+@st.composite
+def tree_cores(draw):
+    """The core `node_at` gives a random word: at each letter one of the six
+    babies or, when there is a tail, the tail letter."""
+    word, core = [], ROOT_STATE.core
+    for pick in draw(st.lists(st.integers(0, 6), max_size=12)):
+        tail = tail_generator(core[0], core[1])
+        kinds = BABY_KINDS + ((tail,) if tail is not None else ())
+        kind = kinds[pick % len(kinds)]
+        word.append(kind)
+        core = state_route(kind, core)
+    return node_at(word_string(word)).core
+
+
+@st.composite
+def tampered_cores(draw):
+    """A tree core with one field moved by +/-k, unfriendly numerators, or a
+    zero or negative denominator."""
+    core = list(draw(tree_cores()))
+    how = draw(st.sampled_from(["shift", "numerators", "denominator"]))
+    if how == "shift":
+        field = draw(st.integers(0, 5))
+        core[field] += draw(st.sampled_from([-1, 1])) * draw(st.integers(1, 5))
+    elif how == "numerators":
+        core[4], core[5] = draw(st.integers(-3, 40)), draw(st.integers(-3, 40))
+    else:
+        core[draw(st.integers(0, 1))] = draw(st.integers(-3, 0))
+    return tuple(core)
+
+
+@given(st.one_of(tree_cores(), tampered_cores()), st.sampled_from(list(K)))
+def test_step_core_equals_the_unsplit_step(core, kind):
+    assert _outcome(step_core, kind, core) == _outcome(_unsplit_step, kind, core)
+
+
+@given(st.one_of(tree_cores(), tampered_cores()), st.sampled_from(list(K)))
+def test_apply_state_keeps_its_results_and_texts(core, kind):
+    if core[0] == 0 or core[1] == 0:
+        return  # no Fraction has a zero denominator
+    state = ButterflyState.from_core(core)
+    assert _outcome(apply_state, kind, state) == _outcome(_apply_state_oracle, kind, state)
+
+
+def test_error_texts_bound_every_integer_past_332_bits():
+    small, big = 2 ** 332 - 1, 2 ** 332
+    assert _text(small) == str(small) and _text(-small) == str(-small)
+    assert _text(big) == _text(-big) == "<333-bit integer>"
+    assert _text(Fraction(1, small)) == f"1/{small}"
+    assert _text(Fraction(-1, big)) == "-1/<333-bit integer>"
+    assert _text((big, 3)) == "(<333-bit integer>, 3)"
+    assert _text(ROOT_STATE) == str(ROOT_STATE)
+    state = ButterflyState.from_core((big, 1, 1, big, 1, 0))
+    assert _text(state) == "(<333-bit integer>, 1, 1, <333-bit integer>, 1, 0)"
+    with pytest.raises(TailDirectionMismatch,
+                       match=r"^C_cL needs q_L > q_R, state has \(<333-bit integer>, 1\)$"):
+        step_core(K.C_CL, state.core)

@@ -2,8 +2,9 @@
 the verify line and the expand and bignum-word goldens (the 14 000-letter
 `node` and `chain` ones too) are checked under it, and so is the error of a
 chain letter against the tail of that word.
-The package must load only what a command uses, keep its public names, and
-define no function or class that only the tests use, unless it is listed."""
+The package must load only what a command uses, keep its public names,
+define no function or class that only the tests use, unless it is listed,
+and read the generator step coefficients only in the step's homes."""
 
 import ast
 import hashlib
@@ -254,3 +255,25 @@ def test_every_definition_is_used_public_or_allowed():
     unused = _definitions_without_a_use()
     assert [name for name in unused if name not in public and name not in TEST_ONLY] == []
     assert sorted(name for name in unused if name in TEST_ONLY) == sorted(TEST_ONLY)
+
+
+# Where a generator's step coefficients (`kind.step`) may be read, each
+# with its reason: one step formula, so no copy of it can drift.
+STEP_HOMES = {
+    "generators._step": "the one generator step on the integer core",
+    "generators._check_steps": "the import-time check that every step block has determinant 1",
+    "generators.<module>": "the import-time loop that sets each kind's step",
+    "scaling.word_block": "the balanced product of a word's 2x2 step blocks",
+    "tree._qc_row": "the row sums that give a child's q_c before any step",
+}
+
+
+def test_only_the_step_homes_read_the_step_coefficients():
+    readers = set()
+    for path in sorted((SRC / "butterfly_tree").glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            home = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+            if any(isinstance(node, ast.Attribute) and node.attr == "step"
+                   for node in ast.walk(stmt)):
+                readers.add(f"{path.stem}.{home}")
+    assert sorted(readers) == sorted(STEP_HOMES)

@@ -37,6 +37,7 @@ from butterfly_tree.tree import (
     ExpansionLimits,
     TreeNode,
     chain,
+    chain_cores,
     child,
     children,
     expand,
@@ -1009,3 +1010,40 @@ def test_node_views_equal_the_fields_a_node_stored():
         assert (node.label, node.state, node.depth, node.cell_class,
                 node.tail_direction) == stored_fields(node.core, node.word)
         assert node_record(node) == stored_record(node.core, node.word)
+
+
+def test_a_chain_never_flips_its_tail():
+    # C_cR sends (q_R, q_L) to (2 q_R - q_L, q_R) and C_cL sends it to
+    # (q_L, 2 q_L - q_R): each keeps the difference of the denominators.
+    tailed = 0
+    for node in expand(ExpansionLimits(4, 2)):
+        q_r, q_l = node.core[:2]
+        if q_r == q_l:
+            continue
+        tailed += 1
+        assert {core[0] - core[1] for core in chain_cores(node.core, 30, node.word)} == {
+            q_r - q_l}
+    assert tailed == 2394
+
+
+def test_a_record_mismatch_past_double_precision_quotes_the_decimal():
+    node = node_at(["UL"] * 40)
+    q_c = node.core[0] + node.core[1]
+    assert q_c > 2 ** 53
+    record = dict(node_record(node), qc=str(q_c + 1))
+    with pytest.raises(InvariantViolation,
+                       match=f"^record field qc: '{q_c + 1}' != '{q_c}'$"):
+        node_from_record(record)
+    with pytest.raises(InvariantViolation, match=f"^record field qc: {q_c + 1} != '{q_c}'$"):
+        node_from_record(dict(record, qc=q_c + 1))
+
+
+def test_a_bad_chain_letter_after_13000_letters_has_a_short_error():
+    word = parse_word(lcg_word(13000, 3))
+    q_r, q_l = node_at(word).core[:2]
+    against = K.C_CL if q_r > q_l else K.C_CR
+    with pytest.raises(TailDirectionMismatch) as got:
+        node_at(word + (against,))
+    assert str(got.value).endswith(
+        f"state has (<{q_r.bit_length()}-bit integer>, <{q_l.bit_length()}-bit integer>)")
+    assert len(str(got.value)) < 300
