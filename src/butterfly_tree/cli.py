@@ -19,9 +19,9 @@ import json
 import sys
 from typing import IO, Iterator, Optional, Sequence
 
-# The view modules (skeleton, apollonian, pythagoras, scaling) are imported
-# inside the handlers that use them, so start-up loads only what runs.
-from . import tree as tree_mod
+# Every package module but `errors`, the tree included, is imported inside
+# the handlers that use it, so start-up loads only what runs: `pyth`,
+# `apollonian` and `wannier` never load the tree.
 from .errors import ButterflyError
 
 
@@ -34,12 +34,14 @@ def _out_stream(path: Optional[str]) -> Iterator[IO[str]]:
             yield fp
 
 
-def _limits(args: argparse.Namespace) -> tree_mod.ExpansionLimits:
-    return tree_mod.ExpansionLimits(max_depth=args.depth, chain_cap=args.chain_cap,
-                                    max_qc=args.max_qc)
+def _limits(args: argparse.Namespace):
+    from .tree import ExpansionLimits
+    return ExpansionLimits(max_depth=args.depth, chain_cap=args.chain_cap,
+                           max_qc=args.max_qc)
 
 
 def _cmd_expand(args: argparse.Namespace) -> int:
+    from . import tree as tree_mod
     rows = tree_mod.expand_rows(_limits(args))
     with _out_stream(args.output) as fp:
         if args.format == "csv":
@@ -50,6 +52,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
+    from . import tree as tree_mod
     node = tree_mod.node_at(args.word)
     with _out_stream(args.output) as fp:
         fp.write(json.dumps(tree_mod.node_record(node)) + "\n")
@@ -57,6 +60,7 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 
 def _cmd_chain(args: argparse.Namespace) -> int:
+    from . import tree as tree_mod
     # Every row is built before the output opens, so an error writes nothing.
     rows = list(tree_mod.chain_rows(tree_mod.node_at(args.word), args.steps))
     with _out_stream(args.output) as fp:
@@ -65,6 +69,7 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import tree as tree_mod
     # The expansion is breadth-first, so every parent sits in the level just
     # above its child: two levels are all that need to be held.  They are
     # keyed by word string, which hashes no generator.
@@ -154,6 +159,7 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
     from . import scaling as scaling_mod
+    from . import tree as tree_mod
     word = tree_mod.parse_word(args.word)
     (a, _), (_, d) = scaling_mod.word_block(word)
     surd = scaling_mod.trace_exponent(a + d, word)
@@ -170,25 +176,29 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-# json.dumps of the record with its default separators; all five are ints.
-_WANNIER_LINE = '{{"sigma": {}, "tau": {}, "p": {}, "q": {}, "r": {}}}\n'.format
+# json.dumps of the record {sigma, tau, p, q, r} with its default separators;
+# all five are ints.  Given a flux's p and q, it is the line template that
+# formats that flux's `gap_rows` (r, sigma, tau) as they come.
+_WANNIER_LINE = '{{{{"sigma": {{1}}, "tau": {{2}}, "p": {}, "q": {}, "r": {{0}}}}}}\n'.format
 
 
 def _cmd_wannier(args: argparse.Namespace) -> int:
-    from . import skeleton as skel
-    rows = skel.wannier_rows(args.qmax)
+    from .diophantine import gap_rows, reduced_fluxes
+    fluxes = reduced_fluxes(args.qmax)
     with _out_stream(args.output) as fp:
-        fp.writelines(itertools.starmap(_WANNIER_LINE, rows))
+        for p, q in fluxes:
+            fp.writelines(itertools.starmap(_WANNIER_LINE(p, q).format, gap_rows(p, q)))
     return 0
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     from . import skeleton as skel
+    from .tree import expand
     palette = tuple(args.palette.split(",")) if args.palette else skel.DEFAULT_PALETTE
     options = skel.RenderOptions(width=args.width, height=args.height,
                                  margin=args.margin, palette=palette,
                                  chain_preview=args.chain_preview)
-    document = skel.render_svg(tree_mod.expand(_limits(args)), options)
+    document = skel.render_svg(expand(_limits(args)), options)
     with _out_stream(args.output) as fp:
         fp.write(document)
     return 0

@@ -71,6 +71,21 @@ def _gap_rows(p: int, q: int) -> Iterator[tuple[int, int, int]]:
         yield r, sigma, tau
 
 
+def reduced_fluxes(q_max: int) -> Iterator[tuple[int, int]]:
+    """(p, q) of every reduced flux p/q in (0, 1) with q <= q_max, in order
+    of q, then p.  q_max < 2 raises on the call, before any flux."""
+    if q_max < 2:
+        raise ValueError("q_max must be at least 2")
+    return ((p, q) for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1)
+
+
+def wannier_rows(q_max: int) -> Iterator[tuple[int, int, int, int, int]]:
+    """(sigma, tau, p, q, r) for every gap of every `reduced_fluxes(q_max)`
+    flux p/q, gaps in the order of `gap_rows`."""
+    return ((sigma, tau, p, q, r)
+            for p, q in reduced_fluxes(q_max) for r, sigma, tau in gap_rows(p, q))
+
+
 def gap_labels(p: int, q: int) -> list[GapLabel]:
     """Labels for the q-1 gaps of flux p/q: the `gap_rows` as GapLabels."""
     return [GapLabel(*row) for row in gap_rows(p, q)]

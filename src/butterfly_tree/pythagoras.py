@@ -142,16 +142,18 @@ def functor_holds(i: int, m: int, n: int) -> bool:
 def primitive_triple_oracle(c_max: int) -> set[PythTriple]:
     """Brute-force scan of all primitive triples with positive entries.
 
-    Independent of the tree: tries every leg pair a < b, checks for a
-    perfect-square hypotenuse, and orients odd leg first (the orientation
-    the same-parity Euclid branch produces).
+    Independent of the tree: tries every leg pair a < b of opposite parity,
+    checks for a perfect-square hypotenuse, and orients odd leg first (the
+    orientation the same-parity Euclid branch produces).  The other pairs
+    hold no primitive triple: two even legs share the factor 2, and two odd
+    legs give a^2 + b^2 = 2 (mod 4), which no square is.
     """
     if c_max < 5:
         raise ValueError("c_max must be at least 5")
     found = set()
     for a in range(3, c_max):
         aa = a * a
-        for b in range(a + 1, c_max):
+        for b in range(a + 1, c_max, 2):
             cc = aa + b * b
             c = isqrt(cc)
             if c > c_max:

@@ -8,19 +8,21 @@ point; chains beyond the rendered set are previewed as dots at their
 exact center points.  All geometry is exact integer numerator/denominator
 pairs, computed from each cell's integer core by one set of formulas
 (`_centre`, `_cell`, `_apex`); `cell_geometry` and `tail_triangle` are
-their public Fraction views.  The SVG writer maps the pairs to pixels in
-integers and writes fixed 9-digit decimals, so rendering the same input
-twice produces identical bytes.
+their public Fraction views, and `tail_triangle` builds no cell.  The SVG
+writer maps the pairs to pixels in integers and writes fixed 9-digit
+decimals, so rendering the same input twice produces identical bytes; it
+formats each x coordinate once, and each chain end's preview dots once.
+The Wannier gap lines come from `diophantine.wannier_rows`, re-exported
+here; `wannier_lines` is their Fraction view.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .diophantine import central_gap, gap_rows
+from .diophantine import central_gap, wannier_rows
 from .errors import EmptyInput
 from .generators import Core, GeneratorKind, tail_generator
 from .tree import TreeNode, chain_cores
@@ -128,28 +130,20 @@ def cell_geometry(node: TreeNode) -> SkeletonCell:
 def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     """Triangle from the tail edge to the chain's accumulation point.
 
-    The two base corners are the cell corners on the tailed edge; the apex
+    The two base corners are the cell corners on the tailed edge, from
+    `_cell`'s integer edges (no `SkeletonCell` is built); the apex
     sits at the accumulation flux, at the density obtained by extending
     the line through the chain members' centers (they are collinear, so
     this is the limit of the chain centers).
     """
-    corners = cell_geometry(node).corners()
-    p, q, r = _apex(*chain_cores(node.core, 2, node.word))
-    base = corners[2:] if node.tail_direction == "right" else corners[:2]
-    return base + ((Fraction(p, q), Fraction(r, q)),)
-
-
-def wannier_rows(q_max: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(sigma, tau, p, q, r) for every gap of every reduced flux p/q, q <= q_max.
-
-    Fluxes come in order of q, then p; gaps in the order of `gap_rows`.
-    q_max < 2 raises on the call, before any row.
-    """
-    if q_max < 2:
-        raise ValueError("q_max must be at least 2")
-    return ((sigma, tau, p, q, r)
-            for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1
-            for r, sigma, tau in gap_rows(p, q))
+    q_r, q_l, _, _, p_r, p_l = core = node.core
+    # Both edge fluxes first: a zero denominator raises as the state view does.
+    phi_left, phi_right = Fraction(p_l, q_l), Fraction(p_r, q_r)
+    _, left, right = _cell(core)
+    p, q, r = _apex(*chain_cores(core, 2, node.word))
+    phi, (_, _, plus, minus, d) = ((phi_right, right) if node.tail_direction == "right"
+                                   else (phi_left, left))
+    return (phi, Fraction(plus, d)), (phi, Fraction(minus, d)), (Fraction(p, q), Fraction(r, q))
 
 
 def wannier_lines(q_max: int) -> list[WannierLine]:
@@ -202,7 +196,9 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
 
     One pass writes each cell's group and, after all the groups, the tail
     triangle (on the right edge for C_cR, else the left) and preview dots
-    of each tailed cell."""
+    of each tailed cell.  Each x coordinate is formatted once, and the dots
+    below a chain end once per end core: every member of a rendered chain
+    repeats its end's dots."""
     cells = [(node.core, node.word, node.word_str) for node in nodes]
     if not cells:
         raise EmptyInput("no nodes to render")
@@ -212,8 +208,13 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
     span_y = opt.height - 2 * opt.margin
     margin, bottom = opt.margin, opt.height - opt.margin
 
+    xs: dict[tuple[int, int], str] = {}  # few fluxes: x repeats across cells
+
     def px(num: int, den: int) -> str:
-        return _fixed9(margin * den + num * span_x, den)
+        x = xs.get((num, den))
+        if x is None:
+            x = xs[num, den] = _fixed9(margin * den + num * span_x, den)
+        return x
 
     def py(num: int, den: int) -> str:
         return _fixed9(bottom * den - num * span_y, den)
@@ -222,6 +223,7 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
         return px(p, q), py(plus, d), py(minus, d)
 
     rendered = {cell[2]: cell for cell in cells}
+    previews: dict[Core, list[str]] = {}
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -272,10 +274,14 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
                     break
                 last = nxt
                 kind = tail_generator(last[0][0], last[0][1])
-            for member in chain_cores(last[0], opt.chain_preview, last[1]):
-                p_c, q_c, r_c = _centre(member)
-                tails.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
-                             f'fill="{accent}"/>')
+            dots = previews.get(last[0])
+            if dots is None:
+                dots = previews[last[0]] = [
+                    f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
+                    f'fill="{accent}"/>'
+                    for p_c, q_c, r_c in map(_centre, chain_cores(last[0], opt.chain_preview,
+                                                                  last[1]))]
+            tails += dots
     out += tails
     out.append('</svg>')
     return "\n".join(out) + "\n"

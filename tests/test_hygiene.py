@@ -2,7 +2,8 @@
 the verify line and the expand and bignum-word goldens (the 14 000-letter
 `node` and `chain` ones too) are checked under it, and so is the error of a
 chain letter against the tail of that word.
-The package must load only what a command uses, keep its public names,
+The package must load only what a command uses (the view commands that walk
+no tree load no tree), keep its public names,
 define no function or class that only the tests use, unless it is listed,
 and read the generator step coefficients only in the step's homes."""
 
@@ -209,6 +210,22 @@ def test_commands_load_only_the_views_they_use(flags, argv, views):
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
     assert "butterfly_tree.tree" in loaded
     assert loaded & VIEWS == views
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
+@pytest.mark.parametrize("argv, absent", [
+    ("pyth --oracle-cmax 50", {"butterfly_tree.tree"}),
+    ("apollonian --correspondence", {"butterfly_tree.tree"}),
+    ("wannier --qmax 10", {"butterfly_tree.tree", "butterfly_tree.generators",
+                           "butterfly_tree.farey"}),
+    ("render --depth 1", set()),
+])
+def test_view_commands_load_the_tree_only_when_they_walk_it(flags, argv, absent):
+    proc = _python(flags, _LOADED, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    assert ("butterfly_tree.tree" in loaded) == (argv.split()[0] == "render")
+    assert loaded & absent == set()
 
 
 # Module-level functions and classes in src/ that no code in src/ or perfbench/

@@ -1,12 +1,14 @@
 """Triple tree, Euclid-parameter maps, and the C-branch correspondence."""
 
-from math import gcd
+import json
+from math import gcd, isqrt
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from butterfly_tree import intmat
+from butterfly_tree import intmat, pythagoras
+from butterfly_tree.cli import main
 from butterfly_tree.errors import InvariantViolation, NotCCell, NotCoprime
 from butterfly_tree.pythagoras import (
     H_MATRICES,
@@ -118,6 +120,35 @@ def test_oracle_smallest_cases():
     seventeen = primitive_triple_oracle(17)
     assert seventeen == {PythTriple(3, 4, 5), PythTriple(5, 12, 13),
                          PythTriple(15, 8, 17)}
+
+
+def _all_pairs_oracle(c_max):
+    """Every leg pair a < b, of either parity: the scan the oracle narrows."""
+    found = set()
+    for a in range(3, c_max):
+        for b in range(a + 1, c_max):
+            c = isqrt(a * a + b * b)
+            if c > c_max:
+                break
+            if c * c == a * a + b * b and gcd(a, b) == 1:
+                found.add(PythTriple(*((a, b) if a % 2 else (b, a)), c))
+    return found
+
+
+def test_oracle_equals_the_all_pairs_scan():
+    # The oracle skips same-parity leg pairs; none of them is primitive.
+    for c_max in range(5, 301):
+        assert primitive_triple_oracle(c_max) == _all_pairs_oracle(c_max), c_max
+
+
+def test_cli_oracle_check_fails_when_the_tree_drops_a_triple(capsys, monkeypatch):
+    def dropping(**kwargs):
+        return (item for item in triple_tree(**kwargs) if item[1].leg_set != (13, 84, 85))
+
+    monkeypatch.setattr(pythagoras, "triple_tree", dropping)
+    assert main(["pyth", "--oracle-cmax", "100"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "cMax": 100, "treeCount": 15, "oracleCount": 16, "match": False}
 
 
 def test_tree_matches_oracle():

@@ -11,6 +11,7 @@ from butterfly_tree.generators import apply_state
 from butterfly_tree.skeleton import (
     DEFAULT_PALETTE,
     RenderOptions,
+    _apex,
     _decimal9,
     cell_geometry,
     render_svg,
@@ -92,6 +93,46 @@ def test_tail_triangle_base_sits_on_tailed_edge():
         assert first[0] == second[0] == edge
         assert apex[0] == node.state.accumulation.value
         assert apex[0] != edge
+
+
+def test_tail_triangle_base_is_the_cell_corners_on_the_tailed_edge():
+    tailed = [node for node in tree.expand(tree.ExpansionLimits(max_depth=4, chain_cap=2))
+              if node.tail_direction != "none"]
+    assert len(tailed) == 2394  # all but the root
+    for node in tailed:
+        corners = cell_geometry(node).corners()
+        base = corners[2:] if node.tail_direction == "right" else corners[:2]
+        assert tail_triangle(node)[:2] == base, node.word_str
+
+
+def _cell_tail_triangle(node):
+    """tail_triangle by way of the whole cell: the corners of `cell_geometry`."""
+    corners = cell_geometry(node).corners()
+    p, q, r = _apex(*tree.chain_cores(node.core, 2, node.word))
+    base = corners[2:] if node.tail_direction == "right" else corners[:2]
+    return base + ((F(p, q), F(r, q)),)
+
+
+def _outcome(function, node):
+    try:
+        return function(node)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("word, core", [
+    ("UL", (2, 0, 2, 3, 1, 4)),      # q_L = 0
+    ("UL", (0, 3, 2, 3, 5, 1)),      # q_R = 0
+    ("UL", (2, -2, 1, 1, 1, 1)),     # q_c = 0
+    ("UL", (2, 3, 3, 1, 1, 1)),      # the slopes name different gaps
+    ("UL", (3, 3, 3, 3, 2, 1)),      # equal denominators: no tail
+    ("UL", (2, 3, 1, 4, 1, 1)),      # slopes shifted, the sum kept: drawn
+    ("CL", (3, 5, 3, 5, 2, 2)),      # unfriendly edges: the chain step fails
+    ("UL", (2, 3, 2, 3, 1, 1)),      # untampered
+])
+def test_tail_triangle_of_a_tampered_core_fails_as_the_cell_does(word, core):
+    node = dataclasses.replace(tree.node_at(word), core=core)
+    assert _outcome(tail_triangle, node) == _outcome(_cell_tail_triangle, node)
 
 
 def _oracle_cell(state):
