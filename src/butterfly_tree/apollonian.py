@@ -27,7 +27,7 @@ from typing import Sequence, Union
 
 from . import intmat
 from .errors import InvariantViolation
-from .generators import GeneratorKind, canonical_matrices
+from .generators import GeneratorKind
 from .pythagoras import PythTriple, h_MATRICES
 
 
@@ -156,12 +156,14 @@ def triple_to_quadruple(t: PythTriple) -> DescartesQuadruple:
 
 def _step_matrix(h_index: Union[int, str]) -> tuple[str, intmat.Matrix]:
     """Name and 2x2 pair matrix of a move: h1..h3 of the Pythagorean tree,
-    or the parity-breaking edge generators U_L, U_R."""
+    or the parity-breaking edge generators U_L, U_R, whose 2x2 block is the
+    top-left of their 3x3 label matrix."""
     step = f"h{h_index}" if isinstance(h_index, int) else h_index
     if step in ("h1", "h2", "h3"):
         return step, h_MATRICES[int(step[1])]
     if step in ("U_L", "U_R"):
-        return step, canonical_matrices(GeneratorKind[step]).two_by_two
+        top, middle, _ = GeneratorKind[step].label_rows
+        return step, (top[:2], middle[:2])
     raise ValueError(f"unknown step {h_index!r}")
 
 

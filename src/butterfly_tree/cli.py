@@ -15,13 +15,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import itertools
-import json
 import sys
 from typing import IO, Iterator, Optional, Sequence
 
-# Every package module but `errors`, the tree included, is imported inside
-# the handlers that use it, so start-up loads only what runs: `pyth`,
-# `apollonian` and `wannier` never load the tree.
+# Every package module but `errors`, the tree included, and `json` are imported
+# inside the handlers that use them, so start-up loads only what runs: `pyth`,
+# `apollonian` and `wannier` never load the tree, `expand` and `verify` no `json`.
 from .errors import ButterflyError
 
 
@@ -52,6 +51,7 @@ def _cmd_expand(args: argparse.Namespace) -> int:
 
 
 def _cmd_node(args: argparse.Namespace) -> int:
+    import json
     from . import tree as tree_mod
     node = tree_mod.node_at(args.word)
     with _out_stream(args.output) as fp:
@@ -96,6 +96,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_pyth(args: argparse.Namespace) -> int:
+    import json
     from .pythagoras import primitive_triple_oracle, triple_tree
     if args.oracle_cmax is not None:
         want = {t.leg_set for t in primitive_triple_oracle(args.oracle_cmax)}
@@ -113,6 +114,7 @@ def _cmd_pyth(args: argparse.Namespace) -> int:
 
 
 def _cmd_apollonian(args: argparse.Namespace) -> int:
+    import json
     from . import apollonian as apo
     if args.correspondence:
         report = {}
@@ -158,6 +160,7 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
 
 
 def _cmd_scaling(args: argparse.Namespace) -> int:
+    import json
     from . import scaling as scaling_mod
     from . import tree as tree_mod
     word = tree_mod.parse_word(args.word)

@@ -18,11 +18,14 @@ The tree steps only the integer core: the 4x4 vector plus the edge
 numerators, which follow the 2x2 block.  `_step` is that step, with every
 check that needs no product; `step_core` adds the friendly determinant.
 A word's replay folds `_step` and checks friendliness once, at its end
-(see `_check_steps`).  Fraction states and labels are views built from it.
-`tree.verify_node` redoes each step on plain integers by two other routes:
-`state_route`, the explicit recursion, and `label_route`, the 3x3 matrix.
-`apply_state` and `apply_label` are their checked object views.  The
-property tests compare every route with the canonical matrices.
+(see `_check_steps`).  `tree.verify_node` redoes each step on plain
+integers by two other routes: `state_route`, the explicit recursion, and
+`label_route`, the 3x3 matrix.  The property tests compare every route with
+the canonical matrices.
+
+Importing this module loads that integer core alone: no dataclass, Fraction
+or Farey arithmetic.  The Fraction views live in `states`, which loads the
+first time one of them (`_VIEWS`) is touched here (PEP 562).
 
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and
@@ -32,14 +35,11 @@ C-type generators are unipotent; the U/D types have eigenvalues 1 and
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Optional
 
 from . import intmat
 from .errors import InvariantViolation, TailDirectionMismatch
-from .farey import FareyDifference, FriendlyTriplet, farey_difference, mediant
 
 
 class GeneratorKind(enum.Enum):
@@ -57,8 +57,8 @@ class GeneratorKind(enum.Enum):
     # The two-letter command-line token (chains are TL/TR), whether the
     # letter walks a chain, its cell class ("C-cell", "E-cell" or "chain"),
     # the step coefficients of its 4x4 matrix and the rows of its 3x3
-    # matrix, set on each member below: plain attributes, so reading one
-    # hashes no enum member.
+    # matrix (whose top-left 2x2 is the block on (q_R, q_L)), set on each
+    # member below: plain attributes, so reading one hashes no enum member.
     token: str
     is_chain: bool
     cell_class: str
@@ -78,33 +78,16 @@ class GeneratorKind(enum.Enum):
         return self in (GeneratorKind.C_L, GeneratorKind.C_R)
 
 
-_TOKENS = {
-    GeneratorKind.C_L: "CL",
-    GeneratorKind.C_R: "CR",
-    GeneratorKind.U_L: "UL",
-    GeneratorKind.U_R: "UR",
-    GeneratorKind.D_L: "DL",
-    GeneratorKind.D_R: "DR",
-    GeneratorKind.C_CL: "TL",
-    GeneratorKind.C_CR: "TR",
-}
-# Every accepted spelling, normalised as `from_token` normalises its input.
-_BY_KEY = {key: kind for kind, token in _TOKENS.items()
-           for key in (token, kind.value.upper().replace("_", ""))}
-for _kind, _token in _TOKENS.items():
+for _kind, _token in zip(GeneratorKind, ("CL", "CR", "UL", "UR", "DL", "DR", "TL", "TR")):
     _kind.token = _token
     _kind.is_chain = _kind in (GeneratorKind.C_CL, GeneratorKind.C_CR)
     _kind.cell_class = ("chain" if _kind.is_chain else
                         "C-cell" if _kind.is_parity_preserving else "E-cell")
+# Every accepted spelling, normalised as `from_token` normalises its input.
+_BY_KEY = {key: kind for kind in GeneratorKind
+           for key in (kind.token, kind.value.upper().replace("_", ""))}
 
-BABY_KINDS = (
-    GeneratorKind.C_L,
-    GeneratorKind.C_R,
-    GeneratorKind.U_L,
-    GeneratorKind.U_R,
-    GeneratorKind.D_L,
-    GeneratorKind.D_R,
-)
+BABY_KINDS = tuple(GeneratorKind)[:6]  # C_L, C_R, U_L, U_R, D_L, D_R
 
 # 4x4 action on the column (q_R, q_L, sigma_+, sigma_-).  The upper-left
 # 2x2 block acts on the denominators alone and the 3x3 projection onto
@@ -150,11 +133,17 @@ _FOUR: dict[GeneratorKind, intmat.Matrix] = {
 # same 2x2 block as their denominators.
 Core = tuple[int, int, int, int, int, int]
 
+ROOT_CORE: Core = (1, 1, 1, 1, 1, 0)  # edges 0/1 and 1/1, slopes 1 and 1
+
 # Every 4x4 matrix is [[A, 0], [B, I]] in 2x2 blocks, so a step needs only
 # the entries of A (rows 0-1) and B (rows 2-3) in the first two columns.
-# Each member keeps them as a plain attribute, like its token.
+# Each member keeps them as a plain attribute, like its token, and the rows
+# of its 3x3 matrix on (q_R, q_L, Delta-sigma): A beside a zero column,
+# over row sigma_+ less row sigma_-.
 for _kind, _m in _FOUR.items():
     _kind.step = _m[0][:2] + _m[1][:2] + _m[2][:2] + _m[3][:2]
+    _kind.label_rows = (_m[0][:2] + (0,), _m[1][:2] + (0,),
+                        (_m[2][0] - _m[3][0], _m[2][1] - _m[3][1], 1))
 
 
 def _check_steps() -> None:
@@ -166,42 +155,6 @@ def _check_steps() -> None:
 
 
 _check_steps()
-
-
-def _project_three(m4: intmat.Matrix) -> intmat.Matrix:
-    """3x3 matrix on (q_R, q_L, Delta-sigma) implied by the 4x4 one."""
-    top = [m4[0][:2] + (0,), m4[1][:2] + (0,)]
-    plus, minus = m4[2], m4[3]
-    third = tuple(plus[j] - minus[j] for j in range(2)) + (1,)
-    return tuple(top) + (third,)
-
-
-def _project_two(m4: intmat.Matrix) -> intmat.Matrix:
-    return (m4[0][:2], m4[1][:2])
-
-
-@dataclass(frozen=True)
-class GeneratorMatrix:
-    """Canonical matrices of one generator in the three representations.
-
-    The 2x2 block on (q_R, q_L) sits in the top-left corner of both larger
-    matrices; all three have determinant +1.
-    """
-
-    kind: GeneratorKind
-    two_by_two: intmat.Matrix
-    three_by_three: intmat.Matrix
-    four_by_four: intmat.Matrix
-
-
-_MATRICES = {kind: GeneratorMatrix(kind, _project_two(four), _project_three(four), four)
-             for kind, four in _FOUR.items()}
-for _kind, _m in _MATRICES.items():
-    _kind.label_rows = _m.three_by_three
-
-
-def canonical_matrices(kind: GeneratorKind) -> GeneratorMatrix:
-    return _MATRICES[kind]
 
 
 def tail_side(q_r: int, q_l: int) -> str:
@@ -222,128 +175,6 @@ def tail_generator(q_r: int, q_l: int) -> Optional[GeneratorKind]:
     return None
 
 
-@dataclass(frozen=True)
-class ButterflyLabel:
-    """Unique integer label (q_R, q_L, Delta-sigma) of a butterfly with tail."""
-
-    q_r: int
-    q_l: int
-    delta_sigma: int
-
-    def __post_init__(self) -> None:
-        if self.q_r < 1 or self.q_l < 1:
-            raise InvariantViolation(f"denominators must be positive: {self}")
-        if gcd(self.q_r, self.q_l) != 1:
-            raise InvariantViolation(f"edge denominators share a factor: {self}")
-        q_c = self.q_r + self.q_l
-        if abs(self.delta_sigma) >= q_c or (self.delta_sigma - q_c) % 2:
-            raise InvariantViolation(
-                f"Delta-sigma {self.delta_sigma} incompatible with q_c {q_c}")
-
-    @property
-    def q_c(self) -> int:
-        return self.q_r + self.q_l
-
-    @property
-    def sigma_plus(self) -> int:
-        return (self.q_c + self.delta_sigma) // 2
-
-    @property
-    def sigma_minus(self) -> int:
-        return (self.q_c - self.delta_sigma) // 2
-
-    @property
-    def tail_direction(self) -> str:
-        return tail_side(self.q_r, self.q_l)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.q_r, self.q_l, self.delta_sigma)
-
-
-@dataclass(frozen=True)
-class ButterflyState:
-    """Flux edges and central slope pair of one butterfly.
-
-    left < right are the friendly flux edges; the center is their mediant.
-    sigma_plus and sigma_minus are the magnitudes of the two slopes of the
-    density lines crossing at the central gap (the actual slopes are
-    +sigma_plus and -sigma_minus), with sigma_plus + sigma_minus = q_c.
-
-    Construction does not validate, so tests can tamper; `check` reports
-    violations and the generator routes raise if one ever appears.
-    """
-
-    left: Fraction
-    right: Fraction
-    sigma_plus: int
-    sigma_minus: int
-
-    @property
-    def center(self) -> Fraction:
-        return mediant(self.left, self.right)
-
-    @property
-    def q_r(self) -> int:
-        return self.right.denominator
-
-    @property
-    def q_l(self) -> int:
-        return self.left.denominator
-
-    @property
-    def q_c(self) -> int:
-        return self.q_r + self.q_l
-
-    @property
-    def delta_sigma(self) -> int:
-        return self.sigma_plus - self.sigma_minus
-
-    @property
-    def width(self) -> Fraction:
-        return self.right - self.left
-
-    @property
-    def label(self) -> ButterflyLabel:
-        return ButterflyLabel(self.q_r, self.q_l, self.delta_sigma)
-
-    @property
-    def triplet(self) -> FriendlyTriplet:
-        return FriendlyTriplet.from_pair(self.left, self.right)
-
-    @property
-    def tail_direction(self) -> str:
-        return tail_side(self.q_r, self.q_l)
-
-    @property
-    def tail_generator(self) -> Optional[GeneratorKind]:
-        return tail_generator(self.q_r, self.q_l)
-
-    @property
-    def accumulation(self) -> FareyDifference:
-        """Where the tail converges: the Farey difference of the edges."""
-        return farey_difference(self.left, self.right)
-
-    @property
-    def core(self) -> Core:
-        """The integers (q_R, q_L, sigma_+, sigma_-, p_R, p_L) of the state."""
-        return (self.right.denominator, self.left.denominator,
-                self.sigma_plus, self.sigma_minus,
-                self.right.numerator, self.left.numerator)
-
-    @classmethod
-    def from_core(cls, core: Core) -> "ButterflyState":
-        q_r, q_l, s_p, s_m, p_r, p_l = core
-        return cls(Fraction(p_l, q_l), Fraction(p_r, q_r), s_p, s_m)
-
-    def check(self) -> list[str]:
-        """Invariant failures, empty when the state is consistent."""
-        return _problems(self.core)
-
-
-ROOT_STATE = ButterflyState(Fraction(0), Fraction(1), 1, 1)
-ROOT_LABEL = ButterflyLabel(1, 1, 0)
-
-
 def _text(value: object) -> str:
     """str() of an int, Fraction, int tuple or state for an error text.  An int
     past 332 bits (about 100 digits) shows its bit length, so a text stays short
@@ -352,13 +183,23 @@ def _text(value: object) -> str:
     if isinstance(value, int):
         bits = value.bit_length()
         return str(value) if bits <= 332 else f"<{bits}-bit integer>"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_text, value)) + ")"
+    from fractions import Fraction  # loaded already: a Fraction or a state holds one
     if isinstance(value, Fraction):
-        num, den = _text(value.numerator), _text(value.denominator)
-        return num if den == "1" else f"{num}/{den}"
-    ints = getattr(value, "core", value)
-    if ints is value or any(n.bit_length() > 332 for n in ints):
-        return "(" + ", ".join(map(_text, ints)) + ")"
+        return _ratio(value.numerator, value.denominator)
+    if any(n.bit_length() > 332 for n in value.core):
+        return _text(value.core)
     return str(value)
+
+
+def _ratio(p: int, q: int) -> str:
+    """p/q for an error text, in lowest terms as its Fraction prints it; q may be 0."""
+    g = gcd(p, q) if q else 1
+    if q < 0:
+        g = -g
+    p, q = p // g, q // g
+    return _text(p) if q == 1 else f"{_text(p)}/{_text(q)}"
 
 
 def _problems(core: Core) -> list[str]:
@@ -375,8 +216,7 @@ def _problems(core: Core) -> list[str]:
     problems = []
     cross, other = p_l * q_r, p_r * q_l
     if not (0 <= p_l and cross < other and p_r <= q_r):
-        problems.append(f"edges out of order: {_text(Fraction(p_l, q_l))}, "
-                        f"{_text(Fraction(p_r, q_r))}")
+        problems.append(f"edges out of order: {_ratio(p_l, q_l)}, {_ratio(p_r, q_r)}")
     if cross - other != -1:
         problems.append(f"edges not friendly: determinant {_text(cross - other)}")
     if s_p < 1 or s_m < 1:
@@ -393,10 +233,12 @@ def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
             f"{kind.value} needs {need}, {holder} has {_text((q_r, q_l))}")
 
 
-def _bad_step(kind: GeneratorKind, state: object, new: Core) -> InvariantViolation:
-    """The error of a step from `state` whose result `new` breaks an invariant."""
-    return InvariantViolation(f"{kind.value} on {_text(state)} produced a bad state: "
-                              + "; ".join(_problems(new)))
+def _bad_step(kind: GeneratorKind, core: Core, new: Core) -> InvariantViolation:
+    """The error of a step from `core` whose result `new` breaks an invariant;
+    the text shows the state of `core`, which is built only here."""
+    from .states import ButterflyState
+    return InvariantViolation(f"{kind.value} on {_text(ButterflyState.from_core(core))} "
+                              "produced a bad state: " + "; ".join(_problems(new)))
 
 
 def _step(kind: GeneratorKind, core: Core) -> Core:
@@ -416,7 +258,7 @@ def _step(kind: GeneratorKind, core: Core) -> Core:
         s_m + g * q_r + h * q_l, a * p_r + b * p_l, c * p_r + d * p_l)
     if not (q_r >= 1 and q_l >= 1 and s_p >= 1 and s_m >= 1 and 0 <= p_l
             and p_r <= q_r and s_p + s_m == q_r + q_l):
-        raise _bad_step(kind, ButterflyState.from_core(core), new)
+        raise _bad_step(kind, core, new)
     return new
 
 
@@ -425,7 +267,7 @@ def step_core(kind: GeneratorKind, core: Core) -> Core:
     path of the tree.  Raises as `_step` does, with the message of `apply_state`."""
     new = _step(kind, core)
     if new[5] * new[0] - new[4] * new[1] != -1:
-        raise _bad_step(kind, ButterflyState.from_core(core), new)
+        raise _bad_step(kind, core, new)
     return new
 
 
@@ -458,19 +300,6 @@ def state_route(kind: GeneratorKind, core: Core) -> Core:
     return (2 * q_r - q_l, q_r, s_p + step, s_m + step, 2 * p_r - p_l, p_r)
 
 
-def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
-    """One generator step on the full state: the Fraction view of `state_route`.
-
-    This route is independent of the canonical matrices; tests compare the
-    two.  Raises TailDirectionMismatch for a chain step against the tail
-    and InvariantViolation if the result fails its checks (never expected).
-    """
-    new = ButterflyState.from_core(state_route(kind, state.core))
-    if new.check():
-        raise _bad_step(kind, state, new.core)
-    return new
-
-
 def label_route(kind: GeneratorKind, label: tuple[int, int, int]) -> tuple[int, int, int]:
     """One generator step on the integers (q_R, q_L, Delta-sigma), via the 3x3 matrix.
 
@@ -485,6 +314,17 @@ def label_route(kind: GeneratorKind, label: tuple[int, int, int]) -> tuple[int, 
             g * q_r + h * q_l + i * d_s)
 
 
-def apply_label(kind: GeneratorKind, label: ButterflyLabel) -> ButterflyLabel:
-    """One generator step on the integer label: the checked view of `label_route`."""
-    return ButterflyLabel(*label_route(kind, label.as_tuple()))
+_VIEWS = ("ButterflyLabel", "ButterflyState", "GeneratorMatrix", "ROOT_LABEL", "ROOT_STATE",
+          "apply_label", "apply_state", "canonical_matrices")
+
+
+def __getattr__(name: str):
+    """The Fraction views of `states`, imported on first touch (PEP 562).  The name
+    is checked first: the import machinery probes names such as `__path__`."""
+    if name not in _VIEWS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .states import (ROOT_LABEL, ROOT_STATE, ButterflyLabel, ButterflyState,
+                         GeneratorMatrix, apply_label, apply_state, canonical_matrices)
+    views = locals()
+    globals().update((view, views[view]) for view in _VIEWS)
+    return views[name]

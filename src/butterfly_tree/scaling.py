@@ -16,12 +16,14 @@ the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import intmat
 from .errors import ParabolicWord
 from .generators import GeneratorKind
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -121,9 +123,10 @@ class ContinuedFraction:
 
     def convergent(self, count: int) -> Fraction:
         """Value of the first `count` quotients (count >= 1)."""
+        import fractions
         if count < 1 or count > len(self.terms):
             raise ValueError(f"count must be in 1..{len(self.terms)}")
-        value = Fraction(self.terms[count - 1])
+        value = fractions.Fraction(self.terms[count - 1])
         for a in reversed(self.terms[:count - 1]):
             value = a + 1 / value
         return value

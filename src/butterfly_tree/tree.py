@@ -29,18 +29,21 @@ root state's, and every other node is checked against its parent's core
 alone, whose step is redone by two routes other than `step_core` (the
 explicit recursion and the 3x3 label matrix).  So a given parent must
 itself have passed; without one, the replay of the word's prefix stands in.
+
+Importing this module loads only the integer core of `generators`; the rest
+loads where it is used: `states` in `TreeNode.state` and `.label`,
+`diophantine` in `verify_node`, `json` and `csv` in the readers.
 """
 
 from __future__ import annotations
 
-import csv
-import json
+import functools
+import importlib
 from collections import deque
 from dataclasses import dataclass
-from math import gcd
-from typing import IO, Iterable, Iterator, Optional, Sequence, Union
+from types import ModuleType
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
 
-from .diophantine import central_gap, recover_edges
 from .errors import (
     InvariantViolation,
     MalformedRecord,
@@ -49,13 +52,12 @@ from .errors import (
 )
 from .generators import (
     BABY_KINDS,
-    ButterflyLabel,
-    ButterflyState,
     Core,
     GeneratorKind,
-    ROOT_STATE,
+    ROOT_CORE,
     _BY_KEY,
     _problems,
+    _ratio,
     _step,
     _text,
     label_route,
@@ -64,6 +66,9 @@ from .generators import (
     tail_generator,
     tail_side,
 )
+
+if TYPE_CHECKING:
+    from .states import ButterflyLabel, ButterflyState
 
 Word = tuple[GeneratorKind, ...]
 
@@ -96,12 +101,12 @@ class TreeNode:
 
     @property
     def state(self) -> ButterflyState:
-        return ButterflyState.from_core(self.core)
+        return _module("states").ButterflyState.from_core(self.core)
 
     @property
     def label(self) -> ButterflyLabel:
         q_r, q_l, s_p, s_m = self.core[:4]
-        return ButterflyLabel(q_r, q_l, s_p - s_m)
+        return _module("states").ButterflyLabel(q_r, q_l, s_p - s_m)
 
     @property
     def depth(self) -> int:
@@ -130,8 +135,15 @@ class TreeNode:
         return run
 
 
+@functools.cache
+def _module(name: str) -> ModuleType:
+    """The package module `name`, imported by the first call: a `from` import in a
+    function would cost 2-3 us a call, a cached call about 0.2 us."""
+    return importlib.import_module(f"{__package__}.{name}")
+
+
 def root() -> TreeNode:
-    return TreeNode(ROOT_STATE.core, ())
+    return TreeNode(ROOT_CORE, ())
 
 
 def _qc_row(kind: GeneratorKind) -> tuple[GeneratorKind, int, int]:
@@ -207,7 +219,7 @@ def _replay(word: Word) -> Core:
     step changes the friendly determinant (`generators._check_steps`), so
     the full check runs once, on the core returned.
     """
-    core = ROOT_STATE.core
+    core = ROOT_CORE
     try:
         for i, kind in enumerate(word):
             core = _step(kind, core)
@@ -275,7 +287,7 @@ def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
     full by `step_core`.
     """
     max_depth, chain_cap, max_qc = limits.max_depth, limits.chain_cap, limits.max_qc
-    queue = deque([(ROOT_STATE.core, (), "", 0)])
+    queue = deque([(ROOT_CORE, (), "", 0)])
     while queue:
         item = queue.popleft()
         yield item
@@ -326,15 +338,6 @@ _EXPECTED_STEP = {
 }
 
 
-def _ratio(p: int, q: int) -> str:
-    """p/q for a failure text, in lowest terms as its Fraction prints it; q may be 0."""
-    g = gcd(p, q) if q else 1
-    if q < 0:
-        g = -g
-    p, q = p // g, q // g
-    return _text(p) if q == 1 else f"{_text(p)}/{_text(q)}"
-
-
 def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerification:
     """Run every node invariant and, below the root, the relations to the parent.
 
@@ -346,6 +349,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     and a prefix that does not replay is reported in place of the parent
     relations.  No Fraction is built, not even to word a failure.
     """
+    diophantine = _module("diophantine")
     word, core = node.word, node.core
     q_r, q_l, s_p, s_m, p_r, p_l = core
     label = (q_r, q_l, s_p - s_m)
@@ -354,7 +358,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
 
     checks += 1
     try:
-        recovered = recover_edges(q_r, q_l)
+        recovered = diophantine.recover_edges(q_r, q_l)
         if recovered != (p_l, p_r):
             failures.append(f"numerators {(p_l, p_r)} differ from recovered {recovered}")
     except Exception as exc:
@@ -368,7 +372,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     checks += 1
     q_c = q_r + q_l
     try:
-        r_c = central_gap(s_p, s_m, p_r + p_l, q_c)[2]
+        r_c = diophantine.central_gap(s_p, s_m, p_r + p_l, q_c)[2]
         if not 0 < r_c < q_c:
             failures.append(f"central gap index {r_c} out of range")
     except Exception as exc:
@@ -376,7 +380,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
 
     checks += 1  # the root's core, else the parent's replay or the cross-route
     if not word:
-        if core != ROOT_STATE.core:
+        if core != ROOT_CORE:
             failures.append("word replay disagrees with stored node")
         return NodeVerification(node.word_str, checks, tuple(failures))
     prefix, last = word[:-1], word[-1]
@@ -589,6 +593,7 @@ def write_jsonl(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
 
 def read_jsonl(fp: IO[str]) -> list[TreeNode]:
     """Nodes of a JSONL export; errors name the 1-based line."""
+    import json
     out = []
     for number, line in enumerate(fp, 1):
         line = line.strip()
@@ -625,5 +630,6 @@ def write_csv(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
 
 def read_csv(fp: IO[str]) -> list[TreeNode]:
     """Nodes of a CSV export; errors name the 1-based data row."""
+    import csv
     return [_located(f"row {number}", row)
             for number, row in enumerate(csv.DictReader(fp), 1)]

@@ -3,7 +3,8 @@ the verify line and the expand and bignum-word goldens (the 14 000-letter
 `node` and `chain` ones too) are checked under it, and so is the error of a
 chain letter against the tail of that word.
 The package must load only what a command uses (the view commands that walk
-no tree load no tree), keep its public names,
+no tree load no tree, and the integer commands load no Fraction view), load
+those views on first touch with the same texts, keep its public names,
 define no function or class that only the tests use, unless it is listed,
 and read the generator step coefficients only in the step's homes."""
 
@@ -226,6 +227,84 @@ def test_view_commands_load_the_tree_only_when_they_walk_it(flags, argv, absent)
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
     assert ("butterfly_tree.tree" in loaded) == (argv.split()[0] == "render")
     assert loaded & absent == set()
+
+
+# The Fraction views and the formats that the integer commands never touch.
+FRACTION_VIEWS = {"fractions", "decimal", "csv", "butterfly_tree.farey",
+                  "butterfly_tree.diophantine", "butterfly_tree.states"}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
+@pytest.mark.parametrize("argv, absent", [
+    ("node --word=", FRACTION_VIEWS),
+    ("chain --word CL --steps 2", FRACTION_VIEWS | {"json"}),
+    ("expand --depth 2 --chain-cap 1", FRACTION_VIEWS | {"json"}),
+    ("scaling --word UL", FRACTION_VIEWS),
+    ("verify --depth 2 --chain-cap 1", {"butterfly_tree.states", "butterfly_tree.farey",
+                                        "csv", "json"}),
+    ("apollonian --correspondence", {"butterfly_tree.states", "butterfly_tree.farey",
+                                     "fractions"}),
+    ("wannier --qmax 10", {"fractions"}),
+])
+def test_integer_commands_load_no_fraction_view(flags, argv, absent):
+    proc = _python(flags, _LOADED, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    assert ("butterfly_tree.tree" in loaded) == (argv.split()[0] not in ("apollonian",
+                                                                         "wannier"))
+    assert loaded & absent == set()
+
+
+_FIRST_TOUCH = """\
+import sys
+import butterfly_tree.generators as generators
+lazy = {"butterfly_tree.states", "fractions", "dataclasses"}
+assert lazy.isdisjoint(sys.modules), lazy & set(sys.modules)
+assert not hasattr(generators, "__path__")
+try:
+    generators.no_such_name
+except AttributeError as exc:
+    print(exc)
+assert lazy.isdisjoint(sys.modules), lazy & set(sys.modules)
+import butterfly_tree
+from butterfly_tree import states
+for name in ("ButterflyLabel", "ButterflyState", "GeneratorMatrix", "ROOT_LABEL",
+             "ROOT_STATE", "apply_label", "apply_state", "canonical_matrices"):
+    assert getattr(generators, name) is getattr(states, name), name
+    if name in butterfly_tree.__all__:
+        assert getattr(butterfly_tree, name) is getattr(states, name), name
+print(states.ROOT_STATE)
+"""
+
+
+def test_the_fraction_views_load_on_first_touch():
+    proc = _python([], _FIRST_TOUCH)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.decode().splitlines() == [
+        "module 'butterfly_tree.generators' has no attribute 'no_such_name'",
+        "ButterflyState(left=Fraction(0, 1), right=Fraction(1, 1), sigma_plus=1, "
+        "sigma_minus=1)"]
+
+
+@pytest.mark.parametrize("code, text", [
+    ("from butterfly_tree.generators import _problems\n"
+     "print(*_problems((3, 4, 4, 3, 1, 2)), sep='; ')",
+     "edges out of order: 1/2, 1/3; edges not friendly: determinant 2"),
+    ("from butterfly_tree.generators import GeneratorKind, step_core\n"
+     "GeneratorKind.C_L.step = (1, 2, 0, 1, -9, 0, 0, 1)\n"
+     "step_core(GeneratorKind.C_L, (1, 1, 1, 1, 1, 0))",
+     "butterfly_tree.errors.InvariantViolation: C_L on ButterflyState(left=Fraction(0, 1), "
+     "right=Fraction(1, 1), sigma_plus=1, sigma_minus=1) produced a bad state: slopes "
+     "must be positive: (-8, 2); slope sum -6 != q_c 4"),
+    ("from butterfly_tree.diophantine import central_gap\n"
+     "central_gap(2, 1, 4, 8)",
+     "butterfly_tree.errors.InconsistentChernPair: slopes +2/-1 give gaps 0 != 1 at "
+     "flux 1/2"),
+], ids=["order", "bad-step", "chern-pair"])
+def test_error_texts_that_load_their_fraction_view_first(code, text):
+    # Each text builds a Fraction or a state that nothing has loaded before.
+    proc = _python([], code)
+    assert (proc.stdout or proc.stderr).decode().splitlines()[-1] == text
 
 
 # Module-level functions and classes in src/ that no code in src/ or perfbench/
