@@ -21,9 +21,9 @@ permutations work rather than hard-coding one convention.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from . import intmat
 from .errors import InvariantViolation
@@ -46,17 +46,15 @@ def _check_descartes(ks: tuple[int, ...]) -> None:
         raise InvariantViolation(f"Descartes identity fails for {ks}")
 
 
-@dataclass(frozen=True)
-class DescartesQuadruple:
+class DescartesQuadruple(namedtuple("DescartesQuadruple", "k1 k2 k3 k4")):
     """Curvatures of four mutually tangent circles; identity enforced."""
 
-    k1: int
-    k2: int
-    k3: int
-    k4: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        _check_descartes(self.as_tuple())
+    def __new__(cls, k1: int, k2: int, k3: int, k4: int) -> DescartesQuadruple:
+        _check_descartes((k1, k2, k3, k4))
+        return super().__new__(cls, k1, k2, k3, k4)
 
     def as_tuple(self) -> tuple[int, int, int, int]:
         return (self.k1, self.k2, self.k3, self.k4)
@@ -171,8 +169,7 @@ def _pair_ford(m: int, n: int) -> tuple[int, int, int, int]:
     return (n * n, m * m, (m + n) ** 2, 0)
 
 
-@dataclass(frozen=True)
-class CorrespondenceReport:
+class CorrespondenceReport(NamedTuple):
     """All (word, permutation) conventions realizing one pair move.
 
     Words are tuples of S indices applied left to right; a permutation

@@ -12,9 +12,8 @@ of the bounding gap slopes and satisfy p*N + q*M = 1 bandwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
 
 from .errors import InconsistentChernPair, InvariantViolation, NotCoprime
 
@@ -29,8 +28,7 @@ def _require_coprime(p: int, q: int) -> None:
         raise NotCoprime(f"{p}/{q} is not reduced")
 
 
-@dataclass(frozen=True)
-class GapLabel:
+class GapLabel(NamedTuple):
     """Gap r at flux p/q with its density line rho = sigma*phi + tau."""
 
     r: int
@@ -38,8 +36,7 @@ class GapLabel:
     tau: int
 
 
-@dataclass(frozen=True)
-class BandLabel:
+class BandLabel(NamedTuple):
     """Band index (1-based), its Chern number N and partner M with pN + qM = 1."""
 
     index: int

@@ -13,8 +13,7 @@ on C-cell/chain branches carry well-defined triples.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from math import gcd, isqrt
 from typing import Iterator, Optional, Union
 
@@ -34,43 +33,43 @@ h_MATRICES: dict[int, intmat.Matrix] = {
 }
 
 
-@dataclass(frozen=True)
-class EuclidPair:
+class EuclidPair(namedtuple("EuclidPair", "m n")):
     """Coprime positive parameters (m, n); (q_R, q_L) for butterflies."""
 
-    m: int
-    n: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
-            raise NotCoprime(f"parameters must be positive: ({self.m}, {self.n})")
-        if gcd(self.m, self.n) != 1:
-            raise NotCoprime(f"({self.m}, {self.n}) is not coprime")
+    def __new__(cls, m: int, n: int) -> EuclidPair:
+        if m < 1 or n < 1:
+            raise NotCoprime(f"parameters must be positive: ({m}, {n})")
+        if gcd(m, n) != 1:
+            raise NotCoprime(f"({m}, {n}) is not coprime")
+        return super().__new__(cls, m, n)
 
     @property
     def same_parity(self) -> bool:
         return (self.m - self.n) % 2 == 0
 
 
-@dataclass(frozen=True)
-class PythTriple:
+class PythTriple(namedtuple("PythTriple", "a b c")):
     """Pythagorean triple; b (or a) may be negative, c is positive.
 
     gcd(a, b, c) = 1, so the degenerate (1, 0, 1) of the root pair is
     allowed but imprimitive multiples are not.
     """
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.c <= 0:
+    def __new__(cls, a: int, b: int, c: int) -> PythTriple:
+        self = super().__new__(cls, a, b, c)
+        if c <= 0:
             raise InvariantViolation(f"hypotenuse must be positive: {self}")
-        if self.a * self.a + self.b * self.b != self.c * self.c:
+        if a * a + b * b != c * c:
             raise InvariantViolation(f"not a Pythagorean triple: {self}")
-        if gcd(gcd(self.a, self.b), self.c) != 1:
+        if gcd(gcd(a, b), c) != 1:
             raise InvariantViolation(f"not primitive: {self}")
+        return self
 
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
@@ -83,12 +82,6 @@ class PythTriple:
 
 
 PairLike = Union[EuclidPair, tuple]
-
-
-def _as_pair(pair: PairLike) -> EuclidPair:
-    if isinstance(pair, EuclidPair):
-        return pair
-    return EuclidPair(*pair)
 
 
 def _triple(m: int, n: int) -> tuple[int, int, int]:
@@ -105,8 +98,8 @@ def euclid_to_triple(pair: PairLike) -> PythTriple:
     With m < n the middle entry comes out negative, which is how butterfly
     nodes with q_L > q_R (left tails) are distinguished.
     """
-    p = _as_pair(pair)
-    return PythTriple(*_triple(p.m, p.n))
+    m, n = EuclidPair(*pair)  # an EuclidPair is a pair too, checked again
+    return PythTriple(*_triple(m, n))
 
 
 def apply_H(i: int, t: PythTriple) -> PythTriple:
@@ -114,15 +107,14 @@ def apply_H(i: int, t: PythTriple) -> PythTriple:
     and each entry's parity."""
     if i not in H_MATRICES:
         raise ValueError(f"H index must be 1, 2 or 3, got {i}")
-    return PythTriple(*intmat.mat_vec(H_MATRICES[i], t.as_tuple()))
+    return PythTriple(*intmat.mat_vec(H_MATRICES[i], t))
 
 
 def apply_h(i: int, pair: PairLike) -> EuclidPair:
     """One tree step on Euclid parameters; commutes with euclid_to_triple."""
     if i not in h_MATRICES:
         raise ValueError(f"h index must be 1, 2 or 3, got {i}")
-    p = _as_pair(pair)
-    return EuclidPair(*intmat.mat_vec(h_MATRICES[i], (p.m, p.n)))
+    return EuclidPair(*intmat.mat_vec(h_MATRICES[i], EuclidPair(*pair)))
 
 
 def functor_holds(i: int, m: int, n: int) -> bool:

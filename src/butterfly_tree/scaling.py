@@ -15,8 +15,8 @@ the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import intmat
 from .errors import ParabolicWord
@@ -26,19 +26,20 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 
-@dataclass(frozen=True)
-class QuadraticSurd:
+class QuadraticSurd(namedtuple("QuadraticSurd", "trace")):
     """The number (t + sqrt(t^2 - 4))/2 for an integer trace t >= 3.
 
     Satisfies x^2 - t*x + 1 = 0; its inverse is the conjugate root
     (t - sqrt(t^2 - 4))/2, so value > 1 always.
     """
 
-    trace: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.trace < 3:
-            raise ValueError(f"trace must be >= 3, got {self.trace}")
+    def __new__(cls, trace: int) -> QuadraticSurd:
+        if trace < 3:
+            raise ValueError(f"trace must be >= 3, got {trace}")
+        return super().__new__(cls, trace)
 
     @property
     def discriminant(self) -> int:
@@ -109,8 +110,7 @@ def scaling_exponent(word: Sequence[GeneratorKind]) -> QuadraticSurd:
     return trace_exponent(a + d, word)
 
 
-@dataclass(frozen=True)
-class ContinuedFraction:
+class ContinuedFraction(NamedTuple):
     """Periodic continued fraction of a quadratic irrational.
 
     preperiod are the partial quotients before the cycle, period the

@@ -18,14 +18,16 @@ here; `wannier_lines` is their Fraction view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from collections import namedtuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .diophantine import central_gap, wannier_rows
 from .errors import EmptyInput
 from .generators import Core, GeneratorKind, tail_generator
 from .tree import TreeNode, chain_cores
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_PALETTE = ("#80be8e", "#d9cb97", "#e6a37d", "#d37a7d",
                    "#a195c6", "#e3a8d2", "#7995c4", "#8bc8da")
@@ -33,8 +35,7 @@ DEFAULT_PALETTE = ("#80be8e", "#d9cb97", "#e6a37d", "#d37a7d",
 _KIND_ORDER = tuple(GeneratorKind)
 
 
-@dataclass(frozen=True)
-class SkeletonCell:
+class SkeletonCell(NamedTuple):
     """Exact drawing data of one butterfly cell.
 
     slope_minus is the signed slope -sigma_minus.  The four corner
@@ -66,8 +67,7 @@ class SkeletonCell:
                 (self.phi_right, self.minus_at_right))
 
 
-@dataclass(frozen=True)
-class WannierLine:
+class WannierLine(NamedTuple):
     """Density line rho = sigma*phi + tau through the gap point (p/q, r/q)."""
 
     sigma: int
@@ -110,6 +110,8 @@ def _apex(first: Core, second: Core) -> tuple[int, int, int]:
 
 def cell_geometry(node: TreeNode) -> SkeletonCell:
     """Exact cell geometry of a node; propagates InconsistentChernPair."""
+    import fractions  # the Fraction views alone load it, so `render_svg` does not
+    Fraction = fractions.Fraction
     state = node.state
     (p_c, q_c, r_c), left, right = _cell(node.core)
     color = None if not node.word else _KIND_ORDER.index(node.word[-1])
@@ -136,6 +138,8 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     the line through the chain members' centers (they are collinear, so
     this is the limit of the chain centers).
     """
+    import fractions
+    Fraction = fractions.Fraction
     q_r, q_l, _, _, p_r, p_l = core = node.core
     # Both edge fluxes first: a zero denominator raises as the state view does.
     phi_left, phi_right = Fraction(p_l, q_l), Fraction(p_r, q_r)
@@ -149,6 +153,7 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
 def wannier_lines(q_max: int) -> list[WannierLine]:
     """Canonical (sigma, tau) for every gap of every reduced flux q <= q_max:
     the `wannier_rows` as WannierLines, one Fraction per flux."""
+    from fractions import Fraction
     lines, flux = [], Fraction(0)
     for sigma, tau, p, q, r in wannier_rows(q_max):
         if flux.denominator != q or flux.numerator != p:
@@ -157,23 +162,22 @@ def wannier_lines(q_max: int) -> list[WannierLine]:
     return lines
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(namedtuple("RenderOptions", "width height margin palette chain_preview")):
     """Canvas and style knobs; all defaults deterministic."""
 
-    width: int = 800
-    height: int = 800
-    margin: int = 40
-    palette: Sequence[str] = DEFAULT_PALETTE
-    chain_preview: int = 4
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if len(self.palette) != 8:
+    def __new__(cls, width: int = 800, height: int = 800, margin: int = 40,
+                palette: Sequence[str] = DEFAULT_PALETTE, chain_preview: int = 4
+                ) -> RenderOptions:
+        if len(palette) != 8:
             raise ValueError("palette must have exactly 8 colors")
-        if self.width <= 2 * self.margin or self.height <= 2 * self.margin:
+        if width <= 2 * margin or height <= 2 * margin:
             raise ValueError("canvas too small for the margin")
-        if self.chain_preview < 0:
+        if chain_preview < 0:
             raise ValueError("chain_preview must be >= 0")
+        return super().__new__(cls, width, height, margin, palette, chain_preview)
 
 
 def _fixed9(num: int, den: int) -> str:

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import functools
 import importlib
-from collections import deque
-from dataclasses import dataclass
+from collections import deque, namedtuple
 from types import ModuleType
-from typing import IO, TYPE_CHECKING, Iterable, Iterator, Optional, Sequence, Union
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
     InvariantViolation,
@@ -88,8 +87,7 @@ def word_string(word: Sequence[GeneratorKind]) -> str:
     return ".".join([kind.token for kind in word])
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     """One butterfly: its integer core and its word; everything else is a view.
 
     Construction does not validate; `.label` raises InvariantViolation on
@@ -256,8 +254,7 @@ def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
     return TreeNode(_replay(kinds), tuple(kinds))
 
 
-@dataclass(frozen=True)
-class ExpansionLimits:
+class ExpansionLimits(namedtuple("ExpansionLimits", "max_depth chain_cap max_qc")):
     """Bounds for breadth-first expansion.
 
     max_depth: word length ceiling (root is depth 0).
@@ -265,15 +262,16 @@ class ExpansionLimits:
     max_qc: optional ceiling on the center denominator.
     """
 
-    max_depth: int
-    chain_cap: int = 0
-    max_qc: Optional[int] = None
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.max_depth < 0 or self.chain_cap < 0:
+    def __new__(cls, max_depth: int, chain_cap: int = 0,
+                max_qc: Optional[int] = None) -> ExpansionLimits:
+        if max_depth < 0 or chain_cap < 0:
             raise ValueError("limits must be non-negative")
-        if self.max_qc is not None and self.max_qc < 2:
+        if max_qc is not None and max_qc < 2:
             raise ValueError("max_qc must be at least 2")
+        return super().__new__(cls, max_depth, chain_cap, max_qc)
 
 
 def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
@@ -286,7 +284,7 @@ def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
     (`_qc_row`).  Only the children emitted are stepped, each checked in
     full by `step_core`.
     """
-    max_depth, chain_cap, max_qc = limits.max_depth, limits.chain_cap, limits.max_qc
+    max_depth, chain_cap, max_qc = limits
     queue = deque([(ROOT_CORE, (), "", 0)])
     while queue:
         item = queue.popleft()
@@ -307,8 +305,7 @@ def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
     return (TreeNode(core, word) for core, word, _, _ in walk(limits))
 
 
-@dataclass(frozen=True)
-class NodeVerification:
+class NodeVerification(NamedTuple):
     """Outcome of the per-node invariant battery."""
 
     word: str
@@ -350,7 +347,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     relations.  No Fraction is built, not even to word a failure.
     """
     diophantine = _module("diophantine")
-    word, core = node.word, node.core
+    core, word = node
     q_r, q_l, s_p, s_m, p_r, p_l = core
     label = (q_r, q_l, s_p - s_m)
     failures = _problems(core)

@@ -1,7 +1,6 @@
 """End-to-end checks of the command-line interface via cli.main()."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import re
@@ -101,7 +100,7 @@ def test_verify_hands_each_node_its_parent_and_lists_failures(capsys, monkeypatc
         parents.append((node.word, None if parent is None else parent.word))
         report = real(node, parent)
         if report.word in ("", "CL.TR"):
-            return dataclasses.replace(report, failures=("first", "second"))
+            return report._replace(failures=("first", "second"))
         return report
 
     monkeypatch.setattr(tree, "verify_node", tampered)

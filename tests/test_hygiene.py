@@ -3,11 +3,13 @@ the verify line and the expand and bignum-word goldens (the 14 000-letter
 `node` and `chain` ones too) are checked under it, and so is the error of a
 chain letter against the tail of that word.
 The package must load only what a command uses (the view commands that walk
-no tree load no tree, and the integer commands load no Fraction view), load
-those views on first touch with the same texts, keep its public names,
-define no function or class that only the tests use, unless it is listed,
-and read the generator step coefficients only in the step's homes."""
+no tree load no tree, the integer commands load no Fraction view, and no
+command loads `dataclasses`), load those views on first touch with the same
+texts, keep its public names, define no function or class that only the
+tests use, unless it is listed, and read the generator step coefficients
+only in the step's homes."""
 
+import argparse
 import ast
 import hashlib
 import importlib
@@ -19,6 +21,7 @@ from pathlib import Path
 import pytest
 
 import butterfly_tree
+from butterfly_tree.cli import build_parser
 from test_cli import AGAINST_THE_TAIL, AGAINST_THE_TAIL_ERROR
 from test_golden import (BIG_CHAIN_ARGV, BIG_NODE_ARGV, CHAIN_ARGV, GOLDEN,
                          SCALING_ARGV, short_id)
@@ -252,6 +255,40 @@ def test_integer_commands_load_no_fraction_view(flags, argv, absent):
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
     assert ("butterfly_tree.tree" in loaded) == (argv.split()[0] not in ("apollonian",
                                                                          "wannier"))
+    assert loaded & absent == set()
+
+
+def _subcommands():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return sorted(sub.choices)
+
+
+# One small run of each subcommand; a new subcommand fails below until it has one.
+COMMAND_ARGV = {
+    "node": "node --word=",
+    "chain": "chain --word CL --steps 2",
+    "expand": "expand --depth 2 --chain-cap 1",
+    "verify": "verify --depth 2 --chain-cap 1",
+    "scaling": "scaling --word UL",
+    "pyth": "pyth --oracle-cmax 50",
+    "apollonian": "apollonian --correspondence",
+    "wannier": "wannier --qmax 10",
+    "render": "render --depth 2 --chain-cap 1",
+}
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
+@pytest.mark.parametrize("command", _subcommands())
+def test_no_command_loads_dataclasses(flags, command):
+    # The records are named tuples; `dataclasses` and its `inspect` stay for
+    # the Fraction views alone.  `render` draws from the integer edges only.
+    proc = _python(flags, _LOADED, *COMMAND_ARGV[command].split())
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    absent = {"dataclasses", "inspect"}
+    if command == "render":
+        absent |= {"fractions", "decimal", "butterfly_tree.states"}
     assert loaded & absent == set()
 
 

@@ -1,7 +1,6 @@
 """`render_svg` against a plain renderer that formats every coordinate and
 every preview dot where it is written, byte for byte and error for error."""
 
-import dataclasses
 import itertools
 
 import pytest
@@ -123,7 +122,7 @@ def test_a_repeated_word_with_another_core_renders_as_the_reference():
     # The later UL.TL, with DL.TL's core, replaces the first as the chain
     # member below UL that the preview starts from; the first keeps its own.
     nodes = list(tree.expand(tree.ExpansionLimits(max_depth=2, chain_cap=2)))
-    nodes.append(dataclasses.replace(tree.node_at("DL.TL"), word=tree.parse_word("UL.TL")))
+    nodes.append(tree.node_at("DL.TL")._replace(word=tree.parse_word("UL.TL")))
     for preview in (0, 1, 4):
         options = RenderOptions(chain_preview=preview)
         document = render_svg(nodes, options)
@@ -137,7 +136,7 @@ def test_a_tampered_chain_fails_as_the_reference(preview):
     # CL's preview steps from it first, and with no preview its own apex does.
     nodes = list(tree.expand(tree.ExpansionLimits(max_depth=2, chain_cap=2)))
     at = [node.word_str for node in nodes].index("CL.TR")
-    nodes[at] = dataclasses.replace(nodes[at], core=(5, 3, 4, 4, 3, 1))
+    nodes[at] = nodes[at]._replace(core=(5, 3, 4, 4, 3, 1))
     options = RenderOptions(chain_preview=preview)
     want = _outcome(reference_svg, nodes, options)
     assert want[0] is InvariantViolation and "determinant -4" in want[1]

@@ -131,7 +131,7 @@ def _outcome(function, node):
     ("UL", (2, 3, 2, 3, 1, 1)),      # untampered
 ])
 def test_tail_triangle_of_a_tampered_core_fails_as_the_cell_does(word, core):
-    node = dataclasses.replace(tree.node_at(word), core=core)
+    node = tree.node_at(word)._replace(core=core)
     assert _outcome(tail_triangle, node) == _outcome(_cell_tail_triangle, node)
 
 
@@ -194,7 +194,7 @@ def test_geometry_of_unfriendly_tampered_edges_matches_oracle():
     # tampered pair (here 2/5, 2/3, whose mediant 4/8 reduces) still gets
     # the geometry that Fraction arithmetic gives.
     node = tree.node_at("UL")
-    skewed = dataclasses.replace(node, core=dataclasses.replace(
+    skewed = node._replace(core=dataclasses.replace(
         node.state, left=Fraction(2, 5), right=Fraction(2, 3),
         sigma_plus=1, sigma_minus=1).core)
     cell = cell_geometry(skewed)
@@ -203,7 +203,7 @@ def test_geometry_of_unfriendly_tampered_edges_matches_oracle():
     assert {key: getattr(cell, key) for key in want} == want
     # Slopes that disagree are reported at the reduced center, as its
     # Fraction view names them.
-    clash = dataclasses.replace(skewed, core=dataclasses.replace(
+    clash = skewed._replace(core=dataclasses.replace(
         skewed.state, sigma_plus=2).core)
     with pytest.raises(InconsistentChernPair, match="gaps 0 != 1 at flux 1/2"):
         render_svg([clash])
@@ -214,7 +214,7 @@ def test_render_rejects_inconsistent_slope_pair():
     state = node.state
     # sigma_+ bumped and sigma_- lowered by more: the slopes no longer sum
     # to q_c, so the two congruences name different gaps.
-    tampered = dataclasses.replace(node, core=dataclasses.replace(
+    tampered = node._replace(core=dataclasses.replace(
         state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 2).core)
     with pytest.raises(InconsistentChernPair,
                        match=r"slopes \+3/-1 give gaps 1 != 3 at flux 2/5"):
@@ -223,7 +223,7 @@ def test_render_rejects_inconsistent_slope_pair():
         cell_geometry(tampered)
     # Bumping one and lowering the other by the same amount keeps the sum,
     # and with it the congruence: only the verifier's slope checks see it.
-    shifted = dataclasses.replace(node, core=dataclasses.replace(
+    shifted = node._replace(core=dataclasses.replace(
         state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 1).core)
     assert render_svg([shifted]).count("<polygon") == 2
 

@@ -254,7 +254,7 @@ def test_child_checks_a_tampered_state():
 
 def test_verify_node_cross_route_catches_a_tampered_label():
     node = node_at("UL")
-    tampered = dataclasses.replace(node, core=node_at("DL").core)
+    tampered = node._replace(core=node_at("DL").core)
     report = verify_node(tampered, root())
     assert any(f.startswith("cross-route:") for f in report.failures)
     assert not any(f.startswith("cross-route:") for f in verify_node(node).failures)
@@ -460,10 +460,8 @@ def _writer_cases():
     """Root, babies, chain members, tampered nodes and a q_c beyond 2^53."""
     ul = node_at("UL")
     # Class and depth are views of the word, so those tampers change the word.
-    bumped = dataclasses.replace(_with_state(ul, sigma_plus=ul.state.sigma_plus + 1),
-                                 word=(K.C_CL,))
-    far_left = dataclasses.replace(_with_state(ul, left=Fraction(-(2 ** 60), 3)),
-                                   word=(K.U_L,) * 7)
+    bumped = _with_state(ul, sigma_plus=ul.state.sigma_plus + 1)._replace(word=(K.C_CL,))
+    far_left = _with_state(ul, left=Fraction(-(2 ** 60), 3))._replace(word=(K.U_L,) * 7)
     return ([root()] + children(root()) + chain(ul, 3)
             + [bumped, far_left, node_at(["UL"] * 45)])
 
@@ -752,7 +750,7 @@ def seed_verify_node(node, parent=None):
 
 
 def _with_state(node, **changes):
-    return dataclasses.replace(node, core=dataclasses.replace(node.state, **changes).core)
+    return node._replace(core=dataclasses.replace(node.state, **changes).core)
 
 
 def _reducing_pair():
@@ -777,18 +775,18 @@ def _tampered_pairs():
         (_with_state(ul, left=ul.state.right, right=ul.state.left), r),  # order
         (skewed_cl, r),  # friendly, numerators, width
         (_with_state(cl, left=Fraction(1, 2), right=Fraction(1, 4)), r),  # recovery
-        (dataclasses.replace(ul, core=dl.core), r),  # cross-route
-        (dataclasses.replace(cl, word=(K.C_R,)), r),  # the cell class's letter
-        (dataclasses.replace(cl, core=cr.core), r),  # the tail side's denominators
+        (ul._replace(core=dl.core), r),  # cross-route
+        (cl._replace(word=(K.C_R,)), r),  # the cell class's letter
+        (cl._replace(core=cr.core), r),  # the tail side's denominators
         (_with_state(cl, sigma_plus=4, sigma_minus=0), r),  # gap index 0, slopes
         (_with_state(ul, sigma_plus=dl.state.sigma_plus,
                      sigma_minus=dl.state.sigma_minus), r),  # Delta-sigma
-        (dataclasses.replace(ul, word=(K.D_L,)), r),  # the last letter
-        (dataclasses.replace(r, core=cl.core), None),  # the root's core
-        (dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)),
-         dataclasses.replace(cl, word=(K.C_CR,))),  # passes; its parent fails
-        (ul, dataclasses.replace(r, core=cl.core)),  # q_c, baby, E-cell
-        (cl, dataclasses.replace(r, core=ul.core)),  # parity
+        (ul._replace(word=(K.D_L,)), r),  # the last letter
+        (r._replace(core=cl.core), None),  # the root's core
+        (node_at("CL.UL")._replace(word=(K.C_CR, K.U_L)),
+         cl._replace(word=(K.C_CR,))),  # passes; its parent fails
+        (ul, r._replace(core=cl.core)),  # q_c, baby, E-cell
+        (cl, r._replace(core=ul.core)),  # parity
         (cl_tr, _with_state(cl, left=cr.state.left, right=cr.state.right)),  # tail step
         (_with_state(cl_tr, right=Fraction(3, 5)), cl),  # chain-between
         (_with_state(node_at("CR.TL"), left=Fraction(2, 5)), cr),  # chain-between
@@ -876,7 +874,7 @@ def test_verify_node_sees_a_slope_shift_that_keeps_the_sum():
 
 def test_verify_node_reports_what_it_used_to_raise():
     # A chain letter over a parent with q_R == q_L: no accumulation point.
-    node = dataclasses.replace(node_at("CL.TR"), word=(K.C_CR,))
+    node = node_at("CL.TR")._replace(word=(K.C_CR,))
     tail = "C_cR needs q_R > q_L, state has (1, 1)"
     for parent in (root(), None):
         report = verify_node(node, parent)
@@ -887,11 +885,11 @@ def test_verify_node_reports_what_it_used_to_raise():
             "equal denominators in 0, 1")
         assert report.checks == 12
     # No parent given and a prefix that does not replay.
-    report = verify_node(dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L)))
+    report = verify_node(node_at("CL.UL")._replace(word=(K.C_CR, K.U_L)))
     assert report.failures == (f"parent replay failed: word fails at prefix TR: {tail}",)
     assert report.checks == 8
     # A zero denominator: reported, where the width text once raised from Fraction(0, 0).
-    node = dataclasses.replace(node_at("CL"), core=(0, 1, 1, 1, 0, 0))
+    node = node_at("CL")._replace(core=(0, 1, 1, 1, 0, 0))
     for parent in (root(), None):
         failures = verify_node(node, parent).failures
         assert failures[:3] == ("denominators must be positive: q_R=0, q_L=1",
@@ -942,8 +940,8 @@ def test_a_verify_sweep_flags_a_slope_shift(word, shift):
 def test_a_bogus_parent_is_caught_where_it_is_verified():
     # CL's core under the word TR, and its U_L child under TR.UL: the child
     # is its given parent's step, so it passes; the parent is no root's step.
-    parent = dataclasses.replace(node_at("CL"), word=(K.C_CR,))
-    node = dataclasses.replace(node_at("CL.UL"), word=(K.C_CR, K.U_L))
+    parent = node_at("CL")._replace(word=(K.C_CR,))
+    node = node_at("CL.UL")._replace(word=(K.C_CR, K.U_L))
     assert verify_node(node, parent).ok
     assert verify_node(parent).failures[0] == (
         "cross-route: stepping the parent failed: C_cR needs q_R > q_L, state has (1, 1)")
@@ -979,7 +977,7 @@ def test_verify_node_builds_no_fraction_on_passing_nodes(monkeypatch, capsys):
 
 
 def test_a_node_holds_its_core_and_word_alone():
-    assert [field.name for field in dataclasses.fields(TreeNode)] == ["core", "word"]
+    assert TreeNode._fields == ("core", "word")
 
 
 def stored_fields(core, word):
