@@ -13,7 +13,7 @@ of the bounding gap slopes and satisfy p*N + q*M = 1 bandwise.
 from __future__ import annotations
 
 from math import gcd
-from typing import TYPE_CHECKING, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .errors import InconsistentChernPair, InvariantViolation, NotCoprime
 
@@ -170,22 +170,3 @@ def center_gap_index(state) -> tuple[int, Fraction]:
     _, q_c, r_c = central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
     return r_c, fractions.Fraction(r_c, q_c)
 
-
-def gap_label_oracle(p: int, q: int, r: int,
-                     sigma_span: Sequence[int] | None = None) -> list[tuple[int, int]]:
-    """Brute-force solutions of p*sigma + q*tau = r with sigma in the window.
-
-    Independent of gap_rows: scans the sigma window directly.  Used by
-    tests as the oracle for uniqueness and agreement.
-    """
-    _require_coprime(p, q)
-    if sigma_span is None:
-        sigma_span = range(-q, q + 1)
-    out = []
-    for sigma in sigma_span:
-        if not (-q < 2 * sigma <= q):
-            continue
-        num = r - p * sigma
-        if num % q == 0:
-            out.append((sigma, num // q))
-    return out

@@ -176,21 +176,13 @@ def tail_generator(q_r: int, q_l: int) -> Optional[GeneratorKind]:
 
 
 def _text(value: object) -> str:
-    """str() of an int, Fraction, int tuple or state for an error text.  An int
-    past 332 bits (about 100 digits) shows its bit length, so a text stays short
-    however deep the word; a value holding one is written part by part (a state,
-    as its core)."""
-    if isinstance(value, int):
-        bits = value.bit_length()
-        return str(value) if bits <= 332 else f"<{bits}-bit integer>"
+    """str() of an int or int tuple for an error text.  An int past 332 bits
+    (about 100 digits) shows its bit length, so a text stays short however
+    deep the word; a tuple is written part by part."""
     if isinstance(value, tuple):
         return "(" + ", ".join(map(_text, value)) + ")"
-    from fractions import Fraction  # loaded already: a Fraction or a state holds one
-    if isinstance(value, Fraction):
-        return _ratio(value.numerator, value.denominator)
-    if any(n.bit_length() > 332 for n in value.core):
-        return _text(value.core)
-    return str(value)
+    bits = value.bit_length()
+    return str(value) if bits <= 332 else f"<{bits}-bit integer>"
 
 
 def _ratio(p: int, q: int) -> str:
@@ -234,11 +226,9 @@ def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
 
 
 def _bad_step(kind: GeneratorKind, core: Core, new: Core) -> InvariantViolation:
-    """The error of a step from `core` whose result `new` breaks an invariant;
-    the text shows the state of `core`, which is built only here."""
-    from .states import ButterflyState
-    return InvariantViolation(f"{kind.value} on {_text(ButterflyState.from_core(core))} "
-                              "produced a bad state: " + "; ".join(_problems(new)))
+    """The error of a step from `core` whose result `new` breaks an invariant."""
+    return InvariantViolation(f"{kind.value} on {_text(core)} produced a bad state: "
+                              + "; ".join(_problems(new)))
 
 
 def _step(kind: GeneratorKind, core: Core) -> Core:

@@ -117,20 +117,6 @@ def apply_h(i: int, pair: PairLike) -> EuclidPair:
     return EuclidPair(*intmat.mat_vec(h_MATRICES[i], EuclidPair(*pair)))
 
 
-def functor_holds(i: int, m: int, n: int) -> bool:
-    """Raw-integer check that triple(h_i(m,n)) = H_i(triple(m,n)).
-
-    Works directly on matrix arithmetic so it can probe pairs whose h_i
-    image leaves the positive quadrant (where EuclidPair would reject).
-    """
-    if i not in h_MATRICES:
-        raise ValueError(f"h index must be 1, 2 or 3, got {i}")
-    if gcd(m, n) != 1:
-        raise NotCoprime(f"({m}, {n}) is not coprime")
-    stepped = intmat.mat_vec(h_MATRICES[i], (m, n))
-    return _triple(*stepped) == intmat.mat_vec(H_MATRICES[i], _triple(m, n))
-
-
 def primitive_triple_oracle(c_max: int) -> set[PythTriple]:
     """Brute-force scan of all primitive triples with positive entries.
 

@@ -8,10 +8,11 @@ point; chains beyond the rendered set are previewed as dots at their
 exact center points.  All geometry is exact integer numerator/denominator
 pairs, computed from each cell's integer core by one set of formulas
 (`_centre`, `_cell`, `_apex`); `cell_geometry` and `tail_triangle` are
-their public Fraction views, and `tail_triangle` builds no cell.  The SVG
-writer maps the pairs to pixels in integers and writes fixed 9-digit
-decimals, so rendering the same input twice produces identical bytes; it
-formats each x coordinate once, and each chain end's preview dots once.
+their public Fraction views, which read the core and build no state, and
+`tail_triangle` builds no cell.  The SVG writer maps the pairs to pixels
+in integers and writes fixed 9-digit decimals, so rendering the same
+input twice produces identical bytes; it formats each x coordinate once,
+and each chain end's preview dots once.
 The Wannier gap lines come from `diophantine.wannier_rows`, re-exported
 here; `wannier_lines` is their Fraction view.
 """
@@ -112,15 +113,17 @@ def cell_geometry(node: TreeNode) -> SkeletonCell:
     """Exact cell geometry of a node; propagates InconsistentChernPair."""
     import fractions  # the Fraction views alone load it, so `render_svg` does not
     Fraction = fractions.Fraction
-    state = node.state
-    (p_c, q_c, r_c), left, right = _cell(node.core)
+    q_r, q_l, s_p, s_m, p_r, p_l = core = node.core
+    # Both edge fluxes first: a zero denominator raises as the state view does.
+    phi_left, phi_right = Fraction(p_l, q_l), Fraction(p_r, q_r)
+    (p_c, q_c, r_c), left, right = _cell(core)
     color = None if not node.word else _KIND_ORDER.index(node.word[-1])
     return SkeletonCell(
-        phi_left=state.left,
-        phi_right=state.right,
+        phi_left=phi_left,
+        phi_right=phi_right,
         center=(Fraction(p_c, q_c), Fraction(r_c, q_c)),
-        slope_plus=state.sigma_plus,
-        slope_minus=-state.sigma_minus,
+        slope_plus=s_p,
+        slope_minus=-s_m,
         plus_at_left=Fraction(left[2], left[4]),
         plus_at_right=Fraction(right[2], right[4]),
         minus_at_left=Fraction(left[3], left[4]),
@@ -188,11 +191,6 @@ def _fixed9(num: int, den: int) -> str:
         units += 1
     whole, frac = divmod(units, 10 ** 9)
     return f"{sign}{whole}.{frac:09d}"
-
-
-def _decimal9(x: Fraction) -> str:
-    """Fixed 9-decimal string from an exact rational (half away rounding)."""
-    return _fixed9(x.numerator, x.denominator)
 
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:

@@ -2,8 +2,8 @@
 
 `generators` steps the integer core and imports none of this.  It loads on
 first touch: a name re-exported by `generators` (PEP 562), `TreeNode.state`
-or `.label`, or an error text that shows a state.  `apply_state` and
-`apply_label` are the checked views of `state_route` and `label_route`.
+or `.label`.  `apply_state` and `apply_label` are the checked views of
+`state_route` and `label_route`.
 """
 
 from __future__ import annotations

@@ -22,7 +22,6 @@ from butterfly_tree.apollonian import (
 )
 from butterfly_tree.diophantine import (
     band_cherns,
-    gap_label_oracle,
     gap_labels,
     hierarchy_gap_cherns,
 )
@@ -34,12 +33,12 @@ from butterfly_tree.generators import (
     apply_state,
 )
 from butterfly_tree.pythagoras import (
-    functor_holds,
     primitive_triple_oracle,
     triple_tree,
 )
 from butterfly_tree.scaling import scaling_exponent, word_block
 from butterfly_tree.skeleton import cell_geometry, render_svg
+from oracles import functor_holds, gap_label_oracle
 
 K = GeneratorKind
 

@@ -11,7 +11,6 @@ from butterfly_tree.diophantine import (
     band_cherns,
     center_gap_index,
     central_gap,
-    gap_label_oracle,
     gap_labels,
     gap_rows,
     hierarchy_gap_cherns,
@@ -21,6 +20,7 @@ from butterfly_tree.errors import InconsistentChernPair, NotCoprime
 from butterfly_tree.farey import is_friendly
 from butterfly_tree.generators import ButterflyState
 from butterfly_tree.tree import ExpansionLimits, expand
+from oracles import gap_label_oracle
 
 
 def test_gap_labels_reference_sequences():
@@ -93,6 +93,8 @@ def test_hierarchy_reference_values():
     assert hierarchy_gap_cherns(-1, 2, -1) == -3
     assert hierarchy_gap_cherns(0, 5, 0) == 0
     assert [hierarchy_gap_cherns(-1, 3, n) for n in range(3)] == [-1, 2, 5]
+    with pytest.raises(NotCoprime, match="^denominator must be positive, got 0$"):
+        hierarchy_gap_cherns(1, 0, 2)
 
 
 def test_center_gap_index_reference_values():

@@ -66,6 +66,8 @@ def test_friendly_triplet_from_pair():
 
 
 def test_enumeration_smallest_cases():
+    with pytest.raises(ValueError, match="^q_max must be at least 2$"):
+        list(stern_brocot_friendly_triplets(1))
     only = list(stern_brocot_friendly_triplets(2))
     assert len(only) == 1
     t = only[0]

@@ -28,6 +28,7 @@ from butterfly_tree.generators import (
     tail_generator,
 )
 from butterfly_tree.tree import node_at, parse_word, word_string
+from oracles import det, identity, mat_mul
 
 K = GeneratorKind
 
@@ -121,9 +122,9 @@ def test_frozen_four_by_four():
 def test_all_representations_unimodular():
     for kind in K:
         g = canonical_matrices(kind)
-        assert intmat.det(g.two_by_two) == 1
-        assert intmat.det(g.three_by_three) == 1
-        assert intmat.det(g.four_by_four) == 1
+        assert det(g.two_by_two) == 1
+        assert det(g.three_by_three) == 1
+        assert det(g.four_by_four) == 1
 
 
 def test_two_by_two_is_upper_block_of_larger():
@@ -135,32 +136,32 @@ def test_two_by_two_is_upper_block_of_larger():
 
 def test_parity_preserving_kinds_are_unipotent():
     """C-type and chain 3x3 matrices have all eigenvalues equal to one."""
-    eye = intmat.identity(3)
+    eye = identity(3)
     for kind in (K.C_L, K.C_R, K.C_CL, K.C_CR):
         m = canonical_matrices(kind).three_by_three
         n = mat_sub(m, eye)
-        assert is_zero(intmat.mat_mul(intmat.mat_mul(n, n), n))
+        assert is_zero(mat_mul(mat_mul(n, n), n))
 
 
 def test_ud_kinds_satisfy_characteristic_polynomial():
     """U/D 3x3 eigenvalues are 1 and (3 +- sqrt(5))/2: trace 4, and
     (M - I)(M^2 - 3M + I) annihilates."""
-    eye = intmat.identity(3)
+    eye = identity(3)
     for kind in (K.U_L, K.U_R, K.D_L, K.D_R):
         m = canonical_matrices(kind).three_by_three
         assert sum(m[i][i] for i in range(3)) == 4
-        quad = mat_sub(mat_sub(intmat.mat_mul(m, m), mat_scale(3, m)),
+        quad = mat_sub(mat_sub(mat_mul(m, m), mat_scale(3, m)),
                        mat_scale(-1, eye))
-        assert is_zero(intmat.mat_mul(mat_sub(m, eye), quad))
+        assert is_zero(mat_mul(mat_sub(m, eye), quad))
 
 
 def test_chain_generators_are_mutually_inverse():
     for size in ("two_by_two", "three_by_three", "four_by_four"):
         a = getattr(canonical_matrices(K.C_CL), size)
         b = getattr(canonical_matrices(K.C_CR), size)
-        eye = intmat.identity(len(a))
-        assert intmat.mat_mul(a, b) == eye
-        assert intmat.mat_mul(b, a) == eye
+        eye = identity(len(a))
+        assert mat_mul(a, b) == eye
+        assert mat_mul(b, a) == eye
 
 
 def test_label_applications_table():
@@ -400,7 +401,7 @@ def _unsplit_step(kind, core):
            + intmat.mat_vec(TWO[kind], (p_r, p_l)))
     problems = _problems(new)
     if problems:
-        raise InvariantViolation(f"{kind.value} on {_text(ButterflyState.from_core(core))} "
+        raise InvariantViolation(f"{kind.value} on {_text(core)} "
                                  "produced a bad state: " + "; ".join(problems))
     return new
 
@@ -411,7 +412,7 @@ def _apply_state_oracle(kind, state):
     problems = new.check()
     if problems:
         raise InvariantViolation(
-            f"{kind.value} on {_text(state)} produced a bad state: " + "; ".join(problems))
+            f"{kind.value} on {_text(state.core)} produced a bad state: " + "; ".join(problems))
     return new
 
 
@@ -470,12 +471,10 @@ def test_error_texts_bound_every_integer_past_332_bits():
     small, big = 2 ** 332 - 1, 2 ** 332
     assert _text(small) == str(small) and _text(-small) == str(-small)
     assert _text(big) == _text(-big) == "<333-bit integer>"
-    assert _text(Fraction(1, small)) == f"1/{small}"
-    assert _text(Fraction(-1, big)) == "-1/<333-bit integer>"
     assert _text((big, 3)) == "(<333-bit integer>, 3)"
-    assert _text(ROOT_STATE) == str(ROOT_STATE)
+    assert _text(ROOT_STATE.core) == "(1, 1, 1, 1, 1, 0)"
     state = ButterflyState.from_core((big, 1, 1, big, 1, 0))
-    assert _text(state) == "(<333-bit integer>, 1, 1, <333-bit integer>, 1, 0)"
+    assert _text(state.core) == "(<333-bit integer>, 1, 1, <333-bit integer>, 1, 0)"
     with pytest.raises(TailDirectionMismatch,
                        match=r"^C_cL needs q_L > q_R, state has \(<333-bit integer>, 1\)$"):
         step_core(K.C_CL, state.core)

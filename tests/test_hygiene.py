@@ -5,9 +5,11 @@ chain letter against the tail of that word.
 The package must load only what a command uses (the view commands that walk
 no tree load no tree, the integer commands load no Fraction view, and no
 command loads `dataclasses`), load those views on first touch with the same
-texts, keep its public names, define no function or class that only the
-tests use, unless it is listed, and read the generator step coefficients
-only in the step's homes."""
+texts and only when one is asked for (a bad step's error and the skeleton's
+cells read the integer core), keep its public names, define no function or
+class that only the tests use (the tests' references live in
+`tests/oracles.py`, each used by a test), and read the generator step
+coefficients only in the step's homes."""
 
 import argparse
 import ast
@@ -323,37 +325,49 @@ def test_the_fraction_views_load_on_first_touch():
         "sigma_minus=1)"]
 
 
-@pytest.mark.parametrize("code, text", [
+# Runs the code, then writes the names of every loaded module as stderr's first line.
+_MODULES_AFTER = ("import sys\n"
+                  "try:\n"
+                  "    exec(sys.argv[1])\n"
+                  "finally:\n"
+                  "    print(*sorted(sys.modules), file=sys.stderr)\n")
+
+
+@pytest.mark.parametrize("code, text, absent", [
     ("from butterfly_tree.generators import _problems\n"
      "print(*_problems((3, 4, 4, 3, 1, 2)), sep='; ')",
-     "edges out of order: 1/2, 1/3; edges not friendly: determinant 2"),
+     "edges out of order: 1/2, 1/3; edges not friendly: determinant 2", set()),
     ("from butterfly_tree.generators import GeneratorKind, step_core\n"
      "GeneratorKind.C_L.step = (1, 2, 0, 1, -9, 0, 0, 1)\n"
      "step_core(GeneratorKind.C_L, (1, 1, 1, 1, 1, 0))",
-     "butterfly_tree.errors.InvariantViolation: C_L on ButterflyState(left=Fraction(0, 1), "
-     "right=Fraction(1, 1), sigma_plus=1, sigma_minus=1) produced a bad state: slopes "
-     "must be positive: (-8, 2); slope sum -6 != q_c 4"),
+     "butterfly_tree.errors.InvariantViolation: C_L on (1, 1, 1, 1, 1, 0) produced a bad "
+     "state: slopes must be positive: (-8, 2); slope sum -6 != q_c 4",
+     {"butterfly_tree.states", "butterfly_tree.farey", "dataclasses", "fractions"}),
     ("from butterfly_tree.diophantine import central_gap\n"
      "central_gap(2, 1, 4, 8)",
      "butterfly_tree.errors.InconsistentChernPair: slopes +2/-1 give gaps 0 != 1 at "
-     "flux 1/2"),
+     "flux 1/2", set()),
 ], ids=["order", "bad-step", "chern-pair"])
-def test_error_texts_that_load_their_fraction_view_first(code, text):
-    # Each text builds a Fraction or a state that nothing has loaded before.
-    proc = _python([], code)
+def test_error_texts_that_load_their_fraction_view_first(code, text, absent):
+    # Each text but the bad step's builds a Fraction that nothing has loaded
+    # before; a bad step is worded from its integer core and loads no view.
+    proc = _python([], _MODULES_AFTER, code)
     assert (proc.stdout or proc.stderr).decode().splitlines()[-1] == text
+    assert set(proc.stderr.decode().splitlines()[0].split()) & absent == set()
 
 
-# Module-level functions and classes in src/ that no code in src/ or perfbench/
-# uses and that are not public, each with the reason it stays.
-TEST_ONLY = {
-    "diophantine.gap_label_oracle": "brute-force oracle of gap_labels for the tests",
-    "pythagoras.functor_holds": "the tests' check that the pair and triple moves commute",
-    "skeleton._decimal9": "the tests' 9-decimal rounding of an exact rational",
-    "intmat.mat_mul": "the tests' reference product",
-    "intmat.identity": "the tests' reference unit",
-    "intmat.det": "the tests' reference determinant",
-}
+@pytest.mark.parametrize("code, loaded", [
+    ("skeleton.cell_geometry(tree.node_at('UL.TL'))", set()),
+    ("skeleton.tail_triangle(tree.node_at('UL.TL'))", set()),
+    ("tree.node_at('UL.TL').state", {"butterfly_tree.states", "butterfly_tree.farey",
+                                     "dataclasses"}),
+], ids=["cell_geometry", "tail_triangle", "state"])
+def test_views_load_only_when_asked_for(code, loaded):
+    # The skeleton's Fraction views read the core; only a state loads `states`.
+    proc = _python([], _MODULES_AFTER, "from butterfly_tree import skeleton, tree\n" + code)
+    assert proc.returncode == 0, proc.stderr
+    modules = set(proc.stderr.decode().splitlines()[0].split())
+    assert modules & {"butterfly_tree.states", "butterfly_tree.farey", "dataclasses"} == loaded
 
 
 def _definitions_without_a_use():
@@ -381,13 +395,27 @@ def _definitions_without_a_use():
     return unused
 
 
-def test_every_definition_is_used_public_or_allowed():
-    # A definition that only its own tests call is dead code: delete it, or
-    # list it in TEST_ONLY with the reason it stays.
+def test_every_definition_is_used_or_public():
+    # A definition that only the tests call is dead code in src/: delete it,
+    # or move it to tests/oracles.py if the tests compare against it.
     public = {f"{module}.{name}" for module, names in PUBLIC_NAMES.items() for name in names}
-    unused = _definitions_without_a_use()
-    assert [name for name in unused if name not in public and name not in TEST_ONLY] == []
-    assert sorted(name for name in unused if name in TEST_ONLY) == sorted(TEST_ONLY)
+    assert [name for name in _definitions_without_a_use() if name not in public] == []
+
+
+TESTS = Path(__file__).resolve().parent
+
+
+def test_every_oracle_is_used_by_a_test():
+    # An oracle that no test calls checks nothing: delete it.
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    defined = {stmt.name for stmt in tree.body
+               if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+    used = set()
+    for path in sorted(TESTS.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                used.update(alias.name for alias in node.names)
+    assert sorted(defined - used) == []
 
 
 # Where a generator's step coefficients (`kind.step`) may be read, each

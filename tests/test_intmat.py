@@ -1,10 +1,11 @@
-"""Exact tuple-matrix helpers used by every matrix-bearing module."""
+"""The package's `mat_vec` and the tests' reference product, unit and determinant."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from butterfly_tree import intmat
+from oracles import det, identity, mat_mul
 
 entries = st.integers(-9, 9)
 
@@ -16,10 +17,10 @@ def square(n):
 
 
 def test_identity_and_shapes():
-    assert intmat.identity(2) == ((1, 0), (0, 1))
-    assert intmat.mat_mul(intmat.identity(3), intmat.identity(3)) == intmat.identity(3)
+    assert identity(2) == ((1, 0), (0, 1))
+    assert mat_mul(identity(3), identity(3)) == identity(3)
     with pytest.raises(ValueError):
-        intmat.mat_mul(((1, 2),), ((1, 2),))
+        mat_mul(((1, 2),), ((1, 2),))
     with pytest.raises(ValueError):
         intmat.mat_vec(((1, 2), (3, 4)), (1, 2, 3))
 
@@ -27,19 +28,19 @@ def test_identity_and_shapes():
 def test_reference_products():
     a = ((1, 2), (3, 4))
     b = ((0, 1), (1, 0))
-    assert intmat.mat_mul(a, b) == ((2, 1), (4, 3))
+    assert mat_mul(a, b) == ((2, 1), (4, 3))
     assert intmat.mat_vec(a, (1, 1)) == (3, 7)
-    assert intmat.det(a) == -2
-    assert intmat.det(((2, 0, 0), (0, 3, 0), (0, 0, 4))) == 24
-    assert intmat.det(((0, 1, 0, 0), (1, 0, 0, 0),
-                       (0, 0, 0, 1), (0, 0, 1, 0))) == 1
+    assert det(a) == -2
+    assert det(((2, 0, 0), (0, 3, 0), (0, 0, 4))) == 24
+    assert det(((0, 1, 0, 0), (1, 0, 0, 0),
+                (0, 0, 0, 1), (0, 0, 1, 0))) == 1
 
 
 @given(square(3), square(3))
 def test_det_is_multiplicative(a, b):
-    assert intmat.det(intmat.mat_mul(a, b)) == intmat.det(a) * intmat.det(b)
+    assert det(mat_mul(a, b)) == det(a) * det(b)
 
 
 @given(square(4))
 def test_det_is_fixed_by_transposition(a):
-    assert intmat.det(tuple(zip(*a))) == intmat.det(a)
+    assert det(tuple(zip(*a))) == det(a)

@@ -19,11 +19,11 @@ from butterfly_tree.pythagoras import (
     apply_h,
     cbranch_to_triple,
     euclid_to_triple,
-    functor_holds,
     primitive_triple_oracle,
     triple_tree,
 )
 from butterfly_tree.tree import ExpansionLimits, expand, node_at
+from oracles import functor_holds
 
 
 def test_frozen_matrices():
@@ -109,10 +109,13 @@ def test_functoriality_probes_pairs_that_leave_the_positive_quadrant():
     assert functor_holds(2, -5, 3)
 
 
-@pytest.mark.parametrize("i", [0, 4])
-def test_functor_holds_rejects_unknown_index(i):
-    with pytest.raises(ValueError, match=f"h index must be 1, 2 or 3, got {i}"):
-        functor_holds(i, 3, 1)
+@pytest.mark.parametrize("move, args, letter", [
+    (functor_holds, (0, 3, 1), "h"), (functor_holds, (4, 3, 1), "h"),
+    (apply_H, (4, PythTriple(3, 4, 5)), "H"), (apply_h, (0, EuclidPair(3, 1)), "h"),
+], ids=["functor_holds-0", "functor_holds-4", "apply_H-4", "apply_h-0"])
+def test_moves_reject_an_unknown_index(move, args, letter):
+    with pytest.raises(ValueError, match=f"^{letter} index must be 1, 2 or 3, got {args[0]}$"):
+        move(*args)
 
 
 def test_oracle_smallest_cases():
@@ -120,6 +123,8 @@ def test_oracle_smallest_cases():
     seventeen = primitive_triple_oracle(17)
     assert seventeen == {PythTriple(3, 4, 5), PythTriple(5, 12, 13),
                          PythTriple(15, 8, 17)}
+    with pytest.raises(ValueError, match="^c_max must be at least 5$"):
+        primitive_triple_oracle(4)
 
 
 def _all_pairs_oracle(c_max):
@@ -174,6 +179,9 @@ def test_tree_depth_truncation():
 def test_tree_rejects_negative_depth():
     with pytest.raises(ValueError, match="max_depth must be non-negative"):
         list(triple_tree(max_depth=-1))
+    with pytest.raises(ValueError, match="^need c_max or max_depth, the tree is infinite$"):
+        list(triple_tree())
+    assert list(triple_tree(c_max=4)) == []  # below the root's hypotenuse
 
 
 def test_cbranch_reference_values():

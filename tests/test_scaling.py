@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from butterfly_tree import intmat
 from butterfly_tree.errors import ParabolicWord
 from butterfly_tree.generators import GeneratorKind, canonical_matrices
 from butterfly_tree.scaling import (
@@ -17,6 +16,7 @@ from butterfly_tree.scaling import (
     scaling_exponent,
     word_block,
 )
+from oracles import mat_mul
 
 K = GeneratorKind
 
@@ -30,13 +30,15 @@ def test_word_block_reference_values():
     assert word_block([K.U_L]) == ((1, 1), (1, 2))
     assert word_block([K.C_L, K.C_R]) == ((5, 2), (2, 1))
     assert block_trace([K.C_L]) == 2
+    with pytest.raises(ValueError, match="^word must be nonempty$"):
+        word_block([])
 
 
 def mat_mul_block(word):
-    """The oracle: a left-to-right `intmat.mat_mul` fold of the canonical blocks."""
+    """The oracle: a left-to-right `mat_mul` fold of the canonical blocks."""
     out = canonical_matrices(word[0]).two_by_two
     for kind in word[1:]:
-        out = intmat.mat_mul(out, canonical_matrices(kind).two_by_two)
+        out = mat_mul(out, canonical_matrices(kind).two_by_two)
     return out
 
 
@@ -91,6 +93,8 @@ def test_surd_validation_and_power():
     assert s.power(3).trace == 18
     with pytest.raises(ValueError):
         s.power(0)
+    assert float(s) == s.value == (3 + 5 ** 0.5) / 2
+    assert QuadraticSurd(2 ** 1100).value == math.inf  # the square root overflows a float
 
 
 def test_power_matches_word_repetition():
@@ -164,6 +168,8 @@ def test_cf_terms_materialization():
     cf = cf_expansion(QuadraticSurd(6), terms=9)
     assert cf.terms == (5, 1, 4, 1, 4, 1, 4, 1, 4)
     assert len(cf_expansion(QuadraticSurd(6), terms=20).terms) == 20
+    with pytest.raises(ValueError, match="^terms must be >= 1$"):
+        cf_expansion(QuadraticSurd(3), 0)
 
 
 def test_cf_convergents_approach_the_surd():

@@ -12,13 +12,13 @@ from butterfly_tree.skeleton import (
     DEFAULT_PALETTE,
     RenderOptions,
     _apex,
-    _decimal9,
     cell_geometry,
     render_svg,
     tail_triangle,
     wannier_lines,
     wannier_rows,
 )
+from oracles import decimal9
 
 F = Fraction
 
@@ -264,11 +264,11 @@ def test_wannier_rows_reject_small_q_max_on_the_call():
 
 
 def test_decimal9_formatting():
-    assert _decimal9(F(1, 3)) == "0.333333333"
-    assert _decimal9(F(2, 3)) == "0.666666667"
-    assert _decimal9(F(-1, 2)) == "-0.500000000"
-    assert _decimal9(F(5)) == "5.000000000"
-    assert _decimal9(F(1, 2 * 10 ** 9)) == "0.000000001"
+    assert decimal9(F(1, 3)) == "0.333333333"
+    assert decimal9(F(2, 3)) == "0.666666667"
+    assert decimal9(F(-1, 2)) == "-0.500000000"
+    assert decimal9(F(5)) == "5.000000000"
+    assert decimal9(F(1, 2 * 10 ** 9)) == "0.000000001"
 
 
 def test_render_options_validation():

@@ -156,6 +156,8 @@ def test_node_at_rejects_bad_words():
     # still fails ahead of a later unknown token.
     with pytest.raises(TailDirectionMismatch, match="^word fails at prefix UL.TR: "):
         node_at(["UL", "TR", "XX"])
+    with pytest.raises(ValueError, match="^unknown generator token 'XX'$"):
+        node_at(["UL", "XX"])
 
 
 def test_expand_counts():
@@ -250,6 +252,28 @@ def test_child_checks_a_tampered_state():
     skewed = _with_state(node, right=Fraction(2, 3))
     with pytest.raises(InvariantViolation, match="edges not friendly: determinant -2"):
         child(skewed, K.U_L)
+
+
+BAD = TreeNode((1, 0, 1, 0, 1, 0), ())  # q_L = 0
+
+
+@pytest.mark.parametrize("step, text", [
+    (lambda: child(BAD, K.C_L), "C_L on (1, 0, 1, 0, 1, 0) produced a bad state: "
+     "denominators must be positive: q_R=1, q_L=0"),
+    (lambda: children(BAD), "C_L on (1, 0, 1, 0, 1, 0) produced a bad state: "
+     "denominators must be positive: q_R=1, q_L=0"),
+    (lambda: chain(BAD, 2), "C_cR on (1, 0, 1, 0, 1, 0) produced a bad state: "
+     "edges out of order: 1, 1; edges not friendly: determinant 0"),
+    (lambda: child(TreeNode((3, -1, 1, 1, -1, 0), ()), K.C_L),
+     "C_L on (3, -1, 1, 1, -1, 0) produced a bad state: "
+     "denominators must be positive: q_R=1, q_L=-1"),
+], ids=["child", "children", "chain", "negative"])
+def test_a_step_from_a_bad_core_names_that_core(step, text):
+    # A zero denominator once raised ZeroDivisionError here, from the state
+    # built to word the error, and q_L = -1 was written as 0/1.
+    with pytest.raises(InvariantViolation) as info:
+        step()
+    assert str(info.value) == text
 
 
 def test_verify_node_cross_route_catches_a_tampered_label():
@@ -888,6 +912,8 @@ def test_verify_node_reports_what_it_used_to_raise():
     report = verify_node(node_at("CL.UL")._replace(word=(K.C_CR, K.U_L)))
     assert report.failures == (f"parent replay failed: word fails at prefix TR: {tail}",)
     assert report.checks == 8
+    # A negative denominator: the width in lowest terms, with a positive denominator.
+    assert "width 1/3 != 1/(q_L q_R)" in verify_node(TreeNode((3, -1, 1, 1, 1, 0), ())).failures
     # A zero denominator: reported, where the width text once raised from Fraction(0, 0).
     node = node_at("CL")._replace(core=(0, 1, 1, 1, 0, 0))
     for parent in (root(), None):
