@@ -72,17 +72,12 @@ class GeneratorKind(enum.Enum):
         except KeyError:
             raise ValueError(f"unknown generator token {text!r}") from None
 
-    @property
-    def is_parity_preserving(self) -> bool:
-        """C-type babies keep the parity of q_c; U/D babies do not."""
-        return self in (GeneratorKind.C_L, GeneratorKind.C_R)
-
 
 for _kind, _token in zip(GeneratorKind, ("CL", "CR", "UL", "UR", "DL", "DR", "TL", "TR")):
     _kind.token = _token
     _kind.is_chain = _kind in (GeneratorKind.C_CL, GeneratorKind.C_CR)
-    _kind.cell_class = ("chain" if _kind.is_chain else
-                        "C-cell" if _kind.is_parity_preserving else "E-cell")
+    _kind.cell_class = ("chain" if _kind.is_chain else "C-cell"
+                        if _kind in (GeneratorKind.C_L, GeneratorKind.C_R) else "E-cell")
 # Every accepted spelling, normalised as `from_token` normalises its input.
 _BY_KEY = {key: kind for kind in GeneratorKind
            for key in (kind.token, kind.value.upper().replace("_", ""))}

@@ -23,8 +23,8 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .diophantine import central_gap, wannier_rows
-from .errors import EmptyInput
-from .generators import Core, GeneratorKind, tail_generator
+from .errors import EmptyInput, InvariantViolation
+from .generators import Core, GeneratorKind, _problems, tail_generator
 from .tree import TreeNode, chain_cores
 
 if TYPE_CHECKING:
@@ -88,9 +88,12 @@ def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
 
     An edge (p, q, plus, minus, d) sits at flux p/q; the diagonals
     rho_c + sigma_+ (phi - phi_c) and rho_c - sigma_- (phi - phi_c) cross
-    it at densities plus/d and minus/d, with d = q_c*q.
+    it at densities plus/d and minus/d, with d = q_c*q.  A non-positive
+    denominator raises InvariantViolation, as the state view does.
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
+    if q_r < 1 or q_l < 1:
+        raise InvariantViolation(_problems(core)[0])
     p_c, q_c, r_c = centre = _centre(core)
     edges = []
     for p, q in ((p_l, q_l), (p_r, q_r)):
@@ -114,13 +117,11 @@ def cell_geometry(node: TreeNode) -> SkeletonCell:
     import fractions  # the Fraction views alone load it, so `render_svg` does not
     Fraction = fractions.Fraction
     q_r, q_l, s_p, s_m, p_r, p_l = core = node.core
-    # Both edge fluxes first: a zero denominator raises as the state view does.
-    phi_left, phi_right = Fraction(p_l, q_l), Fraction(p_r, q_r)
     (p_c, q_c, r_c), left, right = _cell(core)
     color = None if not node.word else _KIND_ORDER.index(node.word[-1])
     return SkeletonCell(
-        phi_left=phi_left,
-        phi_right=phi_right,
+        phi_left=Fraction(p_l, q_l),
+        phi_right=Fraction(p_r, q_r),
         center=(Fraction(p_c, q_c), Fraction(r_c, q_c)),
         slope_plus=s_p,
         slope_minus=-s_m,
@@ -143,13 +144,10 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
     """
     import fractions
     Fraction = fractions.Fraction
-    q_r, q_l, _, _, p_r, p_l = core = node.core
-    # Both edge fluxes first: a zero denominator raises as the state view does.
-    phi_left, phi_right = Fraction(p_l, q_l), Fraction(p_r, q_r)
-    _, left, right = _cell(core)
-    p, q, r = _apex(*chain_cores(core, 2, node.word))
-    phi, (_, _, plus, minus, d) = ((phi_right, right) if node.tail_direction == "right"
-                                   else (phi_left, left))
+    _, left, right = _cell(node.core)
+    p, q, r = _apex(*chain_cores(node.core, 2, node.word))
+    p_edge, q_edge, plus, minus, d = right if node.tail_direction == "right" else left
+    phi = Fraction(p_edge, q_edge)
     return (phi, Fraction(plus, d)), (phi, Fraction(minus, d)), (Fraction(p, q), Fraction(r, q))
 
 
@@ -268,14 +266,14 @@ def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = Non
                      f'stroke-width="1" stroke-dasharray="4 3" '
                      f'data-tail-of="{text or "root"}"/>')
         if opt.chain_preview:
-            # The preview starts below the last rendered member of the chain.
-            last = cell
-            while kind is not None:
-                nxt = rendered.get(f"{last[2]}.{kind.token}" if last[2] else kind.token)
+            # The preview starts below the last rendered member of the chain,
+            # whose members all share this tail letter (`chain_cores`).
+            last, token = cell, kind.token
+            while True:
+                nxt = rendered.get(f"{last[2]}.{token}" if last[2] else token)
                 if nxt is None:
                     break
                 last = nxt
-                kind = tail_generator(last[0][0], last[0][1])
             dots = previews.get(last[0])
             if dots is None:
                 dots = previews[last[0]] = [

@@ -152,7 +152,11 @@ class ButterflyState:
 
     @classmethod
     def from_core(cls, core: Core) -> "ButterflyState":
+        """The state of a core.  A Fraction would divide a non-positive
+        denominator away, so such a core raises InvariantViolation."""
         q_r, q_l, s_p, s_m, p_r, p_l = core
+        if q_r < 1 or q_l < 1:
+            raise InvariantViolation(_problems(core)[0])
         return cls(Fraction(p_l, q_l), Fraction(p_r, q_r), s_p, s_m)
 
     def check(self) -> list[str]:

@@ -79,8 +79,14 @@ RECORD_FIELDS = ("word", "qR", "qL", "dSigma", "pL", "pR", "pc", "qc",
 
 def parse_word(text: str) -> Word:
     """Parse a dot-separated generator word such as 'UL.CR.TR'."""
-    parts = [p for p in text.replace(",", ".").replace(" ", ".").split(".") if p]
-    return tuple([_BY_KEY.get(p) or GeneratorKind.from_token(p) for p in parts])
+    return _kinds([p for p in text.replace(",", ".").replace(" ", ".").split(".") if p])
+
+
+def _kinds(steps: Iterable[Union[GeneratorKind, str]]) -> Word:
+    """Each step as its generator, a token by `GeneratorKind.from_token`'s spelling
+    rules: ValueError names the first unknown token."""
+    return tuple([step if step.__class__ is GeneratorKind
+                  else _BY_KEY.get(step) or GeneratorKind.from_token(step) for step in steps])
 
 
 def word_string(word: Sequence[GeneratorKind]) -> str:
@@ -121,16 +127,6 @@ class TreeNode(NamedTuple):
     @property
     def word_str(self) -> str:
         return word_string(self.word)
-
-    @property
-    def chain_run(self) -> int:
-        """Number of consecutive chain letters ending the word."""
-        run = 0
-        for kind in reversed(self.word):
-            if not kind.is_chain:
-                break
-            run += 1
-        return run
 
 
 @functools.cache
@@ -235,23 +231,16 @@ def _replay(word: Word) -> Core:
 
 
 def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
-    """Replay a word from the root.
+    """Replay a word from the root: a dot-separated string or a sequence of
+    generators and tokens.
 
-    A chain letter applied against the tail raises TailDirectionMismatch
-    naming the prefix that failed.
+    Every token is converted before the replay, so an unknown one raises
+    ValueError whatever the letters before it; a chain letter applied
+    against the tail raises TailDirectionMismatch naming the prefix that
+    failed.
     """
-    if isinstance(word, str):
-        kinds = parse_word(word)
-        return TreeNode(_replay(kinds), kinds)
-    kinds: list[GeneratorKind] = []
-    try:
-        for step in word:
-            kinds.append(step if isinstance(step, GeneratorKind)
-                         else GeneratorKind.from_token(step))
-    except ValueError:
-        _replay(kinds)  # a bad chain letter before the bad token fails first
-        raise
-    return TreeNode(_replay(kinds), tuple(kinds))
+    kinds = parse_word(word) if isinstance(word, str) else _kinds(word)
+    return TreeNode(_replay(kinds), kinds)
 
 
 class ExpansionLimits(namedtuple("ExpansionLimits", "max_depth chain_cap max_qc")):
@@ -496,12 +485,8 @@ def _json_int(n: int) -> Union[int, str]:
 
 def node_record(node: TreeNode) -> dict:
     """Flat export record; oversized integers become decimal strings."""
-    text, q_r, q_l, d_s, p_l, p_r, p_c, q_c, s_p, s_m, cell, tail, depth = node_row(node)
-    return {"word": text, "qR": _json_int(q_r), "qL": _json_int(q_l),
-            "dSigma": _json_int(d_s), "pL": _json_int(p_l), "pR": _json_int(p_r),
-            "pc": _json_int(p_c), "qc": _json_int(q_c), "sigmaPlus": _json_int(s_p),
-            "sigmaMinus": _json_int(s_m), "cellClass": cell, "tailDirection": tail,
-            "depth": depth}
+    return {key: value if isinstance(value, str) else _json_int(value)
+            for key, value in zip(RECORD_FIELDS, node_row(node))}
 
 
 def _field(record: dict, key: str) -> object:

@@ -4,8 +4,10 @@ result the package computes another way.
 The matrix product, unit and determinant check the hand-written generator
 steps and the balanced word product; `gap_label_oracle` scans the sigma
 window that `gap_rows` steps through; `functor_holds` checks that the pair
-and triple moves of the Pythagorean tree commute on raw integers; and
-`decimal9` rounds an exact rational as the SVG writer's `_fixed9` does.
+and triple moves of the Pythagorean tree commute on raw integers;
+`decimal9` rounds an exact rational as the SVG writer's `_fixed9` does; and
+`chain_run` counts a word's trailing chain letters, which `tree.walk`
+carries along from the parent.
 
 Not named `reference`: `perfbench/reference.py` holds that top-level name,
 and one pytest run over `tests` and `perfbench` imports both.
@@ -21,6 +23,7 @@ from butterfly_tree.errors import NotCoprime
 from butterfly_tree.intmat import Matrix, mat_vec
 from butterfly_tree.pythagoras import H_MATRICES, _triple, h_MATRICES
 from butterfly_tree.skeleton import _fixed9
+from butterfly_tree.tree import Word
 
 
 def identity(n: int) -> Matrix:
@@ -87,3 +90,13 @@ def functor_holds(i: int, m: int, n: int) -> bool:
 def decimal9(x: Fraction) -> str:
     """Fixed 9-decimal string from an exact rational (half away rounding)."""
     return _fixed9(x.numerator, x.denominator)
+
+
+def chain_run(word: Word) -> int:
+    """Number of consecutive chain letters ending the word."""
+    run = 0
+    for kind in reversed(word):
+        if not kind.is_chain:
+            break
+        run += 1
+    return run

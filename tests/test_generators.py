@@ -174,12 +174,16 @@ def test_state_recursion_worked_examples():
     infant = apply_state(K.U_L, ROOT_STATE)
     assert (infant.left, infant.center, infant.right) == (
         Fraction(1, 3), Fraction(2, 5), Fraction(1, 2))
+    triplet = infant.triplet
+    assert (triplet.left, triplet.center, triplet.right) == (
+        Fraction(1, 3), Fraction(2, 5), Fraction(1, 2))
     assert (infant.sigma_plus, infant.sigma_minus) == (2, 3)
 
     lower = apply_state(K.C_L, ROOT_STATE)
     assert (lower.left, lower.center, lower.right) == (
         Fraction(0), Fraction(1, 4), Fraction(1, 3))
     assert (lower.sigma_plus, lower.sigma_minus) == (2, 2)
+    assert (infant.tail_direction, lower.tail_direction) == ("left", "right")
 
     step = apply_state(K.C_CR, lower)
     assert (step.left, step.center, step.right) == (
@@ -461,9 +465,12 @@ def test_step_core_equals_the_unsplit_step(core, kind):
 
 @given(st.one_of(tree_cores(), tampered_cores()), st.sampled_from(list(K)))
 def test_apply_state_keeps_its_results_and_texts(core, kind):
-    if core[0] == 0 or core[1] == 0:
+    q_r, q_l, s_p, s_m, p_r, p_l = core
+    if q_r == 0 or q_l == 0:
         return  # no Fraction has a zero denominator
-    state = ButterflyState.from_core(core)
+    # Built by hand: `from_core` refuses a negative denominator, which a
+    # Fraction moves to its numerator.
+    state = ButterflyState(Fraction(p_l, q_l), Fraction(p_r, q_r), s_p, s_m)
     assert _outcome(apply_state, kind, state) == _outcome(_apply_state_oracle, kind, state)
 
 

@@ -57,6 +57,7 @@ def test_triple_validation():
     with pytest.raises(InvariantViolation):
         PythTriple(6, 8, 10)  # imprimitive
     assert PythTriple(3, -4, 5).leg_set == (3, 4, 5)
+    assert PythTriple(3, -4, 5).as_tuple() == (3, -4, 5)
 
 
 def test_apply_H_reference_values():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from butterfly_tree import tree
-from butterfly_tree.errors import EmptyInput, InconsistentChernPair, NoTail
+from butterfly_tree.errors import EmptyInput, InconsistentChernPair, InvariantViolation, NoTail
 from butterfly_tree.generators import apply_state
 from butterfly_tree.skeleton import (
     DEFAULT_PALETTE,
@@ -133,6 +133,21 @@ def _outcome(function, node):
 def test_tail_triangle_of_a_tampered_core_fails_as_the_cell_does(word, core):
     node = tree.node_at(word)._replace(core=core)
     assert _outcome(tail_triangle, node) == _outcome(_cell_tail_triangle, node)
+
+
+@pytest.mark.parametrize("core, text", [
+    ((3, -1, 1, 1, -1, 0), "denominators must be positive: q_R=3, q_L=-1"),
+    ((1, 0, 1, 0, 1, 0), "denominators must be positive: q_R=1, q_L=0"),
+], ids=["negative", "zero"])
+@pytest.mark.parametrize("view", [lambda node: node.state, cell_geometry, tail_triangle,
+                                  lambda node: render_svg([node])],
+                         ids=["state", "cell_geometry", "tail_triangle", "render_svg"])
+def test_every_view_rejects_a_non_positive_denominator(view, core, text):
+    # A Fraction divided q_L = -1 away (the state's core read (3, 1, ...) and
+    # the cell was drawn with centre -1/2), and q_L = 0 raised ZeroDivisionError.
+    with pytest.raises(InvariantViolation) as info:
+        view(tree.TreeNode(core, ()))
+    assert str(info.value) == text
 
 
 def _oracle_cell(state):

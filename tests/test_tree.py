@@ -56,6 +56,7 @@ from butterfly_tree.tree import (
     write_csv,
     write_jsonl,
 )
+from oracles import chain_run
 from test_golden import lcg_word
 
 K = GeneratorKind
@@ -139,8 +140,8 @@ def test_node_at_addresses():
     assert node_at([]) == root()
     assert node_at("UL.UL").label.as_tuple() == (5, 8, -3)
     assert node_at([K.U_L, K.U_L]) == node_at("UL.UL")
-    assert node_at("UL.TL.TL").chain_run == 2
-    assert node_at("UL.TL.TL.CL").chain_run == 0
+    assert chain_run(node_at("UL.TL.TL").word) == 2
+    assert chain_run(node_at("UL.TL.TL.CL").word) == 0
 
 
 def test_node_at_rejects_bad_words():
@@ -150,14 +151,12 @@ def test_node_at_rejects_bad_words():
     with pytest.raises(TailDirectionMismatch) as info:
         node_at("UL.TR.CL")  # fails at the second letter
     assert "UL.TR" in str(info.value)
-    with pytest.raises(ValueError):
-        node_at("UL.XX")
-    # Tokens convert before the replay, but a chain letter against the tail
-    # still fails ahead of a later unknown token.
-    with pytest.raises(TailDirectionMismatch, match="^word fails at prefix UL.TR: "):
-        node_at(["UL", "TR", "XX"])
-    with pytest.raises(ValueError, match="^unknown generator token 'XX'$"):
-        node_at(["UL", "XX"])
+    # Every input form converts all its tokens before the replay, so an
+    # unknown token fails ahead of an earlier chain letter against the tail.
+    for word in ("UL.XX", "UL.TR.XX", ["UL", "XX"], ["UL", "TR", "XX"],
+                 (GeneratorKind.U_L, "TR", "XX")):
+        with pytest.raises(ValueError, match="^unknown generator token 'XX'$"):
+            node_at(word)
 
 
 def test_expand_counts():
@@ -183,7 +182,7 @@ def test_expand_is_breadth_first_and_deterministic():
 
 def test_expand_chain_cap_limits_tail_runs():
     nodes = list(expand(ExpansionLimits(4, 2)))
-    assert max(n.chain_run for n in nodes) == 2
+    assert max(chain_run(n.word) for n in nodes) == 2
     # The cap binds trailing runs only; a baby step resets the budget.
     assert any(n.word_str == "CL.TR.TR.CL" for n in nodes)
     assert not any(n.word_str.endswith("TR.TR.TR") for n in nodes)
@@ -551,7 +550,7 @@ def test_expand_is_the_core_walk(limits):
     nodes = list(expand(limits))
     assert [(core, word, text) for core, word, text, _ in walk(limits)] == [
         (n.state.core, n.word, n.word_str) for n in nodes]
-    assert [run for *_, run in walk(limits)] == [n.chain_run for n in nodes]
+    assert [run for *_, run in walk(limits)] == [chain_run(n.word) for n in nodes]
     assert list(expand_rows(limits)) == [node_row(n) for n in nodes]
 
 
