@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import sys
 from typing import IO, Iterator, Optional, Sequence
 
@@ -179,18 +178,12 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
     return 0
 
 
-# json.dumps of the record {sigma, tau, p, q, r} with its default separators;
-# all five are ints.  Given a flux's p and q, it is the line template that
-# formats that flux's `gap_rows` (r, sigma, tau) as they come.
-_WANNIER_LINE = '{{{{"sigma": {{1}}, "tau": {{2}}, "p": {}, "q": {}, "r": {{0}}}}}}\n'.format
-
-
 def _cmd_wannier(args: argparse.Namespace) -> int:
-    from .diophantine import gap_rows, reduced_fluxes
-    fluxes = reduced_fluxes(args.qmax)
+    from .diophantine import wannier_rows
+    rows = wannier_rows(args.qmax)  # raises on a bad q_max before the output opens
     with _out_stream(args.output) as fp:
-        for p, q in fluxes:
-            fp.writelines(itertools.starmap(_WANNIER_LINE(p, q).format, gap_rows(p, q)))
+        fp.writelines(f'{{"sigma": {sigma}, "tau": {tau}, "p": {p}, "q": {q}, "r": {r}}}\n'
+                      for sigma, tau, p, q, r in rows)
     return 0
 
 

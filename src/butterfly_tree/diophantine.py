@@ -97,7 +97,6 @@ def band_cherns(p: int, q: int) -> list[BandLabel]:
     band q carrying sigma = 0.  Each band also gets the unique M with
     p*N + q*M = 1.
     """
-    _require_coprime(p, q)
     slopes = [0] + [sigma for _, sigma, _ in gap_rows(p, q)] + [0]
     bands = []
     for i in range(1, q + 1):

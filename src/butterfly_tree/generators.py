@@ -67,10 +67,13 @@ class GeneratorKind(enum.Enum):
 
     @classmethod
     def from_token(cls, text: str) -> "GeneratorKind":
-        try:
-            return _BY_KEY[text.strip().upper().replace("_", "")]
-        except KeyError:
-            raise ValueError(f"unknown generator token {text!r}") from None
+        """The generator a token names, in any case, with or without "_": the
+        exact token is looked up first.  Anything else raises ValueError."""
+        if isinstance(text, str):
+            kind = _BY_KEY.get(text) or _BY_KEY.get(text.strip().upper().replace("_", ""))
+            if kind is not None:
+                return kind
+        raise ValueError(f"unknown generator token {text!r}")
 
 
 for _kind, _token in zip(GeneratorKind, ("CL", "CR", "UL", "UR", "DL", "DR", "TL", "TR")):
@@ -211,6 +214,13 @@ def _problems(core: Core) -> list[str]:
     if s_p + s_m != q_r + q_l:
         problems.append(f"slope sum {_text(s_p + s_m)} != q_c {_text(q_r + q_l)}")
     return problems
+
+
+def _check_denominators(core: Core) -> None:
+    """Raise InvariantViolation, worded by `_problems`, when q_R or q_L is below 1:
+    a view would divide it away or by zero."""
+    if core[0] < 1 or core[1] < 1:
+        raise InvariantViolation(_problems(core)[0])
 
 
 def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:

@@ -23,8 +23,8 @@ from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Optional, Sequence
 
 from .diophantine import central_gap, wannier_rows
-from .errors import EmptyInput, InvariantViolation
-from .generators import Core, GeneratorKind, _problems, tail_generator
+from .errors import EmptyInput
+from .generators import Core, GeneratorKind, _check_denominators, tail_generator
 from .tree import TreeNode, chain_cores
 
 if TYPE_CHECKING:
@@ -91,9 +91,8 @@ def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
     it at densities plus/d and minus/d, with d = q_c*q.  A non-positive
     denominator raises InvariantViolation, as the state view does.
     """
+    _check_denominators(core)
     q_r, q_l, s_p, s_m, p_r, p_l = core
-    if q_r < 1 or q_l < 1:
-        raise InvariantViolation(_problems(core)[0])
     p_c, q_c, r_c = centre = _centre(core)
     edges = []
     for p, q in ((p_l, q_l), (p_r, q_r)):

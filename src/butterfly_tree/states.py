@@ -16,8 +16,8 @@ from typing import Optional
 from . import intmat
 from .errors import InvariantViolation
 from .farey import FareyDifference, FriendlyTriplet, farey_difference, mediant
-from .generators import (_FOUR, Core, GeneratorKind, _bad_step, _problems, label_route,
-                         state_route, tail_generator, tail_side)
+from .generators import (_FOUR, Core, GeneratorKind, _bad_step, _check_denominators,
+                         _problems, label_route, state_route, tail_generator, tail_side)
 
 
 @dataclass(frozen=True)
@@ -154,9 +154,8 @@ class ButterflyState:
     def from_core(cls, core: Core) -> "ButterflyState":
         """The state of a core.  A Fraction would divide a non-positive
         denominator away, so such a core raises InvariantViolation."""
+        _check_denominators(core)
         q_r, q_l, s_p, s_m, p_r, p_l = core
-        if q_r < 1 or q_l < 1:
-            raise InvariantViolation(_problems(core)[0])
         return cls(Fraction(p_l, q_l), Fraction(p_r, q_r), s_p, s_m)
 
     def check(self) -> list[str]:

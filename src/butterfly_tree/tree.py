@@ -54,7 +54,7 @@ from .generators import (
     Core,
     GeneratorKind,
     ROOT_CORE,
-    _BY_KEY,
+    _check_denominators,
     _problems,
     _ratio,
     _step,
@@ -83,10 +83,11 @@ def parse_word(text: str) -> Word:
 
 
 def _kinds(steps: Iterable[Union[GeneratorKind, str]]) -> Word:
-    """Each step as its generator, a token by `GeneratorKind.from_token`'s spelling
-    rules: ValueError names the first unknown token."""
-    return tuple([step if step.__class__ is GeneratorKind
-                  else _BY_KEY.get(step) or GeneratorKind.from_token(step) for step in steps])
+    """Each step as its generator, a token by `GeneratorKind.from_token`:
+    ValueError names the first unknown token."""
+    from_token = GeneratorKind.from_token  # an enum class attribute costs 0.3 us a read
+    return tuple([step if step.__class__ is GeneratorKind else from_token(step)
+                  for step in steps])
 
 
 def word_string(word: Sequence[GeneratorKind]) -> str:
@@ -96,8 +97,8 @@ def word_string(word: Sequence[GeneratorKind]) -> str:
 class TreeNode(NamedTuple):
     """One butterfly: its integer core and its word; everything else is a view.
 
-    Construction does not validate; `.label` raises InvariantViolation on
-    an inconsistent core.
+    Construction does not validate; `.state` and `.label` raise
+    InvariantViolation on an inconsistent core.
     """
 
     core: Core
@@ -109,6 +110,7 @@ class TreeNode(NamedTuple):
 
     @property
     def label(self) -> ButterflyLabel:
+        _check_denominators(self.core)
         q_r, q_l, s_p, s_m = self.core[:4]
         return _module("states").ButterflyLabel(q_r, q_l, s_p - s_m)
 
@@ -340,9 +342,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     q_r, q_l, s_p, s_m, p_r, p_l = core
     label = (q_r, q_l, s_p - s_m)
     failures = _problems(core)
-    checks = 4
 
-    checks += 1
     try:
         recovered = diophantine.recover_edges(q_r, q_l)
         if recovered != (p_l, p_r):
@@ -350,12 +350,10 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     except Exception as exc:
         failures.append(f"edge recovery failed: {exc}")
 
-    checks += 1
     det = p_r * q_l - p_l * q_r
     if det != 1:
         failures.append(f"width {_ratio(det, q_r * q_l)} != 1/(q_L q_R)")
 
-    checks += 1
     q_c = q_r + q_l
     try:
         r_c = diophantine.central_gap(s_p, s_m, p_r + p_l, q_c)[2]
@@ -364,11 +362,13 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     except Exception as exc:
         failures.append(f"central gap congruence failed: {exc}")
 
-    checks += 1  # the root's core, else the parent's replay or the cross-route
+    # Eight checks so far: the four of `_problems`, the numerators, the width,
+    # the central gap, and the root's core, else the parent's replay or the
+    # cross-route; below the root, four more relate the node to its parent.
     if not word:
         if core != ROOT_CORE:
             failures.append("word replay disagrees with stored node")
-        return NodeVerification(node.word_str, checks, tuple(failures))
+        return NodeVerification(node.word_str, 8, tuple(failures))
     prefix, last = word[:-1], word[-1]
     if parent is not None:
         if parent.word != prefix:
@@ -379,7 +379,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
             p_core = _replay(prefix)
         except Exception as exc:
             failures.append(f"parent replay failed: {exc}")
-            return NodeVerification(node.word_str, checks, tuple(failures))
+            return NodeVerification(node.word_str, 8, tuple(failures))
     pq_r, pq_l, ps_p, ps_m, pp_r, pp_l = p_core
 
     try:
@@ -394,17 +394,14 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
                             f"has {_text(core)} and {_text(label)}")
 
     a, b, c, d = _EXPECTED_STEP[last.token]
-    checks += 1
     expected_qc = a * pq_r + b * pq_l
     if q_c != expected_qc:
         failures.append(f"q_c {q_c} != expected {expected_qc}")
 
-    checks += 1
     expected_ds = ps_p - ps_m + c * pq_r + d * pq_l
     if s_p - s_m != expected_ds:
         failures.append(f"Delta-sigma {s_p - s_m} != expected {expected_ds}")
 
-    checks += 1
     if last.is_chain:
         # The accumulation point (pp_r - pp_l)/(pq_r - pq_l).
         acc_p, acc_q = pp_r - pp_l, pq_r - pq_l
@@ -424,7 +421,6 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
     elif not (pp_l * q_l <= p_l * pq_l and p_r * pq_r <= pp_r * q_r):
         failures.append("baby interval escapes the parent interval")
 
-    checks += 1
     p_qc = pq_r + pq_l
     if last.cell_class in ("C-cell", "chain"):
         if (q_c - p_qc) % 2:
@@ -434,7 +430,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
         if q_c != 2 * p_qc + side:
             failures.append("E-cell step is not q_c' = 2 q_c + q_edge")
 
-    return NodeVerification(node.word_str, checks, tuple(failures))
+    return NodeVerification(node.word_str, 12, tuple(failures))
 
 
 def record_row(core: Core, text: str, cell_class: str, depth: int) -> tuple:
@@ -457,9 +453,7 @@ def node_row(node: TreeNode) -> tuple:
 def expand_rows(limits: ExpansionLimits) -> Iterator[tuple]:
     """The row of each node of `expand(limits)`, built straight from the cores."""
     for core, word, text, _ in walk(limits):
-        q_r, q_l, s_p, s_m, p_r, p_l = core
-        yield (text, q_r, q_l, s_p - s_m, p_l, p_r, p_l + p_r, q_r + q_l, s_p, s_m,
-               word[-1].cell_class if word else "root", tail_side(q_r, q_l), len(word))
+        yield record_row(core, text, word[-1].cell_class if word else "root", len(word))
 
 
 def _decimal(n: int) -> str:

@@ -139,9 +139,9 @@ def test_tail_triangle_of_a_tampered_core_fails_as_the_cell_does(word, core):
     ((3, -1, 1, 1, -1, 0), "denominators must be positive: q_R=3, q_L=-1"),
     ((1, 0, 1, 0, 1, 0), "denominators must be positive: q_R=1, q_L=0"),
 ], ids=["negative", "zero"])
-@pytest.mark.parametrize("view", [lambda node: node.state, cell_geometry, tail_triangle,
-                                  lambda node: render_svg([node])],
-                         ids=["state", "cell_geometry", "tail_triangle", "render_svg"])
+@pytest.mark.parametrize("view", [lambda node: node.state, lambda node: node.label,
+                                  cell_geometry, tail_triangle, lambda node: render_svg([node])],
+                         ids=["state", "label", "cell_geometry", "tail_triangle", "render_svg"])
 def test_every_view_rejects_a_non_positive_denominator(view, core, text):
     # A Fraction divided q_L = -1 away (the state's core read (3, 1, ...) and
     # the cell was drawn with centre -1/2), and q_L = 0 raised ZeroDivisionError.

@@ -157,6 +157,11 @@ def test_node_at_rejects_bad_words():
                  (GeneratorKind.U_L, "TR", "XX")):
         with pytest.raises(ValueError, match="^unknown generator token 'XX'$"):
             node_at(word)
+    # An item that is neither a generator nor a string is an unknown token too.
+    for item, text in ((5, "5"), (["TR"], "['TR']"), (None, "None")):
+        with pytest.raises(ValueError) as info:
+            node_at(["UL", item])
+        assert str(info.value) == f"unknown generator token {text}"
 
 
 def test_expand_counts():
