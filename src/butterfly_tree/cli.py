@@ -7,7 +7,8 @@ only when the tail points that way.  Everything is deterministic: the
 same flags always produce byte-identical output.
 
 Exit codes: 0 success, 1 domain/invariant failure, 2 usage error, 3 I/O
-failure.
+failure.  `expand`, `wannier` and `render` stream, so an I/O failure part way
+leaves a partial file; their usage errors come before the output opens.
 """
 
 from __future__ import annotations
@@ -194,9 +195,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
     options = skel.RenderOptions(width=args.width, height=args.height,
                                  margin=args.margin, palette=palette,
                                  chain_preview=args.chain_preview)
-    document = skel.render_svg(expand(_limits(args)), options)
+    # Every node is built and checked before the output opens; the parts then
+    # stream, so an I/O failure may leave a partial file, as `expand` does.
+    parts = skel._svg_parts(expand(_limits(args)), options)
     with _out_stream(args.output) as fp:
-        fp.write(document)
+        fp.writelines(parts)
     return 0
 
 

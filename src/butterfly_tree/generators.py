@@ -76,11 +76,15 @@ class GeneratorKind(enum.Enum):
         raise ValueError(f"unknown generator token {text!r}")
 
 
+# The members as module globals, for the hot paths: a read through the enum
+# class costs about 0.2 us, a global about 0.01 us.
+_C_L, _C_R, _U_L, _U_R, _D_L, _D_R, _C_CL, _C_CR = GeneratorKind
+
 for _kind, _token in zip(GeneratorKind, ("CL", "CR", "UL", "UR", "DL", "DR", "TL", "TR")):
     _kind.token = _token
-    _kind.is_chain = _kind in (GeneratorKind.C_CL, GeneratorKind.C_CR)
+    _kind.is_chain = _kind in (_C_CL, _C_CR)
     _kind.cell_class = ("chain" if _kind.is_chain else "C-cell"
-                        if _kind in (GeneratorKind.C_L, GeneratorKind.C_R) else "E-cell")
+                        if _kind in (_C_L, _C_R) else "E-cell")
 # Every accepted spelling, normalised as `from_token` normalises its input.
 _BY_KEY = {key: kind for kind in GeneratorKind
            for key in (kind.token, kind.value.upper().replace("_", ""))}
@@ -167,9 +171,9 @@ def tail_side(q_r: int, q_l: int) -> str:
 def tail_generator(q_r: int, q_l: int) -> Optional[GeneratorKind]:
     """The chain generator that walks the tail, None when there is none."""
     if q_r > q_l:
-        return GeneratorKind.C_CR
+        return _C_CR
     if q_l > q_r:
-        return GeneratorKind.C_CL
+        return _C_CL
     return None
 
 
@@ -224,8 +228,8 @@ def _check_denominators(core: Core) -> None:
 
 
 def _check_tail(kind: GeneratorKind, q_r: int, q_l: int, holder: str) -> None:
-    if kind.is_chain and (q_r <= q_l if kind is GeneratorKind.C_CR else q_l <= q_r):
-        need = "q_R > q_L" if kind is GeneratorKind.C_CR else "q_L > q_R"
+    if kind.is_chain and (q_r <= q_l if kind is _C_CR else q_l <= q_r):
+        need = "q_R > q_L" if kind is _C_CR else "q_L > q_R"
         raise TailDirectionMismatch(
             f"{kind.value} needs {need}, {holder} has {_text((q_r, q_l))}")
 
@@ -276,19 +280,19 @@ def state_route(kind: GeneratorKind, core: Core) -> Core:
     q_r, q_l, s_p, s_m, p_r, p_l = core
     _check_tail(kind, q_r, q_l, "state")
     q_c, p_c = q_r + q_l, p_r + p_l
-    if kind is GeneratorKind.C_L:
+    if kind is _C_L:
         return (q_r + 2 * q_l, q_l, s_p + q_l, s_m + q_l, p_r + 2 * p_l, p_l)
-    if kind is GeneratorKind.C_R:
+    if kind is _C_R:
         return (q_r, q_l + 2 * q_r, s_p + q_r, s_m + q_r, p_r, p_l + 2 * p_r)
-    if kind is GeneratorKind.U_L:
+    if kind is _U_L:
         return (q_c, q_c + q_l, s_p + q_l, s_m + q_c, p_c, p_c + p_l)
-    if kind is GeneratorKind.U_R:
+    if kind is _U_R:
         return (q_c + q_r, q_c, s_p + q_c, s_m + q_r, p_c + p_r, p_c)
-    if kind is GeneratorKind.D_L:
+    if kind is _D_L:
         return (q_c, q_c + q_l, s_p + q_c, s_m + q_l, p_c, p_c + p_l)
-    if kind is GeneratorKind.D_R:
+    if kind is _D_R:
         return (q_c + q_r, q_c, s_p + q_r, s_m + q_c, p_c + p_r, p_c)
-    if kind is GeneratorKind.C_CL:
+    if kind is _C_CL:
         step = q_l - q_r
         return (q_l, 2 * q_l - q_r, s_p + step, s_m + step, p_l, 2 * p_l - p_r)
     step = q_r - q_l

@@ -54,6 +54,9 @@ from .generators import (
     Core,
     GeneratorKind,
     ROOT_CORE,
+    _C_CR,
+    _D_L,
+    _U_L,
     _check_denominators,
     _problems,
     _ratio,
@@ -159,7 +162,7 @@ def _candidates(q_r: int, q_l: int,
     """The `_qc_row` of each generator that may make a child of (q_R, q_L):
     the six babies, then the tail letter when there is a tail and `tail_ok`."""
     tail = tail_generator(q_r, q_l) if tail_ok else None
-    return _BABY_ROWS if tail is None else _TAIL_ROWS[tail is GeneratorKind.C_CR]
+    return _BABY_ROWS if tail is None else _TAIL_ROWS[tail is _C_CR]
 
 
 def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
@@ -426,7 +429,7 @@ def verify_node(node: TreeNode, parent: Optional[TreeNode] = None) -> NodeVerifi
         if (q_c - p_qc) % 2:
             failures.append("parity-preserving step changed q_c parity")
     else:
-        side = pq_l if last in (GeneratorKind.U_L, GeneratorKind.D_L) else pq_r
+        side = pq_l if last in (_U_L, _D_L) else pq_r
         if q_c != 2 * p_qc + side:
             failures.append("E-cell step is not q_c' = 2 q_c + q_edge")
 

@@ -5,7 +5,8 @@ The matrix product, unit and determinant check the hand-written generator
 steps and the balanced word product; `gap_label_oracle` scans the sigma
 window that `gap_rows` steps through; `functor_holds` checks that the pair
 and triple moves of the Pythagorean tree commute on raw integers;
-`decimal9` rounds an exact rational as the SVG writer's `_fixed9` does; and
+`decimal9` rounds an exact rational to 9 decimals by `Fraction` arithmetic,
+the rule the SVG writer's `_fixed9` follows on integers; and
 `chain_run` counts a word's trailing chain letters, which `tree.walk`
 carries along from the parent.
 
@@ -16,13 +17,12 @@ and one pytest run over `tests` and `perfbench` imports both.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import floor, gcd
 
 from butterfly_tree.diophantine import _require_coprime
 from butterfly_tree.errors import NotCoprime
 from butterfly_tree.intmat import Matrix, mat_vec
 from butterfly_tree.pythagoras import H_MATRICES, _triple, h_MATRICES
-from butterfly_tree.skeleton import _fixed9
 from butterfly_tree.tree import Word
 
 
@@ -88,8 +88,10 @@ def functor_holds(i: int, m: int, n: int) -> bool:
 
 
 def decimal9(x: Fraction) -> str:
-    """Fixed 9-decimal string from an exact rational (half away rounding)."""
-    return _fixed9(x.numerator, x.denominator)
+    """Fixed 9-decimal string of an exact rational: |x| * 10^9 rounded half
+    away from zero, with the sign of x, so a tiny negative reads -0.000000000."""
+    units = floor(abs(x) * 10 ** 9 + Fraction(1, 2))
+    return f"{'-' if x < 0 else ''}{units // 10 ** 9}.{units % 10 ** 9:09d}"
 
 
 def chain_run(word: Word) -> int:

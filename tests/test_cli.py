@@ -1,10 +1,16 @@
 """End-to-end checks of the command-line interface via cli.main()."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
 import re
+import subprocess
 import sys
+import tracemalloc
+import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
@@ -72,6 +78,66 @@ def test_render_bytes_equal_render_svg_of_the_nodes(capsys):
     want = skeleton.render_svg(tree.expand(limits))
     assert run(capsys, "render", "--depth", "3", "--chain-cap", "2",
                "--max-qc", "40") == (0, want, "")
+    ET.fromstring(want)
+
+
+# The benchmark's `views` render: its SHA-256 and size, as in perfbench/workloads.py.
+VIEWS_RENDER = ("ea52fc942b28f7d099c56fa1ad415645d7831a66f079d9c5d6413469dfaff70b", 2_291_788)
+
+
+def test_render_streams_its_document(tmp_path):
+    # The parts reach the file as they are made, so the peak stays under twice
+    # the document; a document built whole, then written, peaks at 4.3 times it.
+    path = tmp_path / "skeleton.svg"
+    tracemalloc.start()
+    try:
+        code = main(["render", "--depth", "4", "--chain-cap", "2", "-o", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    document = path.read_bytes()
+    assert (code, (hashlib.sha256(document).hexdigest(), len(document))) == (0, VIEWS_RENDER)
+    assert peak < 2 * len(document), peak
+    ET.fromstring(document)
+
+
+@pytest.mark.parametrize("flags, error", [
+    (["--palette", "a&b,b,c,d,e,f,g,h"],
+     "palette color 1 is not #rgb, #rrggbb or a name of ASCII letters: 'a&b'"),
+    (["--palette", '#000,"/><script>alert(1)</script><x a=",c,d,e,f,g,h'],
+     "palette color 2 is not #rgb, #rrggbb or a name of ASCII letters: "
+     "'\"/><script>alert(1)</script><x a=\"'"),
+    (["--palette", "#000,#111,#222,#333,#444,#555,#666"], "palette must have exactly 8 colors"),
+    (["--margin", "-5"], "margin must be >= 0"),
+    (["--depth", "-1"], "limits must be non-negative"),
+], ids=["ampersand", "markup", "seven-colors", "negative-margin", "negative-depth"])
+def test_render_rejects_bad_options_before_any_output(capsys, tmp_path, flags, error):
+    target = tmp_path / "out.svg"
+    for output in ([], ["-o", str(target)]):
+        argv = ["render", "--depth", "1", *flags, *output]
+        assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+    assert not target.exists()
+
+
+def test_render_cut_by_an_io_failure_leaves_a_partial_file(tmp_path):
+    # A child whose files may not pass 16 KiB (RLIMIT_FSIZE on itself alone):
+    # the write past it fails with EFBIG, after the first 16 KiB reached the
+    # file, and the run exits 3 as `expand` does.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_FSIZE"):
+        pytest.skip("no RLIMIT_FSIZE")
+    limit = 16 * 1024
+    target = tmp_path / "cut.svg"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "butterfly_tree.cli", "render", "--depth", "2",
+         "--chain-cap", "1", "-o", str(target)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.decode().startswith("i/o error: [Errno 27]")
+    whole = skeleton.render_svg(tree.expand(tree.ExpansionLimits(2, 1))).encode()
+    assert target.read_bytes() == whole[:limit]
 
 
 def test_expand_csv_and_file_output(capsys, tmp_path):
@@ -397,6 +463,7 @@ def test_render_command_and_determinism(capsys, tmp_path):
     assert run(capsys, "render", "--depth", "1", "-o", str(second))[0] == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_text(encoding="utf-8").startswith("<?xml")
+    ET.fromstring(first.read_bytes())
 
 
 def test_exit_codes(capsys, tmp_path):

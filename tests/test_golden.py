@@ -23,6 +23,7 @@ needs no quoting.
 """
 
 import hashlib
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -110,3 +111,5 @@ def test_cli_output_bytes(capsys, argv):
     out = capsys.readouterr().out.encode("utf-8")
     assert code == 0
     assert (hashlib.sha256(out).hexdigest(), len(out)) == GOLDEN[argv]
+    if argv.startswith("render"):
+        ET.fromstring(out)  # well-formed XML

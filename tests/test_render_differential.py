@@ -2,6 +2,7 @@
 every preview dot where it is written, byte for byte and error for error."""
 
 import itertools
+import xml.etree.ElementTree as ET
 
 import pytest
 
@@ -106,7 +107,9 @@ def test_render_equals_the_reference_over_the_grid(cap):
     for depth, preview in itertools.product(range(5), (0, 1, 4, 7)):
         nodes = list(tree.expand(tree.ExpansionLimits(max_depth=depth, chain_cap=cap)))
         options = RenderOptions(chain_preview=preview)
-        assert render_svg(nodes, options) == reference_svg(nodes, options), (depth, preview)
+        document = render_svg(nodes, options)
+        assert document == reference_svg(nodes, options), (depth, preview)
+        ET.fromstring(document)
 
 
 def test_render_equals_the_reference_with_custom_margin_and_palette():
@@ -115,6 +118,7 @@ def test_render_equals_the_reference_with_custom_margin_and_palette():
                             palette=tuple(f"#{i}0{i}0{i}0" for i in range(8)))
     document = render_svg(nodes, options)
     assert document == reference_svg(nodes, options)
+    ET.fromstring(document)
     assert 'fill="#606060"' in document and 'data-x-transform="x = 17 + phi * 606"' in document
 
 

@@ -4,6 +4,8 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from butterfly_tree import tree
 from butterfly_tree.errors import EmptyInput, InconsistentChernPair, InvariantViolation, NoTail
@@ -12,6 +14,7 @@ from butterfly_tree.skeleton import (
     DEFAULT_PALETTE,
     RenderOptions,
     _apex,
+    _fixed9,
     cell_geometry,
     render_svg,
     tail_triangle,
@@ -284,6 +287,22 @@ def test_decimal9_formatting():
     assert decimal9(F(-1, 2)) == "-0.500000000"
     assert decimal9(F(5)) == "5.000000000"
     assert decimal9(F(1, 2 * 10 ** 9)) == "0.000000001"
+    assert decimal9(F(-1, 2 * 10 ** 9)) == "-0.000000001"
+    assert decimal9(F(-1, 3 * 10 ** 9)) == "-0.000000000"
+    assert decimal9(F(-7, 2)) == "-3.500000000"
+
+
+# Denominators that make exact halves at the ninth decimal, so ties come up.
+_TIE_DENOMINATORS = st.sampled_from([1, 2, 8, 10 ** 9, 2 * 10 ** 9, 4 * 10 ** 9 // 5])
+
+
+@given(st.one_of(st.integers(-2 ** 400, 2 ** 400), st.integers(-3, 3)),
+       st.one_of(st.integers(1, 2 ** 300), _TIE_DENOMINATORS),
+       st.integers(1, 2 ** 64))
+def test_fixed9_rounds_as_the_fraction_oracle(n, d, k):
+    # n*k / d*k is unreduced whenever k > 1: `_fixed9` must not need lowest terms.
+    # A small n over a large d rounds to zero and must keep its sign.
+    assert _fixed9(n * k, d * k) == decimal9(F(n, d))
 
 
 def test_render_options_validation():
@@ -294,6 +313,28 @@ def test_render_options_validation():
         RenderOptions(width=80, margin=40)
     with pytest.raises(ValueError):
         RenderOptions(chain_preview=-1)
+    with pytest.raises(ValueError, match=r"^margin must be >= 0$"):
+        RenderOptions(margin=-5)
+    with pytest.raises(ValueError, match=r"^margin must be >= 0$"):
+        RenderOptions()._replace(margin=-1)
+    assert RenderOptions(margin=0).margin == 0
+
+
+@pytest.mark.parametrize("color", ["#abc", "#A0B1C2", "red", "DarkSlateGray"])
+def test_render_options_accept_hex_colors_and_letter_names(color):
+    assert RenderOptions(palette=(color,) * 8).palette == (color,) * 8
+
+
+@pytest.mark.parametrize("color", ["a&b", "#ffff", "#12345", "#ggg", "", "#", "red ",
+                                   "rgb(1,2,3)", "\u00e9t\u00e9", '"/><script>', 7])
+def test_render_options_reject_a_color_outside_the_grammar(color):
+    palette = DEFAULT_PALETTE[:5] + (color,) + DEFAULT_PALETTE[6:]
+    with pytest.raises(ValueError) as info:
+        RenderOptions(palette=palette)
+    assert str(info.value) == (f"palette color 6 is not #rgb, #rrggbb or a name of "
+                               f"ASCII letters: {color!r}")
+    with pytest.raises(ValueError):
+        RenderOptions()._replace(palette=palette)
 
 
 def test_render_is_byte_deterministic():
