@@ -7,8 +7,11 @@ only when the tail points that way.  Everything is deterministic: the
 same flags always produce byte-identical output.
 
 Exit codes: 0 success, 1 domain/invariant failure, 2 usage error, 3 I/O
-failure.  `expand`, `wannier` and `render` stream, so an I/O failure part way
-leaves a partial file; their usage errors come before the output opens.
+failure, 4 out of memory.  `expand`, `pyth`, `wannier` and `render` stream,
+so an I/O failure part way leaves a partial file; their usage errors come
+before the output opens.  Every command that takes `-o` writes in blocks of
+at least 64 Ki characters (`_Blocks`), one call each, so an unbuffered
+stdout (`PYTHONUNBUFFERED=1`) makes one system call a block, not one a line.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import IO, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 # Every package module but `errors`, the tree included, and `json` are imported
 # inside the handlers that use them, so start-up loads only what runs: `pyth`,
@@ -24,13 +27,46 @@ from typing import IO, Iterator, Optional, Sequence
 from .errors import ButterflyError
 
 
+_BLOCK = 64 * 1024  # characters
+
+
+class _Blocks:
+    """Joins what it is given into blocks of at least `_BLOCK` characters and
+    passes each to `write` once; `flush` passes on the rest.  A block is
+    taken off before it is written, so a failed write is not retried."""
+
+    __slots__ = ("_write", "_parts", "_size")
+
+    def __init__(self, write) -> None:
+        self._write, self._parts, self._size = write, [], 0
+
+    def write(self, text: str) -> None:
+        self._parts.append(text)
+        self._size += len(text)
+        if self._size >= _BLOCK:
+            self.flush()
+
+    def writelines(self, lines) -> None:
+        for text in lines:
+            self.write(text)
+
+    def flush(self) -> None:
+        block = "".join(self._parts)
+        self._parts, self._size = [], 0
+        if block:
+            self._write(block)
+
+
 @contextlib.contextmanager
-def _out_stream(path: Optional[str]) -> Iterator[IO[str]]:
-    if path is None or path == "-":
-        yield sys.stdout
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fp:
-            yield fp
+def _out_stream(path: Optional[str]) -> Iterator[_Blocks]:
+    stdout = path is None or path == "-"
+    with (contextlib.nullcontext(sys.stdout) if stdout
+          else open(path, "w", encoding="utf-8", newline="")) as fp:
+        blocks = _Blocks(fp.write)
+        try:
+            yield blocks
+        finally:  # an error in the command still writes what came before it
+            blocks.flush()
 
 
 def _limits(args: argparse.Namespace):
@@ -70,18 +106,13 @@ def _cmd_chain(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     from . import tree as tree_mod
-    # The expansion is breadth-first, so every parent sits in the level just
-    # above its child: two levels are all that need to be held.  They are
-    # keyed by word string, which hashes no generator.
-    parents, level, depth = {}, {}, 0
+    # The walk hands each node its parent's core, which was verified before it.
+    TreeNode = tree_mod.TreeNode
     count = 0
     bad = []
-    for core, word, text, _ in tree_mod.walk(_limits(args)):
-        node = tree_mod.TreeNode(core, word)
-        if len(word) > depth:
-            parents, level, depth = level, {}, len(word)
-        level[text] = node
-        report = tree_mod.verify_node(node, parents.get(text.rpartition(".")[0]))
+    for core, word, _, _, parent in tree_mod.walk(_limits(args)):
+        report = tree_mod.verify_node(
+            TreeNode(core, word), None if parent is None else TreeNode(parent, word[:-1]))
         count += 1
         if not report.ok:
             bad.append(report)
@@ -105,8 +136,9 @@ def _cmd_pyth(args: argparse.Namespace) -> int:
         print(json.dumps({"cMax": args.oracle_cmax, "treeCount": len(got),
                           "oracleCount": len(want), "match": ok}))
         return 0 if ok else 1
+    triples = triple_tree(max_depth=args.depth)  # raises on a bad depth before any output
     with _out_stream(args.output) as fp:
-        for word, triple in triple_tree(max_depth=args.depth):
+        for word, triple in triples:
             record = {"word": ".".join(str(i) for i in word),
                       "a": triple.a, "b": triple.b, "c": triple.c}
             fp.write(json.dumps(record) + "\n")
@@ -300,6 +332,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return 4
 
 
 def entry() -> None:

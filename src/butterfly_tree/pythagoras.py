@@ -149,12 +149,18 @@ def triple_tree(c_max: Optional[int] = None,
     """Breadth-first H-tree from (3,4,5), bounded by c and/or word length.
 
     Yields (word, triple) pairs; words are tuples over {1,2,3}.  Pruning
-    at c_max is exhaustive because every H_i strictly increases c.
+    at c_max is exhaustive because every H_i strictly increases c.  The
+    bounds are checked on the call, not on the first pair.
     """
     if c_max is None and max_depth is None:
         raise ValueError("need c_max or max_depth, the tree is infinite")
     if max_depth is not None and max_depth < 0:
         raise ValueError("max_depth must be non-negative")
+    return _triple_tree(c_max, max_depth)
+
+
+def _triple_tree(c_max: Optional[int],
+                 max_depth: Optional[int]) -> Iterator[tuple[tuple[int, ...], PythTriple]]:
     if c_max is not None and c_max < 5:
         return
     queue = deque([((), PythTriple(3, 4, 5))])

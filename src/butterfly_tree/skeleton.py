@@ -14,8 +14,9 @@ in integers and writes fixed 9-digit decimals, so rendering the same
 input twice produces identical bytes; it formats each x coordinate once,
 and each chain end's preview dots once.
 The SVG streams: `_svg_parts` yields the header, each cell's group, then
-the tails, and `render_svg` joins them, while CLI `render` writes each
-part as it is made.  Only the cells and the tails, which follow every
+the tails, and `render_svg` joins them, while CLI `render` passes each
+part as it is made to the CLI's writer, which writes them in blocks of
+64 KiB.  Only the cells and the tails, which follow every
 group, are held, never the document: on Python 3.11 (x86-64 Linux) a CLI
 render's peak RSS is 17 MiB at depth 4 and chain cap 2, 32 MiB at d5/c2
 and 133 MiB at d6/c1, against 24, 79 and 447 MiB with the whole document

@@ -15,10 +15,12 @@ Every step is `generators._step` on the integer core: `step_core` adds
 the friendly determinant to each, and a word's replay (`_replay`) checks
 it once, on the core it reaches.
 `walk` is the one breadth-first traversal: it yields each emitted node as
-its core, word, word string and trailing chain run.  It decides the chain
-cap and the q_c ceiling from the parent (q_c grows along every edge, so a
-pruned child hides nothing below the ceiling) and steps only the children
-it emits.  `expand` wraps each core and word in a node, whose Fraction
+its core, word, word string, trailing chain run and parent's core.  It
+decides the chain cap and the q_c ceiling from the parent (q_c grows along
+every edge, so a pruned child hides nothing below the ceiling) and steps
+only the children it emits.  It builds each level from the one above, so
+it holds at most one level, about a seventh of the nodes, and never the
+last; the parent's core lets CLI `verify` hold no node of its own.  `expand` wraps each core and word in a node, whose Fraction
 state and label are built only on access; `expand_rows` builds only the
 export row, which the JSONL and CSV writers format with one f-string, so
 the CLI streams records with no object per record; `chain_rows` does the
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import functools
 import importlib
-from collections import deque, namedtuple
+from collections import namedtuple
 from types import ModuleType
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -268,35 +270,43 @@ class ExpansionLimits(namedtuple("ExpansionLimits", "max_depth chain_cap max_qc"
         return super().__new__(cls, max_depth, chain_cap, max_qc)
 
 
-def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int]]:
+def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int, Optional[Core]]]:
     """Breadth-first walk of the integer cores, deterministic order.
 
-    Yields (core, word, word string, trailing chain run) for each emitted
-    node, the root first.  Each prune is decided from the parent before any
-    step: the tail letter is a candidate only while the run is under the
-    chain cap, and a candidate's q_c is read from the parent's denominators
-    (`_qc_row`).  Only the children emitted are stepped, each checked in
-    full by `step_core`.
+    Yields (core, word, word string, trailing chain run, parent's core) for
+    each emitted node, the root first with parent None.  Each prune is
+    decided from the parent before any step: the tail letter is a candidate
+    only while the run is under the chain cap, and a candidate's q_c is read
+    from the parent's denominators (`_qc_row`).  Only the children emitted
+    are stepped, each checked in full by `step_core`.  Each level is built
+    from the one above, whose parents are dropped as they are stepped; a
+    child is yielded as soon as it is made and kept only while it is above
+    `max_depth`, so at most one level is held and the last one never.
     """
     max_depth, chain_cap, max_qc = limits
-    queue = deque([(ROOT_CORE, (), "", 0)])
-    while queue:
-        item = queue.popleft()
-        yield item
-        core, word, text, run = item
-        if len(word) >= max_depth:
-            continue
-        q_r, q_l = core[0], core[1]
-        prefix = f"{text}." if word else ""
-        for kind, u, v in _candidates(q_r, q_l, run < chain_cap):
-            if max_qc is None or u * q_r + v * q_l <= max_qc:
-                queue.append((step_core(kind, core), word + (kind,), prefix + kind.token,
-                              run + 1 if kind.is_chain else 0))
+    item = (ROOT_CORE, (), "", 0, None)
+    yield item
+    level = [item] if max_depth else []
+    while level:
+        above, level = level, []
+        above.reverse()
+        while above:
+            core, word, text, run, _ = above.pop()
+            keep = len(word) + 1 < max_depth
+            q_r, q_l = core[0], core[1]
+            prefix = f"{text}." if word else ""
+            for kind, u, v in _candidates(q_r, q_l, run < chain_cap):
+                if max_qc is None or u * q_r + v * q_l <= max_qc:
+                    item = (step_core(kind, core), word + (kind,), prefix + kind.token,
+                            run + 1 if kind.is_chain else 0, core)
+                    yield item
+                    if keep:
+                        level.append(item)
 
 
 def expand(limits: ExpansionLimits) -> Iterator[TreeNode]:
     """The nodes of `walk(limits)`, in the same order."""
-    return (TreeNode(core, word) for core, word, _, _ in walk(limits))
+    return (TreeNode(core, word) for core, word, _, _, _ in walk(limits))
 
 
 class NodeVerification(NamedTuple):
@@ -455,7 +465,7 @@ def node_row(node: TreeNode) -> tuple:
 
 def expand_rows(limits: ExpansionLimits) -> Iterator[tuple]:
     """The row of each node of `expand(limits)`, built straight from the cores."""
-    for core, word, text, _ in walk(limits):
+    for core, word, text, _, _ in walk(limits):
         yield record_row(core, text, word[-1].cell_class if word else "root", len(word))
 
 

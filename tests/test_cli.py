@@ -18,7 +18,7 @@ from butterfly_tree import scaling, skeleton, tree
 from butterfly_tree.cli import main
 from butterfly_tree.errors import MalformedRecord, NoTail
 from butterfly_tree.generators import GeneratorKind, step_core
-from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, lcg_word, short_id
+from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, GOLDEN, lcg_word, short_id
 from test_tree import step_fold
 
 
@@ -86,7 +86,7 @@ VIEWS_RENDER = ("ea52fc942b28f7d099c56fa1ad415645d7831a66f079d9c5d6413469dfaff70
 
 
 def test_render_streams_its_document(tmp_path):
-    # The parts reach the file as they are made, so the peak stays under twice
+    # The parts leave in blocks as they are made, so the peak stays under twice
     # the document; a document built whole, then written, peaks at 4.3 times it.
     path = tmp_path / "skeleton.svg"
     tracemalloc.start()
@@ -99,6 +99,61 @@ def test_render_streams_its_document(tmp_path):
     assert (code, (hashlib.sha256(document).hexdigest(), len(document))) == (0, VIEWS_RENDER)
     assert peak < 2 * len(document), peak
     ET.fromstring(document)
+
+
+class _CountingStdout:
+    """A stdout that keeps each write, to count the calls."""
+
+    def __init__(self):
+        self.chunks = []
+
+    def write(self, text):
+        self.chunks.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, pin", [
+    ("expand --depth 5 --chain-cap 2", GOLDEN["expand --depth 5 --chain-cap 2"]),
+    ("wannier --qmax 60", GOLDEN["wannier --qmax 60"]),
+    ("render --depth 4 --chain-cap 2", VIEWS_RENDER)])
+def test_streams_reach_stdout_in_blocks_of_64_ki_characters(monkeypatch, argv, pin):
+    # Unbuffered (PYTHONUNBUFFERED=1), each write to stdout is a system call.
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(argv.split())
+    monkeypatch.undo()
+    text = "".join(stdout.chunks)
+    assert code == 0
+    assert (hashlib.sha256(text.encode()).hexdigest(), len(text)) == pin
+    assert len(stdout.chunks) <= -(-len(text) // 65_536) + 1
+    assert all(len(chunk) >= 65_536 for chunk in stdout.chunks[:-1])
+
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_expand_holds_one_level_of_the_walk(tmp_path):
+    # 14 328 nodes sit on the last level at d5/c2; the walk never stores it,
+    # and the level above it is 2 395 nodes.
+    path = tmp_path / "nodes.jsonl"
+    code, peak = _traced_peak(["expand", "--depth", "5", "--chain-cap", "2",
+                               "-o", str(path)])
+    document = path.read_bytes()
+    assert (code, (hashlib.sha256(document).hexdigest(), len(document))) == (
+        0, GOLDEN["expand --depth 5 --chain-cap 2"])
+    assert peak < 2_000_000, peak
+
+
+def test_verify_holds_no_level_of_nodes(capsys):
+    code, peak = _traced_peak(["verify", "--depth", "5", "--chain-cap", "2"])
+    assert (code, capsys.readouterr().out) == (0, "verified 16723 nodes: all invariants hold\n")
+    assert peak < 1_000_000, peak
 
 
 @pytest.mark.parametrize("flags, error", [
@@ -138,6 +193,25 @@ def test_render_cut_by_an_io_failure_leaves_a_partial_file(tmp_path):
     assert proc.stderr.decode().startswith("i/o error: [Errno 27]")
     whole = skeleton.render_svg(tree.expand(tree.ExpansionLimits(2, 1))).encode()
     assert target.read_bytes() == whole[:limit]
+
+
+def test_running_out_of_memory_is_an_error_line(tmp_path):
+    # A child whose address space is capped at 256 MiB (RLIMIT_AS on itself
+    # alone) builds the rows of a chain of 10^8 members until an allocation fails.
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS")
+    limit = 256 * 1024 * 1024
+    target = tmp_path / "chain.jsonl"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "butterfly_tree.cli", "chain", "--word=UL",
+         "--steps", "100000000", "-o", str(target)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (proc.returncode, proc.stdout) == (4, b"")
+    assert proc.stderr == b"error: out of memory\n"
+    assert not target.exists()
 
 
 def test_expand_csv_and_file_output(capsys, tmp_path):
@@ -430,9 +504,13 @@ def test_a_long_parabolic_word_gets_a_bounded_error_line(capsys):
             1, "", f"error: trace 2: no hyperbolic exponent for {named}\n")
 
 
-def test_pyth_rejects_negative_depth(capsys):
+def test_pyth_rejects_negative_depth(capsys, tmp_path):
     assert run(capsys, "pyth", "--depth", "-1") == (
         2, "", "error: max_depth must be non-negative\n")
+    target = tmp_path / "triples.jsonl"
+    assert run(capsys, "pyth", "--depth", "-1", "-o", str(target)) == (
+        2, "", "error: max_depth must be non-negative\n")
+    assert not target.exists()
 
 
 def test_wannier_command(capsys):

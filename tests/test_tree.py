@@ -553,9 +553,9 @@ def test_writers_quote_and_chunk_every_integer_field_at_its_boundary():
                                     ExpansionLimits(4, 1, max_qc=40)])
 def test_expand_is_the_core_walk(limits):
     nodes = list(expand(limits))
-    assert [(core, word, text) for core, word, text, _ in walk(limits)] == [
+    assert [(core, word, text) for core, word, text, _, _ in walk(limits)] == [
         (n.state.core, n.word, n.word_str) for n in nodes]
-    assert [run for *_, run in walk(limits)] == [chain_run(n.word) for n in nodes]
+    assert [run for *_, run, _ in walk(limits)] == [chain_run(n.word) for n in nodes]
     assert list(expand_rows(limits)) == [node_row(n) for n in nodes]
 
 
@@ -578,12 +578,12 @@ def test_expand_steps_only_the_children_it_emits(monkeypatch, limits, stepped):
 
 def _walk_stepping_every_candidate(limits):
     """The breadth-first walk that steps each candidate child, then filters."""
-    queue = collections.deque([(ROOT_STATE.core, (), "", 0)])
+    queue = collections.deque([(ROOT_STATE.core, (), "", 0, None)])
     out = []
     while queue:
         item = queue.popleft()
         out.append(item)
-        core, word, text, run = item
+        core, word, text, run, _ = item
         if len(word) >= limits.max_depth:
             continue
         tail = generators.tail_generator(core[0], core[1])
@@ -594,7 +594,7 @@ def _walk_stepping_every_candidate(limits):
             if limits.max_qc is not None and kid[0] + kid[1] > limits.max_qc:
                 continue
             queue.append((kid, word + (kind,), word_string(word + (kind,)),
-                          run + 1 if kind.is_chain else 0))
+                          run + 1 if kind.is_chain else 0, core))
     return out
 
 
