@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import os
 import sys
 from typing import Iterator, Optional, Sequence
 
@@ -161,29 +162,21 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
         print(json.dumps(report, indent=2))
         return 0
     if args.quad is None or args.word is None:
-        print("apollonian needs either --correspondence or both --quad and --word",
-              file=sys.stderr)
-        return 2
+        raise ValueError("apollonian needs either --correspondence or both --quad and --word")
     parts = []
     for number, entry in enumerate(args.quad.split(","), 1):
         try:
             parts.append(int(entry))
         except ValueError:
-            print(f"--quad entry {number} is not an integer: {entry!r}",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"--quad entry {number} is not an integer: {entry!r}") from None
     if len(parts) != 4:
-        print("--quad needs exactly four comma-separated integers",
-              file=sys.stderr)
-        return 2
+        raise ValueError("--quad needs exactly four comma-separated integers")
     quad = apo.DescartesQuadruple(*parts)
     current = quad
     for token in args.word.split("."):
         token = token.strip().upper()
         if token[:1] not in ("A", "S") or not token[1:].isdecimal():
-            print(f"bad Apollonian token {token!r} (use S1..S4 or A1..A4)",
-                  file=sys.stderr)
-            return 2
+            raise ValueError(f"bad Apollonian token {token!r} (use S1..S4 or A1..A4)")
         move = apo.apply_A if token[0] == "A" else apo.apply_S
         current = move(int(token[1:]), current)
     print(json.dumps({"input": list(quad.as_tuple()), "word": args.word,
@@ -338,7 +331,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    code = main()
+    try:  # a buffered stdout would otherwise fail at exit, with code 120
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"i/o error: {exc}", file=sys.stderr)
+        code = 3
+        # So that the flush at exit cannot fail again (see `signal`'s SIGPIPE note).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -4,13 +4,15 @@ Fractions are stdlib `fractions.Fraction` values: always reduced, positive
 denominator, arbitrary precision.  Two fractions p_L/q_L < p_R/q_R are
 "friendly" (Farey neighbours) when p_L*q_R - p_R*q_L = -1; every butterfly
 in the hierarchy is bounded by a friendly pair and centred on its mediant.
+Both records are named tuples; `FriendlyTriplet` checks itself however it
+is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import DegenerateDifference, InvariantViolation
 
@@ -32,8 +34,7 @@ def mediant(a: Fraction, b: Fraction) -> Fraction:
     return Fraction(a.numerator + b.numerator, a.denominator + b.denominator)
 
 
-@dataclass(frozen=True)
-class FareyDifference:
+class FareyDifference(NamedTuple):
     """Result of the Farey difference (p_b - p_a)/(q_b - q_a).
 
     `value` is the normalised fraction.  `negated` records that the raw
@@ -60,27 +61,23 @@ def farey_difference(a: Fraction, b: Fraction) -> FareyDifference:
     return FareyDifference(Fraction(num, den), negated=den < 0)
 
 
-@dataclass(frozen=True)
-class FriendlyTriplet:
+class FriendlyTriplet(namedtuple("FriendlyTriplet", "left center right")):
     """Farey triplet left < center < right bounding one butterfly.
 
     Invariants checked on construction: the outer pair is friendly with
     p_L*q_R - p_R*q_L = -1 (so left < right), and center is their mediant.
     """
 
-    left: Fraction
-    center: Fraction
-    right: Fraction
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        d = (self.left.numerator * self.right.denominator
-             - self.right.numerator * self.left.denominator)
+    def __new__(cls, left: Fraction, center: Fraction, right: Fraction) -> FriendlyTriplet:
+        d = left.numerator * right.denominator - right.numerator * left.denominator
         if d != -1:
-            raise InvariantViolation(
-                f"outer pair {self.left}, {self.right} not friendly-ordered (det {d})")
-        if self.center != mediant(self.left, self.right):
-            raise InvariantViolation(
-                f"center {self.center} is not the mediant of {self.left}, {self.right}")
+            raise InvariantViolation(f"outer pair {left}, {right} not friendly-ordered (det {d})")
+        if center != mediant(left, right):
+            raise InvariantViolation(f"center {center} is not the mediant of {left}, {right}")
+        return super().__new__(cls, left, center, right)
 
     @classmethod
     def from_pair(cls, left: Fraction, right: Fraction) -> "FriendlyTriplet":

@@ -23,9 +23,9 @@ integers by two other routes: `state_route`, the explicit recursion, and
 `label_route`, the 3x3 matrix.  The property tests compare every route with
 the canonical matrices.
 
-Importing this module loads that integer core alone: no dataclass, Fraction
-or Farey arithmetic.  The Fraction views live in `states`, which loads the
-first time one of them (`_VIEWS`) is touched here (PEP 562).
+Importing this module loads that integer core alone: no Fraction or Farey
+arithmetic.  The Fraction views live in `states`, which loads the first
+time one of them (`_VIEWS`) is touched here (PEP 562).
 
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and

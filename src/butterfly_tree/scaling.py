@@ -16,6 +16,7 @@ the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import chain, cycle, islice
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import intmat
@@ -148,7 +149,5 @@ def cf_expansion(s: QuadraticSurd, terms: int = 12) -> ContinuedFraction:
         raise ValueError("terms must be >= 1")
     t = s.trace
     preperiod, period = (t - 1,), (1,) if t == 3 else (1, t - 2)
-    out = list(preperiod)
-    while len(out) < terms:
-        out.extend(period)
-    return ContinuedFraction(preperiod, period, tuple(out[:terms]))
+    return ContinuedFraction(preperiod, period,
+                             tuple(islice(chain(preperiod, cycle(period)), terms)))

@@ -3,15 +3,16 @@
 `generators` steps the integer core and imports none of this.  It loads on
 first touch: a name re-exported by `generators` (PEP 562), `TreeNode.state`
 or `.label`.  `apply_state` and `apply_label` are the checked views of
-`state_route` and `label_route`.
+`state_route` and `label_route`.  Each record is a named tuple, as all the
+package's are; `ButterflyLabel` checks itself however it is built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import intmat
 from .errors import InvariantViolation
@@ -20,8 +21,7 @@ from .generators import (_FOUR, Core, GeneratorKind, _bad_step, _check_denominat
                          _problems, label_route, state_route, tail_generator, tail_side)
 
 
-@dataclass(frozen=True)
-class GeneratorMatrix:
+class GeneratorMatrix(NamedTuple):
     """Canonical matrices of one generator in the three representations.
 
     The 2x2 block on (q_R, q_L) sits in the top-left corner of both larger
@@ -42,23 +42,22 @@ def canonical_matrices(kind: GeneratorKind) -> GeneratorMatrix:
     return _MATRICES[kind]
 
 
-@dataclass(frozen=True)
-class ButterflyLabel:
+class ButterflyLabel(namedtuple("ButterflyLabel", "q_r q_l delta_sigma")):
     """Unique integer label (q_R, q_L, Delta-sigma) of a butterfly with tail."""
 
-    q_r: int
-    q_l: int
-    delta_sigma: int
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so that `_replace` checks too
 
-    def __post_init__(self) -> None:
-        if self.q_r < 1 or self.q_l < 1:
+    def __new__(cls, q_r: int, q_l: int, delta_sigma: int) -> ButterflyLabel:
+        self = super().__new__(cls, q_r, q_l, delta_sigma)
+        if q_r < 1 or q_l < 1:
             raise InvariantViolation(f"denominators must be positive: {self}")
-        if gcd(self.q_r, self.q_l) != 1:
+        if gcd(q_r, q_l) != 1:
             raise InvariantViolation(f"edge denominators share a factor: {self}")
-        q_c = self.q_r + self.q_l
-        if abs(self.delta_sigma) >= q_c or (self.delta_sigma - q_c) % 2:
-            raise InvariantViolation(
-                f"Delta-sigma {self.delta_sigma} incompatible with q_c {q_c}")
+        q_c = q_r + q_l
+        if abs(delta_sigma) >= q_c or (delta_sigma - q_c) % 2:
+            raise InvariantViolation(f"Delta-sigma {delta_sigma} incompatible with q_c {q_c}")
+        return self
 
     @property
     def q_c(self) -> int:
@@ -80,8 +79,7 @@ class ButterflyLabel:
         return (self.q_r, self.q_l, self.delta_sigma)
 
 
-@dataclass(frozen=True)
-class ButterflyState:
+class ButterflyState(NamedTuple):
     """Flux edges and central slope pair of one butterfly.
 
     left < right are the friendly flux edges; the center is their mediant.

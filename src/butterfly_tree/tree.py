@@ -20,11 +20,12 @@ decides the chain cap and the q_c ceiling from the parent (q_c grows along
 every edge, so a pruned child hides nothing below the ceiling) and steps
 only the children it emits.  It builds each level from the one above, so
 it holds at most one level, about a seventh of the nodes, and never the
-last; the parent's core lets CLI `verify` hold no node of its own.  `expand` wraps each core and word in a node, whose Fraction
-state and label are built only on access; `expand_rows` builds only the
-export row, which the JSONL and CSV writers format with one f-string, so
-the CLI streams records with no object per record; `chain_rows` does the
-same for the members of a chain.
+last; the parent's core lets CLI `verify` hold no node of its own.
+`expand` wraps each core and word in a node, whose Fraction state and
+label are built only on access; `expand_rows` builds only the export row,
+which the JSONL and CSV writers format with one f-string, so the CLI
+streams records with no object per record; `chain_rows` does the same for
+the members of a chain.
 
 `verify_node` is one induction on the integers: the root's core is the
 root state's, and every other node is checked against its parent's core

@@ -214,6 +214,36 @@ def test_running_out_of_memory_is_an_error_line(tmp_path):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("stdout", ["full", "pipe"])
+@pytest.mark.parametrize("argv", [
+    "node --word=UL", "chain --word=UL --steps 3", "verify --depth 2", "scaling --word=UL",
+    "apollonian --correspondence", "pyth --depth 3", "pyth --oracle-cmax 50",
+    "expand --depth 1", "expand --depth 5 --chain-cap 2"])
+def test_a_failed_buffered_stdout_exits_3_with_one_line(argv, stdout):
+    # With PYTHONUNBUFFERED unset, Python's default, a small output is still
+    # in stdout's buffer when `main` returns.  `cli.entry` flushes it, so its
+    # failure is the one I/O error line and exit 3, not a traceback at
+    # interpreter exit and code 120.
+    if stdout == "full" and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full")
+    if stdout == "full":
+        fd, errno = os.open("/dev/full", os.O_WRONLY), 28
+    else:
+        read, fd = os.pipe()
+        os.close(read)
+        errno = 32
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "butterfly_tree.cli", *argv.split()],
+                              stdout=fd, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(fd)
+    assert proc.returncode == 3
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"i/o error: [Errno {errno}] "), lines
+
+
 def test_expand_csv_and_file_output(capsys, tmp_path):
     path = tmp_path / "nodes.csv"
     code, out, _ = run(capsys, "expand", "--depth", "2", "--chain-cap", "1",
@@ -434,31 +464,26 @@ def test_apollonian_correspondence_report(capsys):
 
 
 def test_apollonian_usage_errors(capsys):
-    assert run(capsys, "apollonian")[0] == 2
-    assert run(capsys, "apollonian", "--quad", "1,9,16,0",
-               "--word", "X9")[0] == 2
-    assert run(capsys, "apollonian", "--quad", "1,9,x,0",
-               "--word", "S1")[0] == 2
-    assert run(capsys, "apollonian", "--quad", "1,9,16",
-               "--word", "S1")[0] == 2
-    assert run(capsys, "apollonian", "--quad", "1,1,1,1",
-               "--word", "S1")[0] == 1
+    # Every usage error takes `main`'s one form: "error: ..." and exit 2.
+    for argv, code, err in [
+            ("", 2, "apollonian needs either --correspondence or both --quad and --word"),
+            ("--quad 1,9,16,0 --word X9", 2,
+             "bad Apollonian token 'X9' (use S1..S4 or A1..A4)"),
+            ("--quad 1,9,x,0 --word S1", 2, "--quad entry 3 is not an integer: 'x'"),
+            ("--quad 1,9,16 --word S1", 2, "--quad needs exactly four comma-separated integers"),
+            ("--quad 1,1,1,1 --word S1", 1, "Descartes identity fails for (1, 1, 1, 1)")]:
+        assert run(capsys, "apollonian", *argv.split()) == (code, "", f"error: {err}\n")
 
 
 def test_apollonian_bad_tokens_and_entries_are_named(capsys):
-    for word in ("Sx", "S", "A", "X1", "S1.Q2", "S-1"):
-        code, out, err = run(capsys, "apollonian", "--quad=-1,2,2,3",
-                             "--word", word)
-        assert code == 2 and not out
-        assert "bad Apollonian token" in err and "use S1..S4 or A1..A4" in err
-        assert "invalid literal" not in err
-    code, out, err = run(capsys, "apollonian", "--quad", "1,x,2,3",
-                         "--word", "S1")
-    assert code == 2 and not out
-    assert err == "--quad entry 2 is not an integer: 'x'\n"
-    code, _, err = run(capsys, "apollonian", "--quad", "1,9,16,0",
-                       "--word", "S5")
-    assert code == 2 and "S index must be 1..4" in err
+    for word, token in [("Sx", "SX"), ("S", "S"), ("A", "A"), ("X1", "X1"), ("S1.Q2", "Q2"),
+                        ("S-1", "S-1")]:
+        assert run(capsys, "apollonian", "--quad=-1,2,2,3", "--word", word) == (
+            2, "", f"error: bad Apollonian token {token!r} (use S1..S4 or A1..A4)\n")
+    assert run(capsys, "apollonian", "--quad", "1,x,2,3", "--word", "S1") == (
+        2, "", "error: --quad entry 2 is not an integer: 'x'\n")
+    assert run(capsys, "apollonian", "--quad", "1,9,16,0", "--word", "S5") == (
+        2, "", "error: S index must be 1..4, got 5\n")
 
 
 def test_scaling_command(capsys):

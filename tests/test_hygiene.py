@@ -3,8 +3,9 @@ the verify line and the expand and bignum-word goldens (the 14 000-letter
 `node` and `chain` ones too) are checked under it, and so is the error of a
 chain letter against the tail of that word.
 The package must load only what a command uses (the view commands that walk
-no tree load no tree, the integer commands load no Fraction view, and no
-command loads `dataclasses`), load those views on first touch with the same
+no tree load no tree, the integer commands load no Fraction view, and
+nothing imports `dataclasses`: every record, the Fraction views' too, is a
+named tuple), load those views on first touch with the same
 texts and only when one is asked for (a bad step's error and the skeleton's
 cells read the integer core), keep its public names, define no function or
 class that only the tests use (the tests' references live in
@@ -47,6 +48,22 @@ def test_no_assert_in_sources():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.relative_to(SRC)}:{node.lineno}"
                   for node in _asserting_nodes(tree)]
+    assert found == []
+
+
+def test_no_source_imports_dataclasses():
+    # One record idiom: every record is a named tuple.
+    found = []
+    for path in sorted(SRC.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.partition(".")[0] == "dataclasses" for name in names):
+                found.append(f"{path.relative_to(SRC)}:{node.lineno}")
     assert found == []
 
 
@@ -283,8 +300,8 @@ COMMAND_ARGV = {
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
 @pytest.mark.parametrize("command", _subcommands())
 def test_no_command_loads_dataclasses(flags, command):
-    # The records are named tuples; `dataclasses` and its `inspect` stay for
-    # the Fraction views alone.  `render` draws from the integer edges only.
+    # The records are named tuples, so neither `dataclasses` nor its
+    # `inspect` loads.  `render` draws from the integer edges only.
     proc = _python(flags, _LOADED, *COMMAND_ARGV[command].split())
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
@@ -313,6 +330,9 @@ for name in ("ButterflyLabel", "ButterflyState", "GeneratorMatrix", "ROOT_LABEL"
     if name in butterfly_tree.__all__:
         assert getattr(butterfly_tree, name) is getattr(states, name), name
 print(states.ROOT_STATE)
+states.ROOT_STATE.label, states.ROOT_STATE.triplet
+states.canonical_matrices(generators.GeneratorKind.C_L)
+assert {"dataclasses", "inspect"}.isdisjoint(sys.modules)
 """
 
 
@@ -359,8 +379,7 @@ def test_error_texts_that_load_their_fraction_view_first(code, text, absent):
 @pytest.mark.parametrize("code, loaded", [
     ("skeleton.cell_geometry(tree.node_at('UL.TL'))", set()),
     ("skeleton.tail_triangle(tree.node_at('UL.TL'))", set()),
-    ("tree.node_at('UL.TL').state", {"butterfly_tree.states", "butterfly_tree.farey",
-                                     "dataclasses"}),
+    ("tree.node_at('UL.TL').state", {"butterfly_tree.states", "butterfly_tree.farey"}),
 ], ids=["cell_geometry", "tail_triangle", "state"])
 def test_views_load_only_when_asked_for(code, loaded):
     # The skeleton's Fraction views read the core; only a state loads `states`.

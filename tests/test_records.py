@@ -1,4 +1,5 @@
-"""The package's records are named tuples with the semantics of frozen records.
+"""The package's records, the Fraction views among them, are named tuples
+with the semantics of frozen records.
 
 A checked record raises the same exception with the same text however it
 is built: by its constructor, by `_make`, or by `_replace`.  No record
@@ -6,15 +7,22 @@ takes a new value or attribute, `repr` keeps the `Name(field=value, ...)`
 form and `hash` is the hash of the field tuple, so set orders and every
 output byte stay as they were."""
 
+from fractions import Fraction
+
 import pytest
 
 from butterfly_tree.apollonian import DescartesQuadruple, correspondence_search
 from butterfly_tree.diophantine import band_cherns, gap_labels
 from butterfly_tree.errors import InvariantViolation, NotCoprime
+from butterfly_tree.farey import FriendlyTriplet, farey_difference
+from butterfly_tree.generators import GeneratorKind
 from butterfly_tree.pythagoras import EuclidPair, PythTriple
 from butterfly_tree.scaling import QuadraticSurd, cf_expansion
 from butterfly_tree.skeleton import RenderOptions, cell_geometry, wannier_lines
+from butterfly_tree.states import ROOT_LABEL, ROOT_STATE, canonical_matrices
 from butterfly_tree.tree import ExpansionLimits, NodeVerification, node_at, root
+
+TRIPLET = FriendlyTriplet.from_pair(Fraction(1, 3), Fraction(1, 2))
 
 # (valid record, fields to change, exception type, its text)
 BAD_FIELDS = [
@@ -36,6 +44,15 @@ BAD_FIELDS = [
      "palette must have exactly 8 colors"),
     (RenderOptions(), {"margin": 400}, ValueError, "canvas too small for the margin"),
     (RenderOptions(), {"chain_preview": -1}, ValueError, "chain_preview must be >= 0"),
+    (ROOT_LABEL, {"q_l": 0}, InvariantViolation,
+     "denominators must be positive: ButterflyLabel(q_r=1, q_l=0, delta_sigma=0)"),
+    (ROOT_LABEL, {"q_r": 2, "q_l": 4}, InvariantViolation,
+     "edge denominators share a factor: ButterflyLabel(q_r=2, q_l=4, delta_sigma=0)"),
+    (ROOT_LABEL, {"delta_sigma": 1}, InvariantViolation, "Delta-sigma 1 incompatible with q_c 2"),
+    (TRIPLET, {"left": Fraction(1, 4)}, InvariantViolation,
+     "outer pair 1/4, 1/2 not friendly-ordered (det -2)"),
+    (TRIPLET, {"center": Fraction(1, 2)}, InvariantViolation,
+     "center 1/2 is not the mediant of 1/3, 1/2"),
 ]
 
 BUILDERS = {
@@ -64,7 +81,9 @@ def _every_record():
             gap_labels(2, 5)[0], band_cherns(2, 5)[0], QuadraticSurd(3),
             cf_expansion(QuadraticSurd(3), 4), EuclidPair(2, 1), PythTriple(3, 4, 5),
             DescartesQuadruple(-1, 2, 2, 3), correspondence_search(1, 2, 4),
-            cell_geometry(node), wannier_lines(2)[0], RenderOptions()]
+            cell_geometry(node), wannier_lines(2)[0], RenderOptions(), ROOT_STATE,
+            ROOT_LABEL, canonical_matrices(GeneratorKind.C_L), TRIPLET,
+            farey_difference(Fraction(1, 3), Fraction(1, 2))]
 
 
 @pytest.mark.parametrize("record", _every_record(), ids=lambda record: type(record).__name__)
@@ -78,7 +97,7 @@ def test_a_record_takes_no_new_value_or_attribute(record):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(record) for record in _every_record()}) == 14
+    assert len({type(record) for record in _every_record()}) == 19
 
 
 @pytest.mark.parametrize("record, text, value", [
@@ -91,8 +110,16 @@ def test_every_record_type_is_covered():
     # hash(None), and so this one, varies between processes before Python 3.12
     (ExpansionLimits(2), "ExpansionLimits(max_depth=2, chain_cap=0, max_qc=None)",
      hash((2, 0, None))),
+    (ROOT_STATE, "ButterflyState(left=Fraction(0, 1), right=Fraction(1, 1), sigma_plus=1, "
+     "sigma_minus=1)", -7458687224047931163),
+    (ROOT_LABEL, "ButterflyLabel(q_r=1, q_l=1, delta_sigma=0)", -757448186211189212),
+    (TRIPLET, "FriendlyTriplet(left=Fraction(1, 3), center=Fraction(2, 5), "
+     "right=Fraction(1, 2))", 3694540429428424475),
+    (farey_difference(Fraction(1, 3), Fraction(1, 2)),
+     "FareyDifference(value=Fraction(0, 1), negated=True)", -1950498447580522560),
 ], ids=["root", "PythTriple", "QuadraticSurd", "EuclidPair", "DescartesQuadruple",
-        "ExpansionLimits"])
+        "ExpansionLimits", "ButterflyState", "ButterflyLabel", "FriendlyTriplet",
+        "FareyDifference"])
 def test_repr_and_hash_are_those_of_the_frozen_records(record, text, value):
     # The values that the frozen dataclasses of the same fields gave (64-bit CPython).
     assert repr(record) == str(record) == text
@@ -110,3 +137,7 @@ def test_records_are_tuples_of_their_fields():
     assert (a, b, c) == PythTriple(3, 4, 5) == (3, 4, 5)
     assert root()[0] == root().core
     assert ExpansionLimits(3, 1)._asdict() == {"max_depth": 3, "chain_cap": 1, "max_qc": None}
+    left, right, sigma_plus, sigma_minus = ROOT_STATE
+    assert (left, right, sigma_plus, sigma_minus) == (0, 1, 1, 1)
+    assert ROOT_LABEL == ROOT_LABEL.as_tuple() == (1, 1, 0)
+    assert TRIPLET[1] == TRIPLET.center == Fraction(2, 5)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -168,8 +169,24 @@ def test_cf_terms_materialization():
     cf = cf_expansion(QuadraticSurd(6), terms=9)
     assert cf.terms == (5, 1, 4, 1, 4, 1, 4, 1, 4)
     assert len(cf_expansion(QuadraticSurd(6), terms=20).terms) == 20
+    for trace in (3, 4, 7, 10**30):
+        preperiod, period = (trace - 1,), (1,) if trace == 3 else (1, trace - 2)
+        for terms in (1, 2, 3, 7, 8, 10**6):
+            want = (preperiod + period * terms)[:terms]
+            assert cf_expansion(QuadraticSurd(trace), terms) == (preperiod, period, want)
     with pytest.raises(ValueError, match="^terms must be >= 1$"):
         cf_expansion(QuadraticSurd(3), 0)
+
+
+def test_cf_expansion_builds_only_its_terms():
+    # A million terms are one tuple of about 8 MB; no longer list comes first.
+    tracemalloc.start()
+    try:
+        cf_expansion(QuadraticSurd(10**30), 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12_000_000, peak
 
 
 def test_cf_convergents_approach_the_surd():

@@ -1,6 +1,5 @@
 """Skeleton cell geometry, Wannier lines, and deterministic SVG output."""
 
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -212,17 +211,15 @@ def test_geometry_of_unfriendly_tampered_edges_matches_oracle():
     # tampered pair (here 2/5, 2/3, whose mediant 4/8 reduces) still gets
     # the geometry that Fraction arithmetic gives.
     node = tree.node_at("UL")
-    skewed = node._replace(core=dataclasses.replace(
-        node.state, left=Fraction(2, 5), right=Fraction(2, 3),
-        sigma_plus=1, sigma_minus=1).core)
+    skewed = node._replace(core=node.state._replace(
+        left=Fraction(2, 5), right=Fraction(2, 3), sigma_plus=1, sigma_minus=1).core)
     cell = cell_geometry(skewed)
     want = _oracle_cell(skewed.state)
     assert cell.center == (Fraction(1, 2), Fraction(1, 2))
     assert {key: getattr(cell, key) for key in want} == want
     # Slopes that disagree are reported at the reduced center, as its
     # Fraction view names them.
-    clash = skewed._replace(core=dataclasses.replace(
-        skewed.state, sigma_plus=2).core)
+    clash = skewed._replace(core=skewed.state._replace(sigma_plus=2).core)
     with pytest.raises(InconsistentChernPair, match="gaps 0 != 1 at flux 1/2"):
         render_svg([clash])
 
@@ -232,8 +229,8 @@ def test_render_rejects_inconsistent_slope_pair():
     state = node.state
     # sigma_+ bumped and sigma_- lowered by more: the slopes no longer sum
     # to q_c, so the two congruences name different gaps.
-    tampered = node._replace(core=dataclasses.replace(
-        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 2).core)
+    tampered = node._replace(core=state._replace(
+        sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 2).core)
     with pytest.raises(InconsistentChernPair,
                        match=r"slopes \+3/-1 give gaps 1 != 3 at flux 2/5"):
         render_svg([tree.root(), tampered])
@@ -241,8 +238,8 @@ def test_render_rejects_inconsistent_slope_pair():
         cell_geometry(tampered)
     # Bumping one and lowering the other by the same amount keeps the sum,
     # and with it the congruence: only the verifier's slope checks see it.
-    shifted = node._replace(core=dataclasses.replace(
-        state, sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 1).core)
+    shifted = node._replace(core=state._replace(
+        sigma_plus=state.sigma_plus + 1, sigma_minus=state.sigma_minus - 1).core)
     assert render_svg([shifted]).count("<polygon") == 2
 
 

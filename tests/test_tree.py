@@ -2,7 +2,6 @@
 
 import collections
 import csv
-import dataclasses
 import fractions
 import io
 import json
@@ -778,7 +777,7 @@ def seed_verify_node(node, parent=None):
 
 
 def _with_state(node, **changes):
-    return node._replace(core=dataclasses.replace(node.state, **changes).core)
+    return node._replace(core=node.state._replace(**changes).core)
 
 
 def _reducing_pair():
