@@ -23,6 +23,7 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from math import gcd
+from operator import itemgetter
 from typing import NamedTuple, Sequence, Union
 
 from . import intmat
@@ -198,24 +199,32 @@ def correspondence_search(h_index: Union[int, str],
     match list is a finding, not an error; max_word_length < 1 and
     pair_bound < 2, which would test nothing, raise ValueError.
     """
-    step, move = _step_matrix(h_index)
+    return _correspondence_searches((h_index,), max_word_length, pair_bound)[0]
+
+
+def _correspondence_searches(h_indices: Sequence, max_word_length: int, pair_bound: int) -> list:
+    """`correspondence_search` of each move, over S-words computed once for all."""
+    moves = [_step_matrix(h_index) for h_index in h_indices]
     if max_word_length < 1:
         raise ValueError(f"max_word_length must be at least 1, got {max_word_length}")
     if pair_bound < 2:
         raise ValueError(f"pair_bound must be at least 2, got {pair_bound}")
-    pairs = [(m, n) for m in range(2, pair_bound + 1)
-             for n in range(1, m) if gcd(m, n) == 1]
-    targets = [_pair_ford(*intmat.mat_vec(move, (m, n))) for m, n in pairs]
-    permuted = [(perm, [tuple(tgt[p] for p in perm) for tgt in targets])
-                for perm in itertools.permutations(range(4))]
-
+    pairs = [(m, n) for m in range(2, pair_bound + 1) for n in range(1, m) if gcd(m, n) == 1]
+    # Every move's targets under every permutation, so a word matches by one lookup.
+    wanted: dict[tuple, list] = {}
+    for move, (_, matrix) in enumerate(moves):
+        targets = [_pair_ford(*intmat.mat_vec(matrix, (m, n))) for m, n in pairs]
+        for perm in itertools.permutations(range(4)):
+            wanted.setdefault(tuple(map(itemgetter(*perm), targets)), []).append((move, perm))
     # Words of one length, in lexicographic order, with their outputs on
     # every source quadruple; each word extends its prefix by one S.
-    level = [((), [_pair_ford(m, n) for m, n in pairs])]
-    matches = []
+    level = [((), tuple(_pair_ford(m, n) for m, n in pairs))]
+    matches: list[list] = [[] for _ in moves]
     for _ in range(max_word_length):
-        level = [(word + (i,), [_reflect(i, quad) for quad in outputs])
+        level = [(word + (i,), tuple(_reflect(i, quad) for quad in outputs))
                  for word, outputs in level for i in (1, 2, 3, 4)]
-        matches += [(word, perm) for word, outputs in level
-                    for perm, want in permuted if outputs == want]
-    return CorrespondenceReport(step, max_word_length, len(pairs), tuple(matches))
+        for word, outputs in level:
+            for move, perm in wanted.get(outputs, ()):
+                matches[move].append((word, perm))
+    return [CorrespondenceReport(step, max_word_length, len(pairs), tuple(found))
+            for (step, _), found in zip(moves, matches)]

@@ -134,8 +134,9 @@ def _cmd_pyth(args: argparse.Namespace) -> int:
         want = {t.leg_set for t in primitive_triple_oracle(args.oracle_cmax)}
         got = [triple.leg_set for _, triple in triple_tree(c_max=args.oracle_cmax)]
         ok = set(got) == want and len(got) == len(want)
-        print(json.dumps({"cMax": args.oracle_cmax, "treeCount": len(got),
-                          "oracleCount": len(want), "match": ok}))
+        with _out_stream(args.output) as fp:
+            fp.write(json.dumps({"cMax": args.oracle_cmax, "treeCount": len(got),
+                                 "oracleCount": len(want), "match": ok}) + "\n")
         return 0 if ok else 1
     triples = triple_tree(max_depth=args.depth)  # raises on a bad depth before any output
     with _out_stream(args.output) as fp:
@@ -150,9 +151,8 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
     import json
     from . import apollonian as apo
     if args.correspondence:
-        report = {}
-        for step in ("h1", "h2", "h3", "U_L", "U_R"):
-            found = apo.correspondence_search(step)
+        report, steps = {}, ("h1", "h2", "h3", "U_L", "U_R")
+        for step, found in zip(steps, apo._correspondence_searches(steps, 3, 12)):
             report[step] = {
                 "pairsTested": found.pairs_tested,
                 "matches": [{"word": ".".join(f"S{i}" for i in word),
@@ -205,11 +205,13 @@ def _cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def _cmd_wannier(args: argparse.Namespace) -> int:
-    from .diophantine import wannier_rows
-    rows = wannier_rows(args.qmax)  # raises on a bad q_max before the output opens
+    from .diophantine import gap_rows, reduced_fluxes
+    fluxes = reduced_fluxes(args.qmax)  # raises on a bad q_max before the output opens
     with _out_stream(args.output) as fp:
-        fp.writelines(f'{{"sigma": {sigma}, "tau": {tau}, "p": {p}, "q": {q}, "r": {r}}}\n'
-                      for sigma, tau, p, q, r in rows)
+        for p, q in fluxes:  # one string a flux, its p and q formatted once
+            flux = f', "p": {p}, "q": {q}, "r": '
+            fp.write("".join(f'{{"sigma": {sigma}, "tau": {tau}{flux}{r}}}\n'
+                             for r, sigma, tau in gap_rows(p, q)))
     return 0
 
 
@@ -258,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_node)
 
-    p = sub.add_parser("chain", help="walk a node's tail")
+    p = sub.add_parser("chain", help="walk a node's tail; the output grows with the "
+                                     "square of --steps, as each row's word is a letter longer")
     p.add_argument("--word", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("-o", "--output", default=None)
@@ -269,9 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("pyth", help="Pythagorean triple tree / oracle check")
-    p.add_argument("--depth", type=int, default=3)
+    p.add_argument("--depth", type=int, default=3, help="ignored with --oracle-cmax")
     p.add_argument("--oracle-cmax", type=int, default=None, dest="oracle_cmax",
-                   help="compare the tree against brute force up to this c")
+                   help="in place of the listing, compare the tree with brute force up to this c")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=_cmd_pyth)
 

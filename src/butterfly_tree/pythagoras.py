@@ -121,25 +121,25 @@ def primitive_triple_oracle(c_max: int) -> set[PythTriple]:
     """Brute-force scan of all primitive triples with positive entries.
 
     Independent of the tree: tries every leg pair a < b of opposite parity,
-    checks for a perfect-square hypotenuse, and orients odd leg first (the
-    orientation the same-parity Euclid branch produces).  The other pairs
-    hold no primitive triple: two even legs share the factor 2, and two odd
-    legs give a^2 + b^2 = 2 (mod 4), which no square is.
+    each leg a against the set of squares up to c_max^2 in one intersection
+    (so memory is O(c_max)), and orients odd leg first (the orientation the
+    same-parity Euclid branch produces).  The other pairs hold no primitive
+    triple: two even legs share the factor 2, and two odd legs give
+    a^2 + b^2 = 2 (mod 4), which no square is.
     """
     if c_max < 5:
         raise ValueError("c_max must be at least 5")
+    squares = [n * n for n in range(c_max + 1)]
+    is_square = set(squares)
     found = set()
     for a in range(3, c_max):
         aa = a * a
-        for b in range(a + 1, c_max, 2):
-            cc = aa + b * b
-            c = isqrt(cc)
-            if c > c_max:
-                break
-            if c * c != cc or gcd(a, b) != 1:
-                continue
-            odd, even = (a, b) if a % 2 else (b, a)
-            found.add(PythTriple(odd, even, c))
+        b_max = isqrt(squares[c_max] - aa)  # the largest b with c <= c_max
+        for cc in is_square.intersection([aa + bb for bb in squares[a + 1:b_max + 1:2]]):
+            b = isqrt(cc - aa)
+            if gcd(a, b) == 1:
+                odd, even = (a, b) if a % 2 else (b, a)
+                found.add(PythTriple(odd, even, isqrt(cc)))
     return found
 
 

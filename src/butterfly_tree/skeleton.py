@@ -7,12 +7,12 @@ adds a triangle from the shared vertical edge to the chain's accumulation
 point; chains beyond the rendered set are previewed as dots at their
 exact center points.  All geometry is exact integer numerator/denominator
 pairs, computed from each cell's integer core by one set of formulas
-(`_centre`, `_cell`, `_apex`); `cell_geometry` and `tail_triangle` are
-their public Fraction views, which read the core and build no state, and
-`tail_triangle` builds no cell.  The SVG writer maps the pairs to pixels
-in integers and writes fixed 9-digit decimals, so rendering the same
-input twice produces identical bytes; it formats each x coordinate once,
-and each chain end's preview dots once.
+(`_cell`, and `_tail` from a tail's constant step); `cell_geometry` and
+`tail_triangle` are their public Fraction views, which read the core and
+build no state, and `tail_triangle` builds no cell.  The SVG writer maps
+the pairs to pixels in integers and writes fixed 9-digit decimals, so
+rendering the same input twice produces identical bytes; it formats each
+x coordinate once, and each chain end's preview dots once.
 The SVG streams: `_svg_parts` yields the header, each cell's group, then
 the tails, and `render_svg` joins them, while CLI `render` passes each
 part as it is made to the CLI's writer, which writes them in blocks of
@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequ
 from .diophantine import central_gap, wannier_rows
 from .errors import EmptyInput
 from .generators import Core, GeneratorKind, _C_CL, _C_CR, _check_denominators, tail_generator
-from .tree import TreeNode, chain_cores
+from .tree import TreeNode, Word, chain_cores
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -88,14 +88,8 @@ class WannierLine(NamedTuple):
     r: int
 
 
-def _centre(core: Core) -> tuple[int, int, int]:
-    """(p_c, q_c, r_c): the center flux p_c/q_c in lowest terms and its gap."""
-    q_r, q_l, s_p, s_m, p_r, p_l = core
-    return central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
-
-
 def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
-    """The center (p_c, q_c, r_c) and the left and right edges of a cell.
+    """The center (p_c, q_c, r_c), by `central_gap`, and the two edges of a cell.
 
     An edge (p, q, plus, minus, d) sits at flux p/q; the diagonals
     rho_c + sigma_+ (phi - phi_c) and rho_c - sigma_- (phi - phi_c) cross
@@ -104,7 +98,7 @@ def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
     """
     _check_denominators(core)
     q_r, q_l, s_p, s_m, p_r, p_l = core
-    p_c, q_c, r_c = centre = _centre(core)
+    p_c, q_c, r_c = centre = central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
     edges = []
     for p, q in ((p_l, q_l), (p_r, q_r)):
         run = p * q_c - p_c * q
@@ -112,14 +106,25 @@ def _cell(core: Core) -> tuple[tuple[int, ...], ...]:
     return centre, edges[0], edges[1]
 
 
-def _apex(first: Core, second: Core) -> tuple[int, int, int]:
-    """(p, q, r): the tail apex (p/q, r/q), q > 0, from two chain members.
+def _tail(core: Core, word: Word) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """The centre (p_c, q_c, r_c) of chain member 1, which `chain_cores` steps
+    and checks, and the constant step between members' centres: the apex.
 
-    Along a chain (p_c, q_c) grows by a fixed vector, so the difference of
-    two centers lies at the accumulation flux, on the line through them.
+    A chain step adds (d, d, d, d, e, e) to any core (d = |q_R - q_L|, e the
+    matching numerator difference) and keeps d, e and the determinant, so no
+    check fails past member 1: each is constant or linear with slope d, e or
+    d - e, and 0 <= e <= d for friendly edges in [0, 1].  From member 1 on,
+    sigma_+ grows by d, the reduced (p_c, q_c) by (2e, 2d) and r_c by
+    K = 2 (d r_c + 2 sigma) / q_c - 2, sigma = sigma_+ (C_cR) or sigma_-
+    (C_cL): the n^2 terms of sigma_+ p_c (mod q_c) cancel, and by the
+    determinant d r_c + 2 sigma is a multiple of q_c in (0, (d + 2) q_c), so
+    0 <= K <= 2d keeps r_c in [0, q_c).  A tampered core's own centre may be
+    off that line (a zero slope breaks it), so the centres start at member 1.
     """
-    (p1, q1, r1), (p2, q2, r2) = _centre(first), _centre(second)
-    return p2 - p1, q2 - q1, r2 - r1
+    q_r, q_l, s_p, s_m, p_r, p_l = next(chain_cores(core, 1, word))
+    d, e = q_r - core[0], p_r - core[4]
+    p_c, q_c, r_c = centre = central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
+    return centre, (2 * e, 2 * d, 2 * ((d * r_c + 2 * (s_p if q_r > q_l else s_m)) // q_c) - 2)
 
 
 def cell_geometry(node: TreeNode) -> SkeletonCell:
@@ -144,18 +149,15 @@ def cell_geometry(node: TreeNode) -> SkeletonCell:
 
 
 def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Triangle from the tail edge to the chain's accumulation point.
-
-    The two base corners are the cell corners on the tailed edge, from
-    `_cell`'s integer edges (no `SkeletonCell` is built); the apex
-    sits at the accumulation flux, at the density obtained by extending
-    the line through the chain members' centers (they are collinear, so
-    this is the limit of the chain centers).
+    """Triangle from the tail edge to the chain's accumulation point: the
+    cell corners on the tailed edge, from `_cell`'s integer edges (no
+    `SkeletonCell` is built), and the apex of `_tail`, where the line
+    through the chain members' centres meets the accumulation flux.
     """
     import fractions
     Fraction = fractions.Fraction
     _, left, right = _cell(node.core)
-    p, q, r = _apex(*chain_cores(node.core, 2, node.word))
+    _, (p, q, r) = _tail(node.core, node.word)
     p_edge, q_edge, plus, minus, d = right if node.tail_direction == "right" else left
     phi = Fraction(p_edge, q_edge)
     return (phi, Fraction(plus, d)), (phi, Fraction(minus, d)), (Fraction(p, q), Fraction(r, q))
@@ -205,12 +207,8 @@ class RenderOptions(namedtuple("RenderOptions", "width height margin palette cha
 
 def _fixed9(num: int, den: int) -> str:
     """Fixed 9 decimals of num/den (den > 0, any common factor), half away from 0."""
-    sign = "-" if num < 0 else ""
-    units, rem = divmod(abs(num) * 10 ** 9, den)
-    if 2 * rem >= den:
-        units += 1
-    whole, frac = divmod(units, 10 ** 9)
-    return f"{sign}{whole}.{frac:09d}"
+    digits = str((abs(num) * 2_000_000_000 + den) // (2 * den)).rjust(10, "0")
+    return f"{'-' if num < 0 else ''}{digits[:-9]}.{digits[-9:]}"
 
 
 def render_svg(nodes: Iterable[TreeNode], options: Optional[RenderOptions] = None) -> str:
@@ -236,8 +234,8 @@ def _svg_stream(cells: list[tuple], opt: RenderOptions) -> Iterator[str]:
     """One pass writes each cell's group and holds, for after all the groups,
     the tail triangle (on the right edge for C_cR, else the left) and the
     preview dots of each tailed cell.  Each x coordinate is formatted once,
-    and the dots below a chain end once per end core, as one string: every
-    member of a rendered chain repeats its end's dots."""
+    and the dots below a chain end once per end core, as one string, with no
+    step (`_tail`): every member of a rendered chain repeats its end's dots."""
     accent = opt.palette[_KIND_ORDER.index(_C_CL)]
     span_x = opt.width - 2 * opt.margin
     span_y = opt.height - 2 * opt.margin
@@ -293,7 +291,7 @@ def _svg_stream(cells: list[tuple], opt: RenderOptions) -> Iterator[str]:
             continue
         x, y_plus, y_minus = ((x_r, y_tr, y_br) if kind is _C_CR
                               else (x_l, y_bl, y_tl))
-        p, q, r = _apex(*chain_cores(core, 2, word))
+        _, (p, q, r) = tail = _tail(core, word)
         tails.append(f'<polygon points="{x},{y_plus} {x},{y_minus} '
                      f'{px(p, q)},{py(r, q)}" fill="none" stroke="{accent}" '
                      f'stroke-width="1" stroke-dasharray="4 3" '
@@ -309,11 +307,11 @@ def _svg_stream(cells: list[tuple], opt: RenderOptions) -> Iterator[str]:
                 last = nxt
             dots = previews.get(last[0])
             if dots is None:
+                (p, q, r), (d_p, d_q, d_r) = tail if last is cell else _tail(*last[:2])
                 dots = previews[last[0]] = "".join(
-                    f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
-                    f'fill="{accent}"/>\n'
-                    for p_c, q_c, r_c in map(_centre, chain_cores(last[0], opt.chain_preview,
-                                                                  last[1])))
+                    f'<circle cx="{px(p + n * d_p, q + n * d_q)}" '
+                    f'cy="{py(r + n * d_r, q + n * d_q)}" r="2.2" fill="{accent}"/>\n'
+                    for n in range(opt.chain_preview))
             tails.append(dots)
     yield from tails
     yield '</svg>\n'

@@ -144,9 +144,9 @@ class ButterflyState(NamedTuple):
     @property
     def core(self) -> Core:
         """The integers (q_R, q_L, sigma_+, sigma_-, p_R, p_L) of the state."""
-        return (self.right.denominator, self.left.denominator,
-                self.sigma_plus, self.sigma_minus,
-                self.right.numerator, self.left.numerator)
+        left, right, s_p, s_m = self
+        return (right.denominator, left.denominator, s_p, s_m,
+                right.numerator, left.numerator)
 
     @classmethod
     def from_core(cls, core: Core) -> "ButterflyState":

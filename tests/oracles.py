@@ -6,9 +6,11 @@ steps and the balanced word product; `gap_label_oracle` scans the sigma
 window that `gap_rows` steps through; `functor_holds` checks that the pair
 and triple moves of the Pythagorean tree commute on raw integers;
 `decimal9` rounds an exact rational to 9 decimals by `Fraction` arithmetic,
-the rule the SVG writer's `_fixed9` follows on integers; and
-`chain_run` counts a word's trailing chain letters, which `tree.walk`
-carries along from the parent.
+the rule the SVG writer's `_fixed9` follows on integers; `centre` reduces a
+cell's centre by `Fraction`, and `chain_apex` steps the first two chain
+members, where the skeleton takes a tail's constant step; and `chain_run`
+counts a word's trailing chain letters, which `tree.walk` carries along
+from the parent.
 
 Not named `reference`: `perfbench/reference.py` holds that top-level name,
 and one pytest run over `tests` and `perfbench` imports both.
@@ -23,7 +25,7 @@ from butterfly_tree.diophantine import _require_coprime
 from butterfly_tree.errors import NotCoprime
 from butterfly_tree.intmat import Matrix, mat_vec
 from butterfly_tree.pythagoras import H_MATRICES, _triple, h_MATRICES
-from butterfly_tree.tree import Word
+from butterfly_tree.tree import Word, chain_cores
 
 
 def identity(n: int) -> Matrix:
@@ -92,6 +94,22 @@ def decimal9(x: Fraction) -> str:
     away from zero, with the sign of x, so a tiny negative reads -0.000000000."""
     units = floor(abs(x) * 10 ** 9 + Fraction(1, 2))
     return f"{'-' if x < 0 else ''}{units // 10 ** 9}.{units % 10 ** 9:09d}"
+
+
+def centre(core: tuple[int, ...]) -> tuple[int, int, int]:
+    """(p_c, q_c, r_c) of a core with q_L + q_R > 0 and slopes that agree: the
+    mediant of its edges as a Fraction reduces it, and r_c = sigma_+ p_c mod q_c."""
+    q_r, q_l, s_p, _, p_r, p_l = core
+    phi = Fraction(p_l + p_r, q_l + q_r)
+    return phi.numerator, phi.denominator, s_p * phi.numerator % phi.denominator
+
+
+def chain_apex(core: tuple[int, ...], word: Word) -> tuple[int, int, int]:
+    """(p, q, r): the tail apex (p/q, r/q) as the difference of the centres of
+    chain members 2 and 1, each stepped and checked by `chain_cores`."""
+    first, second = chain_cores(core, 2, word)
+    (p1, q1, r1), (p2, q2, r2) = centre(first), centre(second)
+    return p2 - p1, q2 - q1, r2 - r1
 
 
 def chain_run(word: Word) -> int:

@@ -261,6 +261,14 @@ def test_correspondence_search_equals_word_by_word_replay(step, max_word_length,
         step, max_word_length, pair_bound)
 
 
+@pytest.mark.parametrize("max_word_length, pair_bound", [(3, 12), (4, 8)])
+def test_one_search_of_the_five_moves_equals_five_searches(max_word_length, pair_bound):
+    # The CLI searches all five moves at once, over S-words computed once.
+    steps = ("h1", "h2", "h3", "U_L", "U_R")
+    assert apollonian._correspondence_searches(steps, max_word_length, pair_bound) == [
+        correspondence_search(step, max_word_length, pair_bound) for step in steps]
+
+
 def test_search_oracle_is_not_vacuous():
     """The oracle finds the frozen h3 word, and nothing once words are too
     short to hold it."""

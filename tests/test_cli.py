@@ -436,6 +436,14 @@ def test_pyth_oracle_comparison(capsys):
                       "match": True}
 
 
+def test_pyth_oracle_row_goes_to_the_output_file(capsys, tmp_path):
+    path = tmp_path / "oracle.json"
+    code, out, err = run(capsys, "pyth", "--oracle-cmax", "100", "-o", str(path))
+    assert (code, out, err) == (0, "", "")
+    assert path.read_text(encoding="utf-8") == (
+        '{"cMax": 100, "treeCount": 16, "oracleCount": 16, "match": true}\n')
+
+
 def test_apollonian_word_application(capsys):
     code, out, _ = run(capsys, "apollonian", "--quad", "1,9,16,0",
                        "--word", "S4")

@@ -11,12 +11,11 @@ from butterfly_tree.errors import InvariantViolation
 from butterfly_tree.generators import GeneratorKind, tail_generator
 from butterfly_tree.skeleton import (
     RenderOptions,
-    _apex,
     _cell,
-    _centre,
     _fixed9,
     render_svg,
 )
+from oracles import centre, chain_apex
 
 _KIND_ORDER = tuple(GeneratorKind)
 
@@ -73,7 +72,7 @@ def reference_svg(nodes, options=None):
             continue
         x, y_plus, y_minus = ((x_r, y_tr, y_br) if kind is GeneratorKind.C_CR
                               else (x_l, y_bl, y_tl))
-        p, q, r = _apex(*tree.chain_cores(core, 2, word))
+        p, q, r = chain_apex(core, word)
         tails.append(f'<polygon points="{x},{y_plus} {x},{y_minus} '
                      f'{px(p, q)},{py(r, q)}" fill="none" stroke="{accent}" '
                      f'stroke-width="1" stroke-dasharray="4 3" '
@@ -87,7 +86,7 @@ def reference_svg(nodes, options=None):
                 last = nxt
                 kind = tail_generator(last[0][0], last[0][1])
             for member in tree.chain_cores(last[0], opt.chain_preview, last[1]):
-                p_c, q_c, r_c = _centre(member)
+                p_c, q_c, r_c = centre(member)
                 tails.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
                              f'fill="{accent}"/>')
     out += tails
@@ -145,3 +144,18 @@ def test_a_tampered_chain_fails_as_the_reference(preview):
     want = _outcome(reference_svg, nodes, options)
     assert want[0] is InvariantViolation and "determinant -4" in want[1]
     assert _outcome(render_svg, nodes, options) == want
+
+
+@pytest.mark.parametrize("preview", [1, 4])
+def test_a_chain_end_with_a_zero_slope_previews_as_the_reference(preview):
+    # CL.TR, the end of CL's chain, tampered to edges 1/2, 1/1 and slopes
+    # (3, 0): the cell is drawn and its first chain member passes every
+    # check, but its centres step evenly only from that member on.
+    core = (1, 2, 3, 0, 1, 1)
+    c_0, c_1, c_2 = map(centre, (core, *tree.chain_cores(core, 2, ())))
+    assert [b - a for a, b in zip(c_0, c_1)] != [b - a for a, b in zip(c_1, c_2)]
+    nodes = list(tree.expand(tree.ExpansionLimits(max_depth=2, chain_cap=2)))
+    at = [node.word_str for node in nodes].index("CL.TR")
+    nodes[at] = nodes[at]._replace(core=core)
+    options = RenderOptions(chain_preview=preview)
+    assert render_svg(nodes, options) == reference_svg(nodes, options)

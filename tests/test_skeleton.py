@@ -1,5 +1,6 @@
 """Skeleton cell geometry, Wannier lines, and deterministic SVG output."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -8,19 +9,19 @@ from hypothesis import strategies as st
 
 from butterfly_tree import tree
 from butterfly_tree.errors import EmptyInput, InconsistentChernPair, InvariantViolation, NoTail
-from butterfly_tree.generators import apply_state
+from butterfly_tree.generators import apply_state, step_core, tail_generator
 from butterfly_tree.skeleton import (
     DEFAULT_PALETTE,
     RenderOptions,
-    _apex,
     _fixed9,
+    _tail,
     cell_geometry,
     render_svg,
     tail_triangle,
     wannier_lines,
     wannier_rows,
 )
-from oracles import decimal9
+from oracles import centre, chain_apex, decimal9
 
 F = Fraction
 
@@ -110,7 +111,7 @@ def test_tail_triangle_base_is_the_cell_corners_on_the_tailed_edge():
 def _cell_tail_triangle(node):
     """tail_triangle by way of the whole cell: the corners of `cell_geometry`."""
     corners = cell_geometry(node).corners()
-    p, q, r = _apex(*tree.chain_cores(node.core, 2, node.word))
+    p, q, r = chain_apex(node.core, node.word)
     base = corners[2:] if node.tail_direction == "right" else corners[:2]
     return base + ((F(p, q), F(r, q)),)
 
@@ -150,6 +151,55 @@ def test_every_view_rejects_a_non_positive_denominator(view, core, text):
     with pytest.raises(InvariantViolation) as info:
         view(tree.TreeNode(core, ()))
     assert str(info.value) == text
+
+
+def test_tails_follow_their_constant_step():
+    # Member n of a tail is core + n (member 1 - core), and its centre is
+    # centre(core) + n (centre(member 1) - centre(core)): the closed form
+    # `_tail` takes, checked against the stepped chain on every tailed node.
+    tailed = 0
+    for core, word, _, _, _ in tree.walk(tree.ExpansionLimits(max_depth=5, chain_cap=3)):
+        if tail_generator(core[0], core[1]) is None:
+            continue
+        tailed += 1
+        members = list(tree.chain_cores(core, 6, word))
+        step = [b - a for a, b in zip(core, members[0])]
+        c_0, c_1 = centre(core), centre(members[0])
+        for n, member in enumerate(members, 1):
+            assert member == tuple(a + n * d for a, d in zip(core, step)), (word, n)
+            assert centre(member) == tuple(a + n * (b - a) for a, b in zip(c_0, c_1)), (word, n)
+        assert _tail(core, word) == (c_1, tuple(b - a for a, b in zip(c_1, centre(members[1]))))
+    assert tailed == 16800
+
+
+def test_past_the_first_member_no_chain_check_can_fail():
+    # `_tail` checks member 1 alone and steps the centres from it.  Over
+    # every core in a box around the small ones, tampered ones too, whose
+    # first member passes `step_core`: every later member passes as well,
+    # and its centre is member 1's plus a constant step.  From the core
+    # itself the centres need not step evenly: a core with a zero slope
+    # breaks it, which is why `_tail` starts at member 1.
+    passed, uneven_from_the_core = 0, 0
+    for q_r, q_l in itertools.product(range(1, 8), repeat=2):
+        kind = tail_generator(q_r, q_l)
+        if kind is None:
+            continue
+        for p_r, p_l, s_p in itertools.product(range(-2, 9), range(-2, 9),
+                                               range(-2, q_r + q_l + 3)):
+            core = (q_r, q_l, s_p, q_r + q_l - s_p, p_r, p_l)
+            try:
+                step_core(kind, core)
+            except InvariantViolation:
+                continue
+            passed += 1
+            centres = [centre(member) for member in tree.chain_cores(core, 6, ())]
+            first, step = _tail(core, ())
+            assert centres == [tuple(a + n * d for a, d in zip(first, step))
+                               for n in range(6)], core
+            c_0 = centre(core)
+            uneven_from_the_core += any(2 * b != a + c for a, b, c in
+                                        zip(c_0, centres[0], centres[1]))
+    assert (passed, uneven_from_the_core) == (380, 34)
 
 
 def _oracle_cell(state):
