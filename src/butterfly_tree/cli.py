@@ -7,9 +7,9 @@ only when the tail points that way.  Everything is deterministic: the
 same flags always produce byte-identical output.
 
 Exit codes: 0 success, 1 domain/invariant failure, 2 usage error, 3 I/O
-failure, 4 out of memory.  `expand`, `pyth`, `wannier` and `render` stream,
-so an I/O failure part way leaves a partial file; their usage errors come
-before the output opens.  Every command that takes `-o` writes in blocks of
+failure, 4 out of memory.  `expand`, `chain`, `pyth`, `wannier` and `render`
+stream, so an I/O failure part way leaves a partial file; their usage errors
+come before the output opens.  Every command that takes `-o` writes in blocks of
 at least 64 Ki characters (`_Blocks`), one call each, so an unbuffered
 stdout (`PYTHONUNBUFFERED=1`) makes one system call a block, not one a line.
 """
@@ -98,8 +98,8 @@ def _cmd_node(args: argparse.Namespace) -> int:
 
 def _cmd_chain(args: argparse.Namespace) -> int:
     from . import tree as tree_mod
-    # Every row is built before the output opens, so an error writes nothing.
-    rows = list(tree_mod.chain_rows(tree_mod.node_at(args.word), args.steps))
+    # `chain_rows` raises on the call, so an error writes nothing; rows stream.
+    rows = tree_mod.chain_rows(tree_mod.node_at(args.word), args.steps)
     with _out_stream(args.output) as fp:
         tree_mod.write_jsonl_rows(rows, fp)
     return 0

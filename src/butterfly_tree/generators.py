@@ -17,11 +17,12 @@ Each generator is realised three ways, and the routes agree:
 The tree steps only the integer core: the 4x4 vector plus the edge
 numerators, which follow the 2x2 block.  `_step` is that step, with every
 check that needs no product; `step_core` adds the friendly determinant.
-A word's replay folds `_step` and checks friendliness once, at its end
-(see `_check_steps`).  `tree.verify_node` redoes each step on plain
-integers by two other routes: `state_route`, the explicit recursion, and
-`label_route`, the 3x3 matrix.  The property tests compare every route with
-the canonical matrices.
+`_word_step` is the one product of steps over a word: `tree._replay` applies
+it to the root and checks the result once, and `scaling.word_block` is its
+2x2 half.  `tree.verify_node` redoes each step on plain integers by two
+other routes: `state_route`, the explicit recursion, and `label_route`, the
+3x3 matrix.  The property tests compare every route with the canonical
+matrices.
 
 Importing this module loads that integer core alone: no Fraction or Farey
 arithmetic.  The Fraction views live in `states`, which loads the first
@@ -35,8 +36,9 @@ C-type generators are unipotent; the U/D types have eigenvalues 1 and
 from __future__ import annotations
 
 import enum
+import functools
 from math import gcd
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import intmat
 from .errors import InvariantViolation, TailDirectionMismatch
@@ -259,6 +261,33 @@ def _step(kind: GeneratorKind, core: Core) -> Core:
             and p_r <= q_r and s_p + s_m == q_r + q_l):
         raise _bad_step(kind, core, new)
     return new
+
+
+_LEAF = 16  # letters folded in turn into each leaf of `_word_step`
+
+
+def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
+    """Stepping by `first`, then `second`: as pairs (A, B) of matrices [[A, 0],
+    [B, I]], laid out as `step`, (A1, B1) then (A2, B2) is (A2 A1, B1 + B2 A1)."""
+    a, b, c, d, e, f, g, h = first
+    a2, b2, c2, d2, e2, f2, g2, h2 = second
+    return (a2 * a + b2 * c, a2 * b + b2 * d, c2 * a + d2 * c, c2 * b + d2 * d,
+            e + e2 * a + f2 * c, f + e2 * b + f2 * d, g + g2 * a + h2 * c, h + g2 * b + h2 * d)
+
+
+def _word_step(word: Sequence[GeneratorKind]) -> tuple[int, ...]:
+    """The step coefficients of a whole word, laid out as one letter's `step`.
+
+    Leaves of `_LEAF` letters are folded in turn by `_then`, then neighbours
+    are multiplied pairwise, level by level: a balanced product, whose bignum
+    work grows with the result's size, not letters times size.  Each `step`
+    is read on the call, as `_step` reads it; nothing is checked.
+    """
+    pairs = [functools.reduce(_then, [kind.step for kind in word[start:start + _LEAF]])
+             for start in range(0, len(word), _LEAF)]
+    while len(pairs) > 1:  # an odd pair out moves up a level as it is
+        pairs = [*map(_then, pairs[::2], pairs[1::2]), *pairs[len(pairs) // 2 * 2:]]
+    return pairs[0] if pairs else (1, 0, 0, 1, 0, 0, 0, 0)
 
 
 def step_core(kind: GeneratorKind, core: Core) -> Core:

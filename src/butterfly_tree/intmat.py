@@ -3,7 +3,7 @@
 Everything here is plain Python integers, so entries never overflow no
 matter how long a generator word gets.  Nothing here checks an invariant:
 friendliness is checked by `generators.step_core` on every step and by
-`tree._replay` once per word.
+`tree._replay` once per word, whose product is `generators._word_step`.
 
 `mat_vec` is the one product the package calls (the Pythagorean moves and
 the Apollonian correspondence search); the tests' reference product, unit

@@ -8,7 +8,11 @@ moves h_1, h_2, h_3 act on the pairs, and the two pictures commute.
 
 Butterflies plug in through (m, n) = (q_R, q_L): the parity class of the
 pair is preserved exactly by the parity-preserving generators, so nodes
-on C-cell/chain branches carry well-defined triples.
+on C-cell/chain branches carry well-defined triples.  Under C_L, and again
+under C_R, the C-branch (words over C_L, C_R, TL, TR) is the Berggren tree:
+it reaches each ordered unequal coprime odd pair once, each edge below the
+root's children is one H_i on the triples up to leg order, and H_2 is the C
+letter on the parent's tail side (tested exhaustively to q_c <= 200).
 """
 
 from __future__ import annotations

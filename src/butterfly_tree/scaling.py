@@ -7,10 +7,11 @@ period, i.e. the self-similarity exponent of that periodic path.  Words
 built purely from C/chain letters are unipotent (trace 2, polynomial
 growth) and have no such exponent.
 
-Everything is integer arithmetic: word blocks are balanced products on
-four ints, surds are (trace, discriminant) pairs, continued fractions are
-the closed form [t-1; (1, t-2)] that x = t - 1/x gives, and powers use
-the trace recurrence t_{k+1} = t*t_k - t_{k-1}.
+Everything is integer arithmetic: a word block is the 2x2 half of the
+package's one product of steps over a word (`generators._word_step`),
+surds are (trace, discriminant) pairs, continued fractions are the closed
+form [t-1; (1, t-2)] that x = t - 1/x gives, and powers use the trace
+recurrence t_{k+1} = t*t_k - t_{k-1}.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from . import intmat
 from .errors import ParabolicWord
-from .generators import GeneratorKind
+from .generators import GeneratorKind, _word_step
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -66,32 +67,16 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "trace")):
         return QuadraticSurd(cur)
 
 
-_LEAF = 16  # letters folded one at a time into each leaf of `word_block`
-
-
 def word_block(word: Sequence[GeneratorKind]) -> intmat.Matrix:
-    """Product of the 2x2 blocks of a word, in order, on four ints.
+    """Product of the 2x2 blocks of a word, in order: M_1 ... M_n.
 
-    Each letter's block is the first four entries of its `step`.  Leaves
-    of `_LEAF` letters are folded left to right, then neighbours are
-    multiplied pairwise, level by level: a balanced product, whose bignum
-    work grows with the size of the result, not with letters times size.
-    Tail preconditions do not apply: any word denotes a group element.
+    The A half of `generators._word_step` on the reversed word, which steps
+    by M_n ... M_1.  Tail preconditions do not apply: any word denotes a
+    group element.
     """
     if not word:
         raise ValueError("word must be nonempty")
-    blocks = []
-    for start in range(0, len(word), _LEAF):
-        a, b, c, d = 1, 0, 0, 1
-        for kind in word[start:start + _LEAF]:
-            e, f, g, h = kind.step[:4]
-            a, b, c, d = a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h
-        blocks.append((a, b, c, d))
-    while len(blocks) > 1:  # an odd block out moves up a level as it is
-        blocks = [(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-                  for (a, b, c, d), (e, f, g, h) in zip(blocks[::2], blocks[1::2])
-                  ] + blocks[len(blocks) // 2 * 2:]
-    a, b, c, d = blocks[0]
+    a, b, c, d = _word_step(word[::-1])[:4]
     return ((a, b), (c, d))
 
 

@@ -7,22 +7,18 @@ adds a triangle from the shared vertical edge to the chain's accumulation
 point; chains beyond the rendered set are previewed as dots at their
 exact center points.  All geometry is exact integer numerator/denominator
 pairs, computed from each cell's integer core by one set of formulas
-(`_cell`, and `_tail` from a tail's constant step); `cell_geometry` and
-`tail_triangle` are their public Fraction views, which read the core and
-build no state, and `tail_triangle` builds no cell.  The SVG writer maps
-the pairs to pixels in integers and writes fixed 9-digit decimals, so
-rendering the same input twice produces identical bytes; it formats each
-x coordinate once, and each chain end's preview dots once.
+(`_cell`, and `_tail` from a tail's first member and its constant step);
+`cell_geometry` and `tail_triangle` are their public Fraction views, which
+read the core and build no state, and `tail_triangle` builds no cell.  The
+SVG writer maps the pairs to pixels in integers and writes fixed 9-digit
+decimals, so rendering the same input twice produces identical bytes; it
+formats each x coordinate once, and each chain end's preview dots once.
 The SVG streams: `_svg_parts` yields the header, each cell's group, then
-the tails, and `render_svg` joins them, while CLI `render` passes each
-part as it is made to the CLI's writer, which writes them in blocks of
-64 KiB.  Only the cells and the tails, which follow every
-group, are held, never the document: on Python 3.11 (x86-64 Linux) a CLI
-render's peak RSS is 17 MiB at depth 4 and chain cap 2, 32 MiB at d5/c2
-and 133 MiB at d6/c1, against 24, 79 and 447 MiB with the whole document
-held.  The nodes are all read, so an expansion is all checked, before the
-first part: in the CLI only an I/O failure can cut the output, and that
-leaves a partial file and exits 3, as `expand` does.
+the tails, and `render_svg` joins them, while CLI `render` writes each part
+as it is made; only the cells and the tails are held, never the document
+(the README gives the peak RSS).  The nodes are all read, so an expansion
+is all checked, before the first part: in the CLI only an I/O failure can
+cut the output, and that leaves a partial file and exits 3, as `expand` does.
 The Wannier gap lines come from `diophantine.wannier_rows`, re-exported
 here; `wannier_lines` is their Fraction view.
 """
@@ -111,15 +107,14 @@ def _tail(core: Core, word: Word) -> tuple[tuple[int, int, int], tuple[int, int,
     and checks, and the constant step between members' centres: the apex.
 
     A chain step adds (d, d, d, d, e, e) to any core (d = |q_R - q_L|, e the
-    matching numerator difference) and keeps d, e and the determinant, so no
-    check fails past member 1: each is constant or linear with slope d, e or
-    d - e, and 0 <= e <= d for friendly edges in [0, 1].  From member 1 on,
-    sigma_+ grows by d, the reduced (p_c, q_c) by (2e, 2d) and r_c by
-    K = 2 (d r_c + 2 sigma) / q_c - 2, sigma = sigma_+ (C_cR) or sigma_-
-    (C_cL): the n^2 terms of sigma_+ p_c (mod q_c) cancel, and by the
-    determinant d r_c + 2 sigma is a multiple of q_c in (0, (d + 2) q_c), so
-    0 <= K <= 2d keeps r_c in [0, q_c).  A tampered core's own centre may be
-    off that line (a zero slope breaks it), so the centres start at member 1.
+    matching numerator difference), and no check fails past member 1 (the
+    argument is in `chain_cores`).  From member 1 on, sigma_+ grows by d, the
+    reduced (p_c, q_c) by (2e, 2d) and r_c by K = 2 (d r_c + 2 sigma) / q_c
+    - 2, sigma = sigma_+ (C_cR) or sigma_- (C_cL): the n^2 terms of sigma_+
+    p_c (mod q_c) cancel, and by the determinant d r_c + 2 sigma is a
+    multiple of q_c in (0, (d + 2) q_c), so 0 <= K <= 2d keeps r_c in
+    [0, q_c).  A tampered core's own centre may be off that line (a zero
+    slope breaks it), so the centres start at member 1.
     """
     q_r, q_l, s_p, s_m, p_r, p_l = next(chain_cores(core, 1, word))
     d, e = q_r - core[0], p_r - core[4]

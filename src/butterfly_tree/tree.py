@@ -7,31 +7,17 @@ edge denominators differ, one chain successor along the tail side, eight
 generators but at most seven children.  Words therefore address nodes
 uniquely; the converse (which labels are reached) is not claimed here.
 
-Expansion is breadth-first and fully deterministic; limits cap the depth,
-optionally the center denominator, and the number of consecutive chain
-letters at the end of a word (a chain cap of 0 disables chain successors).
-
-Every step is `generators._step` on the integer core: `step_core` adds
-the friendly determinant to each, and a word's replay (`_replay`) checks
-it once, on the core it reaches.
-`walk` is the one breadth-first traversal: it yields each emitted node as
-its core, word, word string, trailing chain run and parent's core.  It
-decides the chain cap and the q_c ceiling from the parent (q_c grows along
-every edge, so a pruned child hides nothing below the ceiling) and steps
-only the children it emits.  It builds each level from the one above, so
-it holds at most one level, about a seventh of the nodes, and never the
-last; the parent's core lets CLI `verify` hold no node of its own.
-`expand` wraps each core and word in a node, whose Fraction state and
-label are built only on access; `expand_rows` builds only the export row,
-which the JSONL and CSV writers format with one f-string, so the CLI
-streams records with no object per record; `chain_rows` does the same for
-the members of a chain.
+There are three ways down the tree, none stepping more than it must.
+`walk`, the one breadth-first traversal (`expand`, `expand_rows`, CLI
+`verify`), steps each child it emits by `step_core`, the full check.
+`_replay` (`node_at`) checks a word's tail syntax, then multiplies the word
+out as one balanced product (`generators._word_step`) checked once; only a
+word that fails is stepped letter by letter, to name where.  `chain_cores`
+steps and checks a chain's first member and adds a constant for the rest.
 
 `verify_node` is one induction on the integers: the root's core is the
 root state's, and every other node is checked against its parent's core
-alone, whose step is redone by two routes other than `step_core` (the
-explicit recursion and the 3x3 label matrix).  So a given parent must
-itself have passed; without one, the replay of the word's prefix stands in.
+alone, by two routes other than `step_core`.
 
 Importing this module loads only the integer core of `generators`; the rest
 loads where it is used: `states` in `TreeNode.state` and `.label`,
@@ -46,31 +32,10 @@ from collections import namedtuple
 from types import ModuleType
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import (
-    InvariantViolation,
-    MalformedRecord,
-    NoTail,
-    TailDirectionMismatch,
-)
-from .generators import (
-    BABY_KINDS,
-    Core,
-    GeneratorKind,
-    ROOT_CORE,
-    _C_CR,
-    _D_L,
-    _U_L,
-    _check_denominators,
-    _problems,
-    _ratio,
-    _step,
-    _text,
-    label_route,
-    state_route,
-    step_core,
-    tail_generator,
-    tail_side,
-)
+from .errors import InvariantViolation, MalformedRecord, NoTail, TailDirectionMismatch
+from .generators import (BABY_KINDS, ROOT_CORE, Core, GeneratorKind, _C_CL, _C_CR, _D_L, _U_L,
+                         _check_denominators, _problems, _ratio, _step, _text, _word_step,
+                         label_route, state_route, step_core, tail_generator, tail_side)
 
 if TYPE_CHECKING:
     from .states import ButterflyLabel, ButterflyState
@@ -181,19 +146,24 @@ def children(node: TreeNode) -> list[TreeNode]:
 def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:
     """Checked cores of the first `steps` chain members below `core`.
 
-    `word` addresses `core` and only names it in errors: ValueError for
-    negative `steps`, NoTail when there is no tail.  The tail never flips
-    sides: C_cR sends (q_R, q_L) to (2 q_R - q_L, q_R), which keeps
-    q_R - q_L, and C_cL likewise keeps q_L - q_R.
+    `word` addresses `core` and only names it in errors.  All that can raise
+    does so on the call: ValueError for negative `steps`, NoTail when there
+    is no tail, and `step_core` on member 1, the one member stepped.  A chain
+    step adds (d, d, d, d, e, e) to a core, d = |q_R - q_L| and e the matching
+    numerator difference, and keeps d (the tail never flips sides), e and the
+    determinant.  So past member 1 no check can fail: each is constant or
+    linear in the member's number with slope d, e or d - e, and 0 <= e <= d
+    for friendly edges in [0, 1].
     """
     if steps < 0:
         raise ValueError(f"steps must be non-negative, got {steps}")
     kind = tail_generator(core[0], core[1])
     if kind is None:
         raise NoTail(f"{word_string(word) or 'root'} has no tail")
-    for _ in range(steps):
-        core = step_core(kind, core)
-        yield core
+    q_r, q_l, s_p, s_m, p_r, p_l = step_core(kind, core) if steps else core
+    d, e = q_r - core[0], p_r - core[4]
+    return ((q_r + n * d, q_l + n * d, s_p + n * d, s_m + n * d, p_r + n * e, p_l + n * e)
+            for n in range(steps))
 
 
 def chain(node: TreeNode, steps: int) -> list[TreeNode]:
@@ -204,23 +174,44 @@ def chain(node: TreeNode, steps: int) -> list[TreeNode]:
 
 
 def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
-    """The row of each member of `chain(node, steps)`, built straight from the cores."""
+    """The rows of `chain(node, steps)`, from the cores; raises as `chain_cores` does."""
     core, text, depth = node.core, node.word_str, len(node.word)
-    kind = tail_generator(core[0], core[1])
-    for member in chain_cores(core, steps, node.word):
-        text, depth = f"{text}.{kind.token}", depth + 1
-        yield record_row(member, text, "chain", depth)
+    members = chain_cores(core, steps, node.word)
+    letter = "." + tail_generator(core[0], core[1]).token
+    return (record_row(member, text + letter * n, "chain", depth + n)
+            for n, member in enumerate(members, 1))
+
+
+# The chain letter each baby letter allows next: C_L, U_R, D_R leave q_R > q_L.
+_TAIL_AFTER = {"CL": _C_CR, "UR": _C_CR, "DR": _C_CR, "CR": _C_CL, "UL": _C_CL, "DL": _C_CL}
 
 
 def _replay(word: Word) -> Core:
     """The checked core reached by stepping the word from the root.
 
-    Folds `generators._step`.  A chain letter applied against the tail
-    raises TailDirectionMismatch naming the prefix that failed; past 20
-    letters, only the letter's number and both ends of the prefix.  No
-    step changes the friendly determinant (`generators._check_steps`), so
-    the full check runs once, on the core returned.
+    One pass checks the tail syntax with no arithmetic: a chain letter must
+    be the one `_TAIL_AFTER` the last baby letter, and the root allows none.
+    A valid step keeps a valid state valid, so a word that keeps the syntax
+    is one `generators._word_step`, applied to the root and checked once.
+    Any other word, or a result that fails (only a changed step table makes
+    one), is stepped again by `_step`, to raise what the first bad letter
+    raises; TailDirectionMismatch names the prefix, past 20 letters by the
+    letter's number and both ends.
     """
+    tail = None
+    for kind in word:
+        if kind.is_chain:
+            if kind is not tail:
+                break
+        else:
+            tail = _TAIL_AFTER[kind.token]
+    else:
+        a, b, c, d, e, f, g, h = _word_step(word)
+        q_r, q_l, s_p, s_m, p_r, p_l = ROOT_CORE
+        core = (a * q_r + b * q_l, c * q_r + d * q_l, s_p + e * q_r + f * q_l,
+                s_m + g * q_r + h * q_l, a * p_r + b * p_l, c * p_r + d * p_l)
+        if not _problems(core):
+            return core
     core = ROOT_CORE
     try:
         for i, kind in enumerate(word):
@@ -239,13 +230,9 @@ def _replay(word: Word) -> Core:
 
 
 def node_at(word: Union[str, Sequence[Union[GeneratorKind, str]]]) -> TreeNode:
-    """Replay a word from the root: a dot-separated string or a sequence of
-    generators and tokens.
-
-    Every token is converted before the replay, so an unknown one raises
-    ValueError whatever the letters before it; a chain letter applied
-    against the tail raises TailDirectionMismatch naming the prefix that
-    failed.
+    """Replay a word from the root (`_replay`): a dot-separated string or a
+    sequence of generators and tokens.  Every token is converted before the
+    replay, so an unknown one raises ValueError whatever the letters before it.
     """
     kinds = parse_word(word) if isinstance(word, str) else _kinds(word)
     return TreeNode(_replay(kinds), kinds)

@@ -7,8 +7,9 @@ window that `gap_rows` steps through; `functor_holds` checks that the pair
 and triple moves of the Pythagorean tree commute on raw integers;
 `decimal9` rounds an exact rational to 9 decimals by `Fraction` arithmetic,
 the rule the SVG writer's `_fixed9` follows on integers; `centre` reduces a
-cell's centre by `Fraction`, and `chain_apex` steps the first two chain
-members, where the skeleton takes a tail's constant step; and `chain_run`
+cell's centre by `Fraction`; `stepped_chain` steps every chain member,
+where `tree.chain_cores` steps the first and adds, and `chain_apex` steps
+the first two, where the skeleton takes a tail's constant step; `chain_run`
 counts a word's trailing chain letters, which `tree.walk` carries along
 from the parent.
 
@@ -22,10 +23,11 @@ from fractions import Fraction
 from math import floor, gcd
 
 from butterfly_tree.diophantine import _require_coprime
-from butterfly_tree.errors import NotCoprime
+from butterfly_tree.errors import NoTail, NotCoprime
+from butterfly_tree.generators import step_core, tail_generator
 from butterfly_tree.intmat import Matrix, mat_vec
 from butterfly_tree.pythagoras import H_MATRICES, _triple, h_MATRICES
-from butterfly_tree.tree import Word, chain_cores
+from butterfly_tree.tree import Word
 
 
 def identity(n: int) -> Matrix:
@@ -104,10 +106,24 @@ def centre(core: tuple[int, ...]) -> tuple[int, int, int]:
     return phi.numerator, phi.denominator, s_p * phi.numerator % phi.denominator
 
 
+def stepped_chain(core: tuple[int, ...], steps: int, word: Word = ()) -> list[tuple[int, ...]]:
+    """The first `steps` chain members below `core`, each stepped and checked
+    by `step_core` in turn, where `tree.chain_cores` steps the first and adds;
+    NoTail, naming `word`, as it raises, when there is no tail."""
+    kind = tail_generator(core[0], core[1])
+    if kind is None:
+        raise NoTail(f"{'.'.join(letter.token for letter in word) or 'root'} has no tail")
+    members = []
+    for _ in range(steps):
+        core = step_core(kind, core)
+        members.append(core)
+    return members
+
+
 def chain_apex(core: tuple[int, ...], word: Word) -> tuple[int, int, int]:
     """(p, q, r): the tail apex (p/q, r/q) as the difference of the centres of
-    chain members 2 and 1, each stepped and checked by `chain_cores`."""
-    first, second = chain_cores(core, 2, word)
+    chain members 2 and 1, each stepped and checked by `stepped_chain`."""
+    first, second = stepped_chain(core, 2, word)
     (p1, q1, r1), (p2, q2, r2) = centre(first), centre(second)
     return p2 - p1, q2 - q1, r2 - r1
 

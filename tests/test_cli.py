@@ -197,16 +197,17 @@ def test_render_cut_by_an_io_failure_leaves_a_partial_file(tmp_path):
 
 def test_running_out_of_memory_is_an_error_line(tmp_path):
     # A child whose address space is capped at 256 MiB (RLIMIT_AS on itself
-    # alone) builds the rows of a chain of 10^8 members until an allocation fails.
+    # alone) lists the squares up to 10^8 for the Pythagorean oracle, before
+    # the output opens, until an allocation fails.
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no RLIMIT_AS")
     limit = 256 * 1024 * 1024
-    target = tmp_path / "chain.jsonl"
+    target = tmp_path / "pyth.jsonl"
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
-        [sys.executable, "-m", "butterfly_tree.cli", "chain", "--word=UL",
-         "--steps", "100000000", "-o", str(target)],
+        [sys.executable, "-m", "butterfly_tree.cli", "pyth",
+         "--oracle-cmax", "100000000", "-o", str(target)],
         capture_output=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=120,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
     assert (proc.returncode, proc.stdout) == (4, b"")

@@ -25,6 +25,7 @@ import pytest
 
 import butterfly_tree
 from butterfly_tree.cli import build_parser
+from butterfly_tree.generators import GeneratorKind
 from test_cli import AGAINST_THE_TAIL, AGAINST_THE_TAIL_ERROR
 from test_golden import (BIG_CHAIN_ARGV, BIG_NODE_ARGV, CHAIN_ARGV, GOLDEN,
                          SCALING_ARGV, short_id)
@@ -438,22 +439,51 @@ def test_every_oracle_is_used_by_a_test():
 
 
 # Where a generator's step coefficients (`kind.step`) may be read, each
-# with its reason: one step formula, so no copy of it can drift.
+# with its reason: one step formula and one product of steps over a word,
+# so no copy of either can drift.
 STEP_HOMES = {
     "generators._step": "the one generator step on the integer core",
+    "generators._word_step": "the one product of steps over a word, balanced",
     "generators._check_steps": "the import-time check that every step block has determinant 1",
     "generators.<module>": "the import-time loop that sets each kind's step",
-    "scaling.word_block": "the balanced product of a word's 2x2 step blocks",
     "tree._qc_row": "the row sums that give a child's q_c before any step",
 }
+
+# The names that hold a generator in the package, and its members with their
+# module aliases (`GeneratorKind.C_L`, `_C_L`).
+GENERATOR_NAMES = {"kind", "_kind"} | {f"{prefix}{kind.name}" for kind in GeneratorKind
+                                       for prefix in ("", "_")}
+
+
+def _step_readers(source, stem):
+    """The top-level homes in `source` that read a generator's `step`: the
+    attribute on a name in GENERATOR_NAMES or on a member, such as
+    `GeneratorKind.C_L.step`; a record's own `step` field is not one."""
+    readers = set()
+    for stmt in ast.parse(source).body:
+        home = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Attribute) and node.attr == "step":
+                holder = node.value
+                name = holder.attr if isinstance(holder, ast.Attribute) else getattr(
+                    holder, "id", None)
+                if name in GENERATOR_NAMES:
+                    readers.add(f"{stem}.{home}")
+    return readers
 
 
 def test_only_the_step_homes_read_the_step_coefficients():
     readers = set()
     for path in sorted((SRC / "butterfly_tree").glob("*.py")):
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
-            home = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else "<module>"
-            if any(isinstance(node, ast.Attribute) and node.attr == "step"
-                   for node in ast.walk(stmt)):
-                readers.add(f"{path.stem}.{home}")
+        readers |= _step_readers(path.read_text(encoding="utf-8"), path.stem)
     assert sorted(readers) == sorted(STEP_HOMES)
+
+
+def test_the_step_scan_flags_generators_and_not_a_record_field():
+    # The scan once flagged `found.step`, a correspondence report's field.
+    source = ("def record(found):\n    return found.step, found.report.step\n"
+              "def letter(kind):\n    return kind.step[:4]\n"
+              "def member():\n    return GeneratorKind.C_L.step, K.C_CR.step\n"
+              "def alias():\n    return _D_R.step\n"
+              "for _kind in GeneratorKind:\n    _kind.step = ()\n")
+    assert _step_readers(source, "m") == {"m.letter", "m.member", "m.alias", "m.<module>"}

@@ -22,7 +22,8 @@ from butterfly_tree.pythagoras import (
     primitive_triple_oracle,
     triple_tree,
 )
-from butterfly_tree.tree import ExpansionLimits, expand, node_at
+from butterfly_tree.generators import ROOT_CORE, GeneratorKind, step_core, tail_generator
+from butterfly_tree.tree import ExpansionLimits, TreeNode, expand, node_at
 from oracles import functor_holds
 
 
@@ -220,3 +221,37 @@ def test_parity_class_constant_along_c_branches():
         parent = by_word[n.word[:-1]]
         assert (n.state.q_r - n.state.q_l) % 2 == \
             (parent.state.q_r - parent.state.q_l) % 2, n.word_str
+
+
+def test_the_c_branch_is_the_berggren_tree_edge_for_edge():
+    # The words over C_L, C_R and the chain letters, walked by `step_core` to
+    # q_c <= 200 (exhaustive: C_L adds 2 q_L to q_c, C_R 2 q_R, a chain step
+    # 2 |q_R - q_L|).  Their (q_R, q_L) are the ordered unequal coprime odd
+    # pairs, each once, and each parent edge below the root's two children is
+    # one Berggren move H_1, H_2 or H_3 on the triples, up to leg order: the
+    # C letter on the parent's tail side (C_L where q_L > q_R) makes H_2, and
+    # the other C letter and the chain letter make H_1 and H_3.
+    bound = 200
+    pairs, edges = [], 0
+    stack = [(ROOT_CORE, (), None, None)]
+    while stack:
+        core, word, parent, parent_triple = stack.pop()
+        triple = cbranch_to_triple(TreeNode(core, word))
+        if word:
+            pairs.append(core[:2])
+        if parent_triple is not None:
+            edges += 1
+            moves = [i for i in (1, 2, 3)
+                     if apply_H(i, PythTriple(*parent_triple.leg_set)).leg_set == triple.leg_set]
+            assert len(moves) == 1, word
+            on_the_tail_side = GeneratorKind.C_L if parent[1] > parent[0] else GeneratorKind.C_R
+            assert (moves[0] == 2) == (word[-1] is on_the_tail_side), word
+        letters = [GeneratorKind.C_L, GeneratorKind.C_R, tail_generator(core[0], core[1])]
+        for kind in filter(None, letters):
+            stepped = step_core(kind, core)
+            if stepped[0] + stepped[1] <= bound:
+                stack.append((stepped, word + (kind,), core, triple if word else None))
+    want = {(m, n) for m in range(1, bound, 2) for n in range(1, bound - m + 1, 2)
+            if m != n and gcd(m, n) == 1}
+    assert sorted(pairs) == sorted(want)
+    assert (len(pairs), edges) == (4080, 4078)

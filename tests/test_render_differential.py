@@ -15,7 +15,7 @@ from butterfly_tree.skeleton import (
     _fixed9,
     render_svg,
 )
-from oracles import centre, chain_apex
+from oracles import centre, chain_apex, stepped_chain
 
 _KIND_ORDER = tuple(GeneratorKind)
 
@@ -85,7 +85,7 @@ def reference_svg(nodes, options=None):
                     break
                 last = nxt
                 kind = tail_generator(last[0][0], last[0][1])
-            for member in tree.chain_cores(last[0], opt.chain_preview, last[1]):
+            for member in stepped_chain(last[0], opt.chain_preview, last[1]):
                 p_c, q_c, r_c = centre(member)
                 tails.append(f'<circle cx="{px(p_c, q_c)}" cy="{py(r_c, q_c)}" r="2.2" '
                              f'fill="{accent}"/>')
@@ -152,7 +152,7 @@ def test_a_chain_end_with_a_zero_slope_previews_as_the_reference(preview):
     # (3, 0): the cell is drawn and its first chain member passes every
     # check, but its centres step evenly only from that member on.
     core = (1, 2, 3, 0, 1, 1)
-    c_0, c_1, c_2 = map(centre, (core, *tree.chain_cores(core, 2, ())))
+    c_0, c_1, c_2 = map(centre, (core, *stepped_chain(core, 2)))
     assert [b - a for a, b in zip(c_0, c_1)] != [b - a for a, b in zip(c_1, c_2)]
     nodes = list(tree.expand(tree.ExpansionLimits(max_depth=2, chain_cap=2)))
     at = [node.word_str for node in nodes].index("CL.TR")

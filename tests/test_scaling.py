@@ -9,9 +9,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from butterfly_tree.errors import ParabolicWord
-from butterfly_tree.generators import GeneratorKind, canonical_matrices
+from butterfly_tree.generators import _LEAF, GeneratorKind, canonical_matrices
 from butterfly_tree.scaling import (
-    _LEAF,
     QuadraticSurd,
     cf_expansion,
     scaling_exponent,

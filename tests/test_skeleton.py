@@ -21,7 +21,7 @@ from butterfly_tree.skeleton import (
     wannier_lines,
     wannier_rows,
 )
-from oracles import centre, chain_apex, decimal9
+from oracles import centre, chain_apex, decimal9, stepped_chain
 
 F = Fraction
 
@@ -162,7 +162,7 @@ def test_tails_follow_their_constant_step():
         if tail_generator(core[0], core[1]) is None:
             continue
         tailed += 1
-        members = list(tree.chain_cores(core, 6, word))
+        members = stepped_chain(core, 6, word)
         step = [b - a for a, b in zip(core, members[0])]
         c_0, c_1 = centre(core), centre(members[0])
         for n, member in enumerate(members, 1):
@@ -192,7 +192,7 @@ def test_past_the_first_member_no_chain_check_can_fail():
             except InvariantViolation:
                 continue
             passed += 1
-            centres = [centre(member) for member in tree.chain_cores(core, 6, ())]
+            centres = [centre(member) for member in stepped_chain(core, 6)]
             first, step = _tail(core, ())
             assert centres == [tuple(a + n * d for a, d in zip(first, step))
                                for n in range(6)], core

@@ -8,6 +8,8 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butterfly_tree.diophantine import center_gap_index, recover_edges
 from butterfly_tree.errors import (
@@ -29,6 +31,7 @@ from butterfly_tree.generators import (
     _check_tail,
     apply_label,
     step_core,
+    tail_generator,
     tail_side,
 )
 from butterfly_tree.tree import (
@@ -55,7 +58,7 @@ from butterfly_tree.tree import (
     write_csv,
     write_jsonl,
 )
-from oracles import chain_run
+from oracles import chain_run, stepped_chain
 from test_golden import lcg_word
 
 K = GeneratorKind
@@ -360,7 +363,7 @@ def step_fold(word):
 
 
 @pytest.mark.parametrize("length, seed", [(1, 1), (2, 2), (3, 3), (17, 4), (100, 5),
-                                          (999, 6), (3000, 7)])
+                                          (999, 6), (3000, 7), (10_000, 8)])
 def test_node_at_equals_a_step_core_fold(length, seed):
     text = lcg_word(length, seed)
     word = parse_word(text)
@@ -430,17 +433,72 @@ def test_an_unimodularity_breach_is_caught_at_import_and_by_the_replay(monkeypat
 
 
 def test_a_replay_runs_the_full_check_once(monkeypatch):
-    calls = []
+    # And it steps no letter: the letter-by-letter loop runs only for a word
+    # that fails, here one with a chain letter against the tail.
+    calls, steps = [], []
 
     def counted(core):
         calls.append(core)
         return real(core)
 
-    real = generators._problems
+    real, real_step = generators._problems, tree._step
     monkeypatch.setattr(generators, "_problems", counted)
     monkeypatch.setattr(tree, "_problems", counted)
+    monkeypatch.setattr(tree, "_step",
+                        lambda kind, core: steps.append(kind) or real_step(kind, core))
     node = node_at(lcg_word(500, 10))
-    assert calls == [node.state.core]
+    assert (calls, steps) == ([node.state.core], [])
+    with pytest.raises(TailDirectionMismatch):
+        node_at("CL.TR.TL")
+    assert steps == [K.C_L, K.C_CR, K.C_CL]
+
+
+def _outcome(function, *args):
+    try:
+        return function(*args)
+    except ButterflyError as exc:
+        return type(exc), str(exc)
+
+
+def _word_along_the_tail(choices):
+    """A word whose chain letters follow the tail, as `step_core` finds it:
+    each choice is a baby letter, or None for the tail letter, if any."""
+    core, word = ROOT_STATE.core, []
+    for kind in choices:
+        kind = kind or tail_generator(core[0], core[1])
+        if kind is not None:
+            core = step_core(kind, core)
+            word.append(kind)
+    return tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(list(K)), max_size=40),
+       st.lists(st.sampled_from([*generators.BABY_KINDS, None, None]), max_size=80))
+def test_a_replay_equals_the_letter_by_letter_fold(letters, choices):
+    # Any letters, chain ones against the tail too, and words that keep the
+    # tail: the syntax pass and one product reach the core of the stepped
+    # fold, and a word that fails fails with the fold's exception and text.
+    word = tuple(letters)
+    assert _outcome(tree._replay, word) == _outcome(step_fold, word)
+    along = _word_along_the_tail(choices)
+    assert tree._replay(along) == step_fold(along)
+
+
+def test_a_chain_steps_its_first_member_alone(monkeypatch):
+    calls = []
+    real = tree.step_core
+    monkeypatch.setattr(tree, "step_core",
+                        lambda kind, core: calls.append(kind) or real(kind, core))
+    for text in ("UL", "CR.TL.TL", lcg_word(3000, 7)):
+        node = node_at(text)
+        calls.clear()
+        members = chain_cores(node.core, 50, node.word)
+        assert len(calls) == 1  # on the call, before any member is read
+        assert list(members) == stepped_chain(node.core, 50)
+        assert len(calls) == 1
+    calls.clear()
+    assert list(chain_cores(node.core, 0, node.word)) == [] and calls == []
 
 
 def test_expansion_limit_validation():
@@ -1042,14 +1100,16 @@ def test_node_views_equal_the_fields_a_node_stored():
 def test_a_chain_never_flips_its_tail():
     # C_cR sends (q_R, q_L) to (2 q_R - q_L, q_R) and C_cL sends it to
     # (q_L, 2 q_L - q_R): each keeps the difference of the denominators.
+    # `chain_cores`, which steps member 1 alone, gives the stepped members.
     tailed = 0
     for node in expand(ExpansionLimits(4, 2)):
         q_r, q_l = node.core[:2]
         if q_r == q_l:
             continue
         tailed += 1
-        assert {core[0] - core[1] for core in chain_cores(node.core, 30, node.word)} == {
-            q_r - q_l}
+        members = stepped_chain(node.core, 30)
+        assert {core[0] - core[1] for core in members} == {q_r - q_l}
+        assert list(chain_cores(node.core, 30, node.word)) == members, node.word_str
     assert tailed == 2394
 
 
