@@ -8,6 +8,8 @@ unique integer pair (sigma, tau) with
 sigma being the slope of the gap's density line rho = sigma*phi + tau and
 the gap's Hall conductance.  Band Chern numbers are the first differences
 of the bounding gap slopes and satisfy p*N + q*M = 1 bandwise.
+`reduced_fluxes` is the one loop over the fluxes: CLI `wannier` and
+`skeleton.wannier_lines` take the `gap_rows` of each flux it yields.
 """
 
 from __future__ import annotations
@@ -76,13 +78,6 @@ def reduced_fluxes(q_max: int) -> Iterator[tuple[int, int]]:
     if q_max < 2:
         raise ValueError("q_max must be at least 2")
     return ((p, q) for q in range(2, q_max + 1) for p in range(1, q) if gcd(p, q) == 1)
-
-
-def wannier_rows(q_max: int) -> Iterator[tuple[int, int, int, int, int]]:
-    """(sigma, tau, p, q, r) for every gap of every `reduced_fluxes(q_max)`
-    flux p/q, gaps in the order of `gap_rows`."""
-    return ((sigma, tau, p, q, r)
-            for p, q in reduced_fluxes(q_max) for r, sigma, tau in gap_rows(p, q))
 
 
 def gap_labels(p: int, q: int) -> list[GapLabel]:

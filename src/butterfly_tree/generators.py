@@ -14,15 +14,18 @@ Each generator is realised three ways, and the routes agree:
 * a 4x4 integer matrix on (q_R, q_L, sigma_+, sigma_-),
 * its projections, 3x3 on (q_R, q_L, Delta-sigma) and 2x2 on (q_R, q_L).
 
-The tree steps only the integer core: the 4x4 vector plus the edge
-numerators, which follow the 2x2 block.  `_step` is that step, with every
-check that needs no product; `step_core` adds the friendly determinant.
-`_word_step` is the one product of steps over a word: `tree._replay` applies
-it to the root and checks the result once, and `scaling.word_block` is its
-2x2 half.  `tree.verify_node` redoes each step on plain integers by two
-other routes: `state_route`, the explicit recursion, and `label_route`, the
-3x3 matrix.  The property tests compare every route with the canonical
-matrices.
+Each generator is written once, as its step (A, B), the blocks of its 4x4
+matrix [[A, 0], [B, I]]; its matrices, the q_c row the tree prunes by and
+the chain letter its tail syntax allows next are built from the step at
+import, and `_check_steps` checks them.  The tree steps only the integer
+core: the 4x4 vector plus the edge numerators, which follow A.  `_step` is
+that step, with every check that needs no product; `step_core` adds the
+friendly determinant.  `_word_step` is the one product of steps over a
+word, pairwise: `tree._replay` applies it to the root and checks the
+result once, and `scaling.word_block` is its A half.  `tree.verify_node`
+redoes each step on plain integers by two other routes: `state_route`, the
+explicit recursion, and `label_route`, the 3x3 matrix.  The property tests
+compare every route with the canonical matrices.
 
 Importing this module loads that integer core alone: no Fraction or Farey
 arithmetic.  The Fraction views live in `states`, which loads the first
@@ -36,7 +39,6 @@ C-type generators are unipotent; the U/D types have eigenvalues 1 and
 from __future__ import annotations
 
 import enum
-import functools
 from math import gcd
 from typing import Optional, Sequence
 
@@ -58,14 +60,15 @@ class GeneratorKind(enum.Enum):
 
     # The two-letter command-line token (chains are TL/TR), whether the
     # letter walks a chain, its cell class ("C-cell", "E-cell" or "chain"),
-    # the step coefficients of its 4x4 matrix and the rows of its 3x3
-    # matrix (whose top-left 2x2 is the block on (q_R, q_L)), set on each
-    # member below: plain attributes, so reading one hashes no enum member.
+    # its step (A, B) and the tables built from it, set on each member
+    # below: plain attributes, so reading one hashes no enum member.
     token: str
     is_chain: bool
     cell_class: str
     step: tuple[int, ...]
     label_rows: intmat.Matrix
+    qc_row: tuple[int, int]
+    tail_after: Optional["GeneratorKind"]
 
     @classmethod
     def from_token(cls, text: str) -> "GeneratorKind":
@@ -82,55 +85,39 @@ class GeneratorKind(enum.Enum):
 # class costs about 0.2 us, a global about 0.01 us.
 _C_L, _C_R, _U_L, _U_R, _D_L, _D_R, _C_CL, _C_CR = GeneratorKind
 
-for _kind, _token in zip(GeneratorKind, ("CL", "CR", "UL", "UR", "DL", "DR", "TL", "TR")):
+# The one table of generator data: each step (A, B), row by row as
+# (a, b, c, d, e, f, g, h).  A acts on (q_R, q_L) and on (p_R, p_L), and B
+# adds to (sigma_+, sigma_-).  The loop builds the rest from it: the 4x4
+# matrix, the 3x3 rows on (q_R, q_L, Delta-sigma) (A beside a zero column,
+# over row sigma_+ less row sigma_-), the `qc_row` (u, v), the column sums
+# of A, for a child's q_c = u q_R + v q_L, and the `tail_after`: a chain
+# letter keeps its side, and a baby's is the sign of
+# q_R' - q_L' = (a - c) q_R + (b - d) q_L, None where that is not fixed.
+_FOUR: dict[GeneratorKind, intmat.Matrix] = {}
+for _kind, (_token, _step) in zip(GeneratorKind, (
+        ("CL", (1, 2, 0, 1, 0, 1, 0, 1)),
+        ("CR", (1, 0, 2, 1, 1, 0, 1, 0)),
+        ("UL", (1, 1, 1, 2, 0, 1, 1, 1)),
+        ("UR", (2, 1, 1, 1, 1, 1, 1, 0)),
+        ("DL", (1, 1, 1, 2, 1, 1, 0, 1)),
+        ("DR", (2, 1, 1, 1, 1, 0, 1, 1)),
+        ("TL", (0, 1, -1, 2, -1, 1, -1, 1)),
+        ("TR", (2, -1, 1, 0, 1, -1, 1, -1)))):
     _kind.token = _token
     _kind.is_chain = _kind in (_C_CL, _C_CR)
     _kind.cell_class = ("chain" if _kind.is_chain else "C-cell"
                         if _kind in (_C_L, _C_R) else "E-cell")
+    _a, _b, _c, _d, _e, _f, _g, _h = _kind.step = _step
+    _FOUR[_kind] = ((_a, _b, 0, 0), (_c, _d, 0, 0), (_e, _f, 1, 0), (_g, _h, 0, 1))
+    _kind.label_rows = ((_a, _b, 0), (_c, _d, 0), (_e - _g, _f - _h, 1))
+    _kind.qc_row = (_a + _c, _b + _d)
+    _kind.tail_after = (_kind if _kind.is_chain else _C_CR if min(_a - _c, _b - _d) >= 0
+                        else _C_CL if max(_a - _c, _b - _d) <= 0 else None)
 # Every accepted spelling, normalised as `from_token` normalises its input.
 _BY_KEY = {key: kind for kind in GeneratorKind
            for key in (kind.token, kind.value.upper().replace("_", ""))}
 
 BABY_KINDS = tuple(GeneratorKind)[:6]  # C_L, C_R, U_L, U_R, D_L, D_R
-
-# 4x4 action on the column (q_R, q_L, sigma_+, sigma_-).  The upper-left
-# 2x2 block acts on the denominators alone and the 3x3 projection onto
-# (q_R, q_L, Delta-sigma) follows by subtracting the last two rows.
-_FOUR: dict[GeneratorKind, intmat.Matrix] = {
-    GeneratorKind.C_L: ((1, 2, 0, 0),
-                        (0, 1, 0, 0),
-                        (0, 1, 1, 0),
-                        (0, 1, 0, 1)),
-    GeneratorKind.C_R: ((1, 0, 0, 0),
-                        (2, 1, 0, 0),
-                        (1, 0, 1, 0),
-                        (1, 0, 0, 1)),
-    GeneratorKind.U_L: ((1, 1, 0, 0),
-                        (1, 2, 0, 0),
-                        (0, 1, 1, 0),
-                        (1, 1, 0, 1)),
-    GeneratorKind.U_R: ((2, 1, 0, 0),
-                        (1, 1, 0, 0),
-                        (1, 1, 1, 0),
-                        (1, 0, 0, 1)),
-    GeneratorKind.D_L: ((1, 1, 0, 0),
-                        (1, 2, 0, 0),
-                        (1, 1, 1, 0),
-                        (0, 1, 0, 1)),
-    GeneratorKind.D_R: ((2, 1, 0, 0),
-                        (1, 1, 0, 0),
-                        (1, 0, 1, 0),
-                        (1, 1, 0, 1)),
-    GeneratorKind.C_CL: ((0, 1, 0, 0),
-                         (-1, 2, 0, 0),
-                         (-1, 1, 1, 0),
-                         (-1, 1, 0, 1)),
-    GeneratorKind.C_CR: ((2, -1, 0, 0),
-                         (1, 0, 0, 0),
-                         (1, -1, 1, 0),
-                         (1, -1, 0, 1)),
-}
-
 
 # The integer core of a butterfly: the 4x4 vector (q_R, q_L, sigma_+,
 # sigma_-) followed by the edge numerators (p_R, p_L), which follow the
@@ -139,23 +126,16 @@ Core = tuple[int, int, int, int, int, int]
 
 ROOT_CORE: Core = (1, 1, 1, 1, 1, 0)  # edges 0/1 and 1/1, slopes 1 and 1
 
-# Every 4x4 matrix is [[A, 0], [B, I]] in 2x2 blocks, so a step needs only
-# the entries of A (rows 0-1) and B (rows 2-3) in the first two columns.
-# Each member keeps them as a plain attribute, like its token, and the rows
-# of its 3x3 matrix on (q_R, q_L, Delta-sigma): A beside a zero column,
-# over row sigma_+ less row sigma_-.
-for _kind, _m in _FOUR.items():
-    _kind.step = _m[0][:2] + _m[1][:2] + _m[2][:2] + _m[3][:2]
-    _kind.label_rows = (_m[0][:2] + (0,), _m[1][:2] + (0,),
-                        (_m[2][0] - _m[3][0], _m[2][1] - _m[3][1], 1))
-
 
 def _check_steps() -> None:
-    """Raise unless every step block has determinant 1, as `_step` assumes."""
+    """Raise unless every step block has determinant 1, as `_step` assumes, and
+    every baby leaves one tail side, as `tree._replay`'s syntax pass assumes."""
     for kind in GeneratorKind:
         det = kind.step[0] * kind.step[3] - kind.step[1] * kind.step[2]
         if det != 1:
             raise InvariantViolation(f"{kind.value} step block has determinant {det}, not 1")
+        if kind.tail_after is None:
+            raise InvariantViolation(f"{kind.value} may leave either tail side")
 
 
 _check_steps()
@@ -263,9 +243,6 @@ def _step(kind: GeneratorKind, core: Core) -> Core:
     return new
 
 
-_LEAF = 16  # letters folded in turn into each leaf of `_word_step`
-
-
 def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
     """Stepping by `first`, then `second`: as pairs (A, B) of matrices [[A, 0],
     [B, I]], laid out as `step`, (A1, B1) then (A2, B2) is (A2 A1, B1 + B2 A1)."""
@@ -278,13 +255,12 @@ def _then(first: tuple[int, ...], second: tuple[int, ...]) -> tuple[int, ...]:
 def _word_step(word: Sequence[GeneratorKind]) -> tuple[int, ...]:
     """The step coefficients of a whole word, laid out as one letter's `step`.
 
-    Leaves of `_LEAF` letters are folded in turn by `_then`, then neighbours
-    are multiplied pairwise, level by level: a balanced product, whose bignum
-    work grows with the result's size, not letters times size.  Each `step`
-    is read on the call, as `_step` reads it; nothing is checked.
+    Neighbours are multiplied pairwise by `_then`, level by level: a balanced
+    product, whose bignum work grows with the result's size, not letters
+    times size.  Each `step` is read on the call, as `_step` reads it;
+    nothing is checked.
     """
-    pairs = [functools.reduce(_then, [kind.step for kind in word[start:start + _LEAF]])
-             for start in range(0, len(word), _LEAF)]
+    pairs = [kind.step for kind in word]
     while len(pairs) > 1:  # an odd pair out moves up a level as it is
         pairs = [*map(_then, pairs[::2], pairs[1::2]), *pairs[len(pairs) // 2 * 2:]]
     return pairs[0] if pairs else (1, 0, 0, 1, 0, 0, 0, 0)

@@ -19,8 +19,8 @@ as it is made; only the cells and the tails are held, never the document
 (the README gives the peak RSS).  The nodes are all read, so an expansion
 is all checked, before the first part: in the CLI only an I/O failure can
 cut the output, and that leaves a partial file and exits 3, as `expand` does.
-The Wannier gap lines come from `diophantine.wannier_rows`, re-exported
-here; `wannier_lines` is their Fraction view.
+The Wannier gap lines, `wannier_lines`, are the Fraction view of
+`diophantine.gap_rows` over `diophantine.reduced_fluxes`.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import re
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .diophantine import central_gap, wannier_rows
+from .diophantine import central_gap, gap_rows, reduced_fluxes
 from .errors import EmptyInput
 from .generators import Core, GeneratorKind, _C_CL, _C_CR, _check_denominators, tail_generator
 from .tree import TreeNode, Word, chain_cores
@@ -160,13 +160,13 @@ def tail_triangle(node: TreeNode) -> tuple[tuple[Fraction, Fraction], ...]:
 
 def wannier_lines(q_max: int) -> list[WannierLine]:
     """Canonical (sigma, tau) for every gap of every reduced flux q <= q_max:
-    the `wannier_rows` as WannierLines, one Fraction per flux."""
+    the `gap_rows` of each of the `reduced_fluxes`, as CLI `wannier` loops
+    them, as WannierLines with one Fraction per flux."""
     from fractions import Fraction
-    lines, flux = [], Fraction(0)
-    for sigma, tau, p, q, r in wannier_rows(q_max):
-        if flux.denominator != q or flux.numerator != p:
-            flux = Fraction(p, q)
-        lines.append(WannierLine(sigma, tau, flux, r))
+    lines = []
+    for p, q in reduced_fluxes(q_max):
+        flux = Fraction(p, q)
+        lines += [WannierLine(sigma, tau, flux, r) for r, sigma, tau in gap_rows(p, q)]
     return lines
 
 

@@ -5,15 +5,18 @@ that produced it from the root [0/1, 1/2, 1/1]; the rest are views.  A
 node has six babies (C_L, C_R, U_L, U_R, D_L, D_R) and, whenever its two
 edge denominators differ, one chain successor along the tail side, eight
 generators but at most seven children.  Words therefore address nodes
-uniquely; the converse (which labels are reached) is not claimed here.
+uniquely.  Which labels are reached is measured, not proved: up to q_c = 60
+the 6 721 nodes have distinct labels but reach only 947 of the 1 101
+coprime (q_R, q_L), never the halves [0, 1/2] and [1/2, 1].
 
 There are three ways down the tree, none stepping more than it must.
 `walk`, the one breadth-first traversal (`expand`, `expand_rows`, CLI
 `verify`), steps each child it emits by `step_core`, the full check.
-`_replay` (`node_at`) checks a word's tail syntax, then multiplies the word
-out as one balanced product (`generators._word_step`) checked once; only a
-word that fails is stepped letter by letter, to name where.  `chain_cores`
-steps and checks a chain's first member and adds a constant for the rest.
+`_replay` (`node_at`) checks a word's tail syntax by each letter's
+`tail_after`, then multiplies the word out as one balanced product
+(`generators._word_step`) checked once; only a word that fails is stepped
+letter by letter, to name where.  `chain_cores` steps and checks a chain's
+first member and adds a constant for the rest.
 
 `verify_node` is one induction on the integers: the root's core is the
 root state's, and every other node is checked against its parent's core
@@ -113,21 +116,15 @@ def root() -> TreeNode:
     return TreeNode(ROOT_CORE, ())
 
 
-def _qc_row(kind: GeneratorKind) -> tuple[GeneratorKind, int, int]:
-    """A generator with the row sums (u, v) of its 2x2 step block: the child
-    it makes of (q_R, q_L) has q_c = u q_R + v q_L."""
-    a, b, c, d = kind.step[:4]
-    return kind, a + c, b + d
-
-
-_BABY_ROWS = tuple(map(_qc_row, BABY_KINDS))
-_TAIL_ROWS = (_BABY_ROWS + (_qc_row(GeneratorKind.C_CL),),
-              _BABY_ROWS + (_qc_row(GeneratorKind.C_CR),))
+# Each generator that may make a child, with its `qc_row` (u, v), the column
+# sums of its A block: the child of (q_R, q_L) has q_c = u q_R + v q_L.
+_BABY_ROWS = tuple((kind, *kind.qc_row) for kind in BABY_KINDS)
+_TAIL_ROWS = tuple(_BABY_ROWS + ((kind, *kind.qc_row),) for kind in (_C_CL, _C_CR))
 
 
 def _candidates(q_r: int, q_l: int,
                 tail_ok: bool = True) -> tuple[tuple[GeneratorKind, int, int], ...]:
-    """The `_qc_row` of each generator that may make a child of (q_R, q_L):
+    """The `qc_row` of each generator that may make a child of (q_R, q_L):
     the six babies, then the tail letter when there is a tail and `tail_ok`."""
     tail = tail_generator(q_r, q_l) if tail_ok else None
     return _BABY_ROWS if tail is None else _TAIL_ROWS[tail is _C_CR]
@@ -182,15 +179,11 @@ def chain_rows(node: TreeNode, steps: int) -> Iterator[tuple]:
             for n, member in enumerate(members, 1))
 
 
-# The chain letter each baby letter allows next: C_L, U_R, D_R leave q_R > q_L.
-_TAIL_AFTER = {"CL": _C_CR, "UR": _C_CR, "DR": _C_CR, "CR": _C_CL, "UL": _C_CL, "DL": _C_CL}
-
-
 def _replay(word: Word) -> Core:
     """The checked core reached by stepping the word from the root.
 
     One pass checks the tail syntax with no arithmetic: a chain letter must
-    be the one `_TAIL_AFTER` the last baby letter, and the root allows none.
+    be the `tail_after` of the letter before it, and the root allows none.
     A valid step keeps a valid state valid, so a word that keeps the syntax
     is one `generators._word_step`, applied to the root and checked once.
     Any other word, or a result that fails (only a changed step table makes
@@ -200,11 +193,9 @@ def _replay(word: Word) -> Core:
     """
     tail = None
     for kind in word:
-        if kind.is_chain:
-            if kind is not tail:
-                break
-        else:
-            tail = _TAIL_AFTER[kind.token]
+        if kind.is_chain and kind is not tail:
+            break
+        tail = kind.tail_after
     else:
         a, b, c, d, e, f, g, h = _word_step(word)
         q_r, q_l, s_p, s_m, p_r, p_l = ROOT_CORE
@@ -265,7 +256,7 @@ def walk(limits: ExpansionLimits) -> Iterator[tuple[Core, Word, str, int, Option
     each emitted node, the root first with parent None.  Each prune is
     decided from the parent before any step: the tail letter is a candidate
     only while the run is under the chain cap, and a candidate's q_c is read
-    from the parent's denominators (`_qc_row`).  Only the children emitted
+    from the parent's denominators (`qc_row`).  Only the children emitted
     are stepped, each checked in full by `step_core`.  Each level is built
     from the one above, whose parents are dropped as they are stepped; a
     child is yielded as soon as it is made and kept only while it is above

@@ -1,6 +1,8 @@
 """End-to-end checks of the command-line interface via cli.main()."""
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -13,9 +15,11 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butterfly_tree import scaling, skeleton, tree
-from butterfly_tree.cli import main
+from butterfly_tree.cli import build_parser, main
 from butterfly_tree.errors import MalformedRecord, NoTail
 from butterfly_tree.generators import GeneratorKind, step_core
 from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, GOLDEN, lcg_word, short_id
@@ -599,3 +603,121 @@ def test_help_explains_chain_letters(capsys):
     code, out, _ = run(capsys, "node", "--help")
     assert code == 0
     assert "TL/TR are the chain letters" in " ".join(out.split())
+
+
+# The CLI contract over generated argv: every subcommand of `build_parser()`,
+# each flag drawn from a pool of good and bad values (or left out), with sizes
+# capped (depth <= 3, qmax <= 12, steps <= 20) so that a run stays short.
+_SUBCOMMANDS = next(action for action in build_parser()._actions
+                    if isinstance(action, argparse._SubParsersAction)).choices
+_BAD_INTS = ["-1", "x", "1.5", "", "٣"]
+_TOKENS = ["CL", "CR", "UL", "UR", "DL", "DR", "TL", "TR", "ul", "C_cL", "c_cr"]
+_COLORS = ["#80be8e", "#abc", "red", "#ABCDEF"]
+
+
+def _with_color(drawn):
+    """Seven colours with one more put in at the place of a baby letter, which
+    every render below the root draws: a palette of eight."""
+    colors, color, place = drawn
+    return ",".join(colors[:place] + [color] + colors[place:])
+
+
+# Each flag's (good, bad) values: a list to sample, or a strategy.
+_POOLS = {
+    "depth": (["0", "1", "2", "3"], _BAD_INTS),
+    "chain_cap": (["0", "1", "3", str(10 ** 21)], _BAD_INTS),
+    "max_qc": (["2", "5", "40", str(10 ** 21)], ["1", *_BAD_INTS]),
+    "format": (["jsonl", "csv"], ["xml"]),
+    "word": (st.lists(st.sampled_from(_TOKENS), max_size=8).map(".".join),
+             ["UL..CR", "ＵＬ", "\x00", "UL.XX", ".", "UL,CR", "ul cr"]),
+    ("apollonian", "word"): (["S1", "A2.S3", "s4.a1"], ["S5", "X1", "S1..A2", "", "S"]),
+    "steps": (["0", "1", "5", "20"], ["-3", *_BAD_INTS]),
+    "oracle_cmax": (["5", "50", "100"], ["0", *_BAD_INTS]),
+    "quad": (["-1,2,2,3", "0,0,1,1", "2,2,3,15"],
+             ["1,2,3", "a,b,c,d", "1,1,1,1,1", "", "2,2,3,x"]),
+    "cf_terms": (["1", "12", "20"], ["0", *_BAD_INTS]),
+    "qmax": (["2", "5", "12"], ["1", "0", "-5", *_BAD_INTS]),
+    "width": (["800", "100", "81", str(10 ** 21)], ["80", "0", *_BAD_INTS]),
+    "height": (["800", "100", "81", str(10 ** 21)], ["80", "0", *_BAD_INTS]),
+    "margin": (["40", "0"], ["1000", str(10 ** 21), *_BAD_INTS]),
+    "palette": (st.lists(st.sampled_from(_COLORS), min_size=8, max_size=8).map(",".join),
+                st.tuples(st.lists(st.sampled_from(_COLORS), min_size=7, max_size=7),
+                          st.sampled_from(['red"/><x', "&", "<", "#12"]),
+                          st.integers(0, 5)).map(_with_color)),
+    "chain_preview": (["0", "4", "20"], _BAD_INTS),
+}
+
+
+@st.composite
+def _argvs(draw, command, outputs):
+    """(argv, output) for `command`: each flag is left out (a required one
+    rarely) or given a value from its pools, and `output` is the `-o` path."""
+    argv, output = [command], None
+    for action in _SUBCOMMANDS[command]._actions:
+        if action.dest == "help" or draw(st.integers(0, 9)) >= (9 if action.required else 5):
+            continue
+        flag = max(action.option_strings, key=len)
+        if action.nargs == 0:  # a switch
+            argv.append(flag)
+            continue
+        if action.dest == "output":
+            output = value = draw(st.sampled_from(outputs))
+        else:  # a bad value one time in eight; a palette's text reaches the SVG: one in two
+            pools = _POOLS.get((command, action.dest)) or _POOLS[action.dest]
+            pool = pools[draw(st.integers(0, 1 if action.dest == "palette" else 7)) == 0]
+            value = draw(pool if isinstance(pool, st.SearchStrategy) else st.sampled_from(pool))
+        argv.append(f"{flag}={value}")
+    if draw(st.integers(0, 19)) == 0:
+        argv.append(draw(st.sampled_from(["--bogus", "extra", "-o"])))
+    return argv, output
+
+
+def _no_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _assert_well_formed(argv, text):
+    """The output of a successful command parses as the format it names."""
+    command = argv[0]
+    if command == "render":
+        ET.fromstring(text.encode("utf-8"))
+    elif command == "verify":
+        assert re.fullmatch(r"verified \d+ nodes: all invariants hold\n", text), text
+    elif command == "expand" and "--format=csv" in argv:
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows and all(len(row) == len(rows[0]) for row in rows)
+    elif command == "apollonian":  # one document, indented for --correspondence
+        json.loads(text, parse_constant=_no_constant)
+    else:
+        for line in text.splitlines():
+            json.loads(line, parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMANDS))
+def test_the_cli_contract_holds_on_generated_argv(tmp_path, command):
+    # The `-o` values: stdout, a file, a path in a missing directory and a directory.
+    good = str(tmp_path / "out.txt")
+    outputs = ("-", good, str(tmp_path / "missing" / "out.txt"), str(tmp_path))
+
+    # Fifteen argv a flag, so that a command with more flags gets more.
+    @settings(max_examples=15 * (len(_SUBCOMMANDS[command]._actions) - 1), deadline=None)
+    @given(_argvs(command, outputs))
+    def holds(drawn):
+        argv, output = drawn
+        if os.path.exists(good):
+            os.remove(good)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        out, err = stdout.getvalue(), stderr.getvalue()
+        if code == 0:
+            if output == good:
+                with open(good, encoding="utf-8", newline="") as fp:
+                    out = fp.read()
+            _assert_well_formed(argv, out)
+        else:
+            assert code in (1, 2, 3, 4), (argv, code)
+            assert err.strip() and "Traceback" not in err, (argv, err)
+            assert code != 3 or output in outputs[2:], (argv, err)
+
+    holds()

@@ -1,12 +1,13 @@
 """The eight generators: frozen matrices, label/state recursions, consistency."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from butterfly_tree import intmat
+from butterfly_tree import intmat, tree
 from butterfly_tree.errors import InvariantViolation, TailDirectionMismatch
 from butterfly_tree.farey import mediant
 from butterfly_tree.generators import (
@@ -328,6 +329,32 @@ def test_cell_classes():
     assert K.U_R.cell_class == "E-cell"
     assert K.C_CL.cell_class == "chain"
     assert BABY_KINDS == (K.C_L, K.C_R, K.U_L, K.U_R, K.D_L, K.D_R)
+
+
+def test_each_qc_row_is_the_verify_oracles_qc_step():
+    # `qc_row` is built from the step; `verify_node`'s table is written out.
+    for kind in K:
+        assert kind.qc_row == tree._EXPECTED_STEP[kind.token][:2], kind
+
+
+def test_each_baby_leaves_the_tail_side_its_tail_after_names():
+    # From 50 valid cores, drawn as words of babies and tail letters from
+    # the root, every baby's child has its tail on `tail_after`'s side, and
+    # each chain letter allows only itself next.
+    rng = random.Random(27)
+    cores = []
+    for _ in range(50):
+        core = ROOT_STATE.core
+        for _ in range(rng.randint(0, 12)):
+            tail = tail_generator(core[0], core[1])
+            core = step_core(rng.choice(BABY_KINDS + ((tail,) if tail else ())), core)
+        cores.append(core)
+    assert len(set(cores)) > 40
+    for core in cores:
+        for kind in BABY_KINDS:
+            new = step_core(kind, core)
+            assert tail_generator(new[0], new[1]) is kind.tail_after, (kind, core)
+    assert (K.C_CL.tail_after, K.C_CR.tail_after) == (K.C_CL, K.C_CR)
 
 
 @st.composite

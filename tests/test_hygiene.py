@@ -445,8 +445,7 @@ STEP_HOMES = {
     "generators._step": "the one generator step on the integer core",
     "generators._word_step": "the one product of steps over a word, balanced",
     "generators._check_steps": "the import-time check that every step block has determinant 1",
-    "generators.<module>": "the import-time loop that sets each kind's step",
-    "tree._qc_row": "the row sums that give a child's q_c before any step",
+    "generators.<module>": "the import-time loop that sets each kind's step and its tables",
 }
 
 # The names that hold a generator in the package, and its members with their

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from butterfly_tree.errors import ParabolicWord
-from butterfly_tree.generators import _LEAF, GeneratorKind, canonical_matrices
+from butterfly_tree.generators import GeneratorKind, canonical_matrices
 from butterfly_tree.scaling import (
     QuadraticSurd,
     cf_expansion,
@@ -49,10 +49,8 @@ def test_word_block_matches_a_mat_mul_fold():
     kinds = list(K)
     words = [[K.C_CL] * 5 + [K.C_CR] * 7, [K.C_CR, K.C_L, K.C_CL, K.C_R]]
     words += [rng.choices(kinds, k=rng.randint(1, 300)) for _ in range(150)]
-    # Around the leaf size and two of it, so a leaf, a pair and an odd
-    # block out at the end of a level all occur.
-    words += [rng.choices(kinds, k=n)
-              for n in (_LEAF - 1, _LEAF, _LEAF + 1, 2 * _LEAF - 1, 2 * _LEAF + 1)]
+    # Around powers of two, so an odd pair out moves up at several levels.
+    words += [rng.choices(kinds, k=n) for n in (1, 2, 3, 15, 16, 17, 31, 33)]
     for word in words:
         assert word_block(word) == mat_mul_block(word)
     long_word = rng.choices(kinds, k=10_000)

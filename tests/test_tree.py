@@ -5,6 +5,7 @@ import csv
 import fractions
 import io
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -205,6 +206,26 @@ def test_expand_qc_ceiling_prunes_exactly():
 def test_labels_unique_across_expansion():
     seen = labels(expand(ExpansionLimits(3, 3)))
     assert len(seen) == len(set(seen))
+
+
+def test_the_measured_extent_of_the_one_to_one_claim():
+    # q_c grows on every edge, so the walk to q_c <= 60 is the whole tree
+    # there: neither the depth nor the chain cap binds.
+    items = list(walk(ExpansionLimits(200, 200, 60)))
+    cores = [core for core, *_ in items]
+    assert (len(items), max(len(word) for _, word, *_ in items)) == (6721, 29)
+    assert max(run for *_, run, _ in items) < 200
+    # Each node has its own core and its own label (q_R, q_L, Delta-sigma).
+    label_set = {(q_r, q_l, s_p - s_m) for q_r, q_l, s_p, s_m, *_ in cores}
+    assert len(set(cores)) == len(label_set) == 6721
+    reached = {core[:2] for core in cores}
+    coprime = {(q_r, q_l) for q_r in range(1, 60) for q_l in range(1, 61 - q_r)
+               if math.gcd(q_r, q_l) == 1}
+    assert reached <= coprime and (len(reached), len(coprime)) == (947, 1101)
+    missed = coprime - reached
+    assert {(2, 1), (1, 2), (4, 1), (1, 4), (2, 5), (5, 2)} <= missed
+    # (2, 1) and (1, 2) are the halves [0, 1/2] and [1/2, 1].
+    assert [recover_edges(*pair) for pair in ((2, 1), (1, 2))] == [(0, 1), (1, 1)]
 
 
 def test_every_interval_is_a_genuine_farey_triplet():
