@@ -10,7 +10,7 @@ edge with the larger denominator.
 
 Each generator is realised three ways, and the routes agree:
 
-* an explicit recursion on the full state (flux edges + slope pair),
+* an explicit recursion on the integer core,
 * a 4x4 integer matrix on (q_R, q_L, sigma_+, sigma_-),
 * its projections, 3x3 on (q_R, q_L, Delta-sigma) and 2x2 on (q_R, q_L).
 
@@ -18,14 +18,13 @@ Each generator is written once, as its step (A, B), the blocks of its 4x4
 matrix [[A, 0], [B, I]]; its matrices, the q_c row the tree prunes by and
 the chain letter its tail syntax allows next are built from the step at
 import, and `_check_steps` checks them.  The tree steps only the integer
-core: the 4x4 vector plus the edge numerators, which follow A.  `_step` is
-that step, with every check that needs no product; `step_core` adds the
-friendly determinant.  `_word_step` is the one product of steps over a
-word, pairwise: `tree._replay` applies it to the root and checks the
-result once, and `scaling.word_block` is its A half.  `tree.verify_node`
-redoes each step on plain integers by two other routes: `state_route`, the
-explicit recursion, and `label_route`, the 3x3 matrix.  The property tests
-compare every route with the canonical matrices.
+core: the 4x4 vector plus the edge numerators, which follow A.
+`step_core` is that step, checked in full.  `_word_step` is the one
+product of steps over a word, pairwise: `tree._replay` applies it to the
+root and checks the result once, and `scaling.word_block` is its A half.
+`tree.verify_node` redoes each step on plain integers by two other routes:
+`state_route`, the explicit recursion, and `label_route`, the 3x3 matrix.
+The property tests compare every route with the canonical matrices.
 
 Importing this module loads that integer core alone: no Fraction or Farey
 arithmetic.  The Fraction views live in `states`, which loads the first
@@ -94,7 +93,7 @@ _C_L, _C_R, _U_L, _U_R, _D_L, _D_R, _C_CL, _C_CR = GeneratorKind
 # letter keeps its side, and a baby's is the sign of
 # q_R' - q_L' = (a - c) q_R + (b - d) q_L, None where that is not fixed.
 _FOUR: dict[GeneratorKind, intmat.Matrix] = {}
-for _kind, (_token, _step) in zip(GeneratorKind, (
+for _kind, (_token, _coefficients) in zip(GeneratorKind, (
         ("CL", (1, 2, 0, 1, 0, 1, 0, 1)),
         ("CR", (1, 0, 2, 1, 1, 0, 1, 0)),
         ("UL", (1, 1, 1, 2, 0, 1, 1, 1)),
@@ -107,7 +106,7 @@ for _kind, (_token, _step) in zip(GeneratorKind, (
     _kind.is_chain = _kind in (_C_CL, _C_CR)
     _kind.cell_class = ("chain" if _kind.is_chain else "C-cell"
                         if _kind in (_C_L, _C_R) else "E-cell")
-    _a, _b, _c, _d, _e, _f, _g, _h = _kind.step = _step
+    _a, _b, _c, _d, _e, _f, _g, _h = _kind.step = _coefficients
     _FOUR[_kind] = ((_a, _b, 0, 0), (_c, _d, 0, 0), (_e, _f, 1, 0), (_g, _h, 0, 1))
     _kind.label_rows = ((_a, _b, 0), (_c, _d, 0), (_e - _g, _f - _h, 1))
     _kind.qc_row = (_a + _c, _b + _d)
@@ -128,8 +127,9 @@ ROOT_CORE: Core = (1, 1, 1, 1, 1, 0)  # edges 0/1 and 1/1, slopes 1 and 1
 
 
 def _check_steps() -> None:
-    """Raise unless every step block has determinant 1, as `_step` assumes, and
-    every baby leaves one tail side, as `tree._replay`'s syntax pass assumes."""
+    """Raise unless every step block has determinant 1, as `tree._replay`'s one
+    check of a word's product assumes, and every baby leaves one tail side,
+    as its syntax pass assumes."""
     for kind in GeneratorKind:
         det = kind.step[0] * kind.step[3] - kind.step[1] * kind.step[2]
         if det != 1:
@@ -222,13 +222,14 @@ def _bad_step(kind: GeneratorKind, core: Core, new: Core) -> InvariantViolation:
                               + "; ".join(_problems(new)))
 
 
-def _step(kind: GeneratorKind, core: Core) -> Core:
-    """One generator step on the integer core, with every check that needs no product.
+def step_core(kind: GeneratorKind, core: Core) -> Core:
+    """One generator step on the integer core, checked in full: the hot path of the tree.
 
     The 4x4 matrix acts on (q_R, q_L, sigma_+, sigma_-) and its 2x2 block
     on (p_R, p_L).  Raises TailDirectionMismatch for a chain step against
-    the tail and InvariantViolation if the result has a denominator or a
-    slope below 1, p_L < 0, p_R > q_R or a slope sum other than q_c.
+    the tail and InvariantViolation, with the message of `apply_state`, if
+    the result has a denominator or a slope below 1, p_L < 0, p_R > q_R,
+    a slope sum other than q_c or unfriendly edges.
     """
     q_r, q_l, s_p, s_m, p_r, p_l = core
     if kind.is_chain:
@@ -238,7 +239,7 @@ def _step(kind: GeneratorKind, core: Core) -> Core:
         a * q_r + b * q_l, c * q_r + d * q_l, s_p + e * q_r + f * q_l,
         s_m + g * q_r + h * q_l, a * p_r + b * p_l, c * p_r + d * p_l)
     if not (q_r >= 1 and q_l >= 1 and s_p >= 1 and s_m >= 1 and 0 <= p_l
-            and p_r <= q_r and s_p + s_m == q_r + q_l):
+            and p_r <= q_r and s_p + s_m == q_r + q_l and p_l * q_r - p_r * q_l == -1):
         raise _bad_step(kind, core, new)
     return new
 
@@ -257,22 +258,13 @@ def _word_step(word: Sequence[GeneratorKind]) -> tuple[int, ...]:
 
     Neighbours are multiplied pairwise by `_then`, level by level: a balanced
     product, whose bignum work grows with the result's size, not letters
-    times size.  Each `step` is read on the call, as `_step` reads it;
-    nothing is checked.
+    times size.  Each `step` is read on the call, as `step_core` reads
+    it; nothing is checked.
     """
     pairs = [kind.step for kind in word]
     while len(pairs) > 1:  # an odd pair out moves up a level as it is
         pairs = [*map(_then, pairs[::2], pairs[1::2]), *pairs[len(pairs) // 2 * 2:]]
     return pairs[0] if pairs else (1, 0, 0, 1, 0, 0, 0, 0)
-
-
-def step_core(kind: GeneratorKind, core: Core) -> Core:
-    """`_step` plus the friendly determinant: one step checked in full, the hot
-    path of the tree.  Raises as `_step` does, with the message of `apply_state`."""
-    new = _step(kind, core)
-    if new[5] * new[0] - new[4] * new[1] != -1:
-        raise _bad_step(kind, core, new)
-    return new
 
 
 def state_route(kind: GeneratorKind, core: Core) -> Core:

@@ -35,9 +35,10 @@ from collections import namedtuple
 from types import ModuleType
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .errors import InvariantViolation, MalformedRecord, NoTail, TailDirectionMismatch
+from .errors import (ButterflyError, InvariantViolation, MalformedRecord, NoTail,
+                     TailDirectionMismatch)
 from .generators import (BABY_KINDS, ROOT_CORE, Core, GeneratorKind, _C_CL, _C_CR, _D_L, _U_L,
-                         _check_denominators, _problems, _ratio, _step, _text, _word_step,
+                         _check_denominators, _problems, _ratio, _text, _word_step,
                          label_route, state_route, step_core, tail_generator, tail_side)
 
 if TYPE_CHECKING:
@@ -187,9 +188,9 @@ def _replay(word: Word) -> Core:
     A valid step keeps a valid state valid, so a word that keeps the syntax
     is one `generators._word_step`, applied to the root and checked once.
     Any other word, or a result that fails (only a changed step table makes
-    one), is stepped again by `_step`, to raise what the first bad letter
-    raises; TailDirectionMismatch names the prefix, past 20 letters by the
-    letter's number and both ends.
+    one), is folded letter by letter through `step_core`, to raise what the
+    first bad letter raises; TailDirectionMismatch names the prefix, past
+    20 letters by the letter's number and both ends.
     """
     tail = None
     for kind in word:
@@ -206,17 +207,13 @@ def _replay(word: Word) -> Core:
     core = ROOT_CORE
     try:
         for i, kind in enumerate(word):
-            core = _step(kind, core)
+            core = step_core(kind, core)
     except TailDirectionMismatch as exc:
         where = f"prefix {word_string(word[:i + 1])}"
         if i >= 20:  # bound the error line: the letter and both ends
             where = (f"letter {i + 1} ({kind.token}) of prefix "
                      f"{word_string(word[:4])} ... {word_string(word[i - 3:i + 1])}")
         raise TailDirectionMismatch(f"word fails at {where}: {exc}") from exc
-    problems = _problems(core)
-    if problems:
-        raise InvariantViolation(f"{len(word)}-letter word replays to a bad state: "
-                                 + "; ".join(problems))
     return core
 
 
@@ -500,14 +497,17 @@ def node_from_record(record: dict) -> TreeNode:
 
     Every numeric field of the record must match the replayed node, so a
     parsed export is verified against the generators, not trusted.  A
-    missing or non-integer field raises MalformedRecord.
+    missing or non-integer field or an unknown token raises MalformedRecord.
     """
     if not isinstance(record, dict):
         raise MalformedRecord(f"record is not an object: {record!r}")
     word = _field(record, "word")
     if not isinstance(word, str):
         raise MalformedRecord(f"field word is not a string: {word!r}")
-    node = node_at(word)
+    try:
+        node = node_at(word)
+    except ValueError as exc:  # an unknown token
+        raise MalformedRecord(f"field word: {exc}") from None
     for key, want in zip(RECORD_FIELDS, node_row(node)):
         got = _field(record, key)
         if isinstance(want, str):
@@ -523,8 +523,8 @@ def node_from_record(record: dict) -> TreeNode:
 def _located(where: str, record: dict) -> TreeNode:
     try:
         return node_from_record(record)
-    except MalformedRecord as exc:
-        raise MalformedRecord(f"{where}: {exc}") from None
+    except ButterflyError as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 # The text fields come from fixed ASCII sets: generator tokens joined by

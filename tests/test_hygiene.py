@@ -442,7 +442,7 @@ def test_every_oracle_is_used_by_a_test():
 # with its reason: one step formula and one product of steps over a word,
 # so no copy of either can drift.
 STEP_HOMES = {
-    "generators._step": "the one generator step on the integer core",
+    "generators.step_core": "the one generator step on the integer core, checked in full",
     "generators._word_step": "the one product of steps over a word, balanced",
     "generators._check_steps": "the import-time check that every step block has determinant 1",
     "generators.<module>": "the import-time loop that sets each kind's step and its tables",

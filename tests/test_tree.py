@@ -365,7 +365,8 @@ def test_csv_round_trip():
 
 
 def step_fold(word):
-    """The oracle: `step_core` on each letter in turn, the replay as it used to run.
+    """The oracle: `step_core` on each letter in turn, the fold `tree._replay` runs
+    only for a word that fails, written here on its own.
 
     A failing prefix is named in full up to 20 letters; past that, by the
     letter's number and token and the first and last four letters."""
@@ -440,15 +441,16 @@ def test_a_letter_failing_a_sign_check_gets_the_step_error(monkeypatch):
 def test_an_unimodularity_breach_is_caught_at_import_and_by_the_replay(monkeypatch):
     _check_steps()
     # The swap has determinant -1 and keeps every sign and the slope sum, so
-    # only the final check sees C_L used an odd number of times.
+    # only the friendly determinant sees it: the word's product, with C_L used
+    # an odd number of times, fails, and the fold names the first C_L.
     monkeypatch.setattr(K.C_L, "step", (0, 1, 1, 0, 0, 0, 0, 0))
     with pytest.raises(InvariantViolation,
                        match="^C_L step block has determinant -1, not 1$"):
         _check_steps()
-    with pytest.raises(InvariantViolation, match="^5-letter word replays to a bad "
-                       "state: edges out of order: 5/8, 3/5; edges not friendly: "
-                       "determinant 1$"):
-        node_at("CL.UL.CL.UR.CL")
+    word = "CL.UL.CL.UR.CL"
+    assert _outcome(node_at, word) == _outcome(step_fold, parse_word(word)) == (
+        InvariantViolation, "C_L on (1, 1, 1, 1, 1, 0) produced a bad state: "
+        "edges out of order: 1, 0; edges not friendly: determinant 1")
     with pytest.raises(InvariantViolation, match="edges not friendly: determinant 1"):
         child(root(), K.C_L)
 
@@ -462,10 +464,10 @@ def test_a_replay_runs_the_full_check_once(monkeypatch):
         calls.append(core)
         return real(core)
 
-    real, real_step = generators._problems, tree._step
+    real, real_step = generators._problems, tree.step_core
     monkeypatch.setattr(generators, "_problems", counted)
     monkeypatch.setattr(tree, "_problems", counted)
-    monkeypatch.setattr(tree, "_step",
+    monkeypatch.setattr(tree, "step_core",
                         lambda kind, core: steps.append(kind) or real_step(kind, core))
     node = node_at(lcg_word(500, 10))
     assert (calls, steps) == ([node.state.core], [])
@@ -560,6 +562,36 @@ def test_record_readers_name_the_bad_line_and_field():
     short = ",".join(c for c in header.split(",") if c != "depth")
     with pytest.raises(MalformedRecord, match="^row 1: field depth is missing$"):
         read_csv(io.StringIO(short + "\n" + first + "\n"))
+
+
+def _jsonl_text(records):
+    return "".join(json.dumps(record) + "\n" for record in records)
+
+
+def _csv_text(records):
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(records)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("read, text, where", [(read_jsonl, _jsonl_text, "line"),
+                                               (read_csv, _csv_text, "row")],
+                         ids=["jsonl", "csv"])
+@pytest.mark.parametrize("field, value, error, message", [
+    ("word", "XX", MalformedRecord, "field word: unknown generator token 'XX'$"),
+    ("word", "UL.TR", TailDirectionMismatch, "word fails at prefix UL.TR: C_cR needs "),
+    # A CSV cell is text, so its value prints quoted.
+    ("qR", 99, InvariantViolation, "record field qR: '?99'? != 2$"),
+], ids=["token", "tail", "field"])
+def test_the_record_readers_name_the_line_of_every_bad_record(read, text, where, field,
+                                                              value, error, message):
+    # One good record, then a bad one: the error keeps its class and names
+    # the bad record's line or data row.
+    good = node_record(node_at("UL"))
+    with pytest.raises(error, match=f"^{where} 2: {message}"):
+        read(io.StringIO(text([good, dict(good, **{field: value})])))
 
 
 def _writer_cases():
