@@ -12,12 +12,15 @@ stream, so an I/O failure part way leaves a partial file; their usage errors
 come before the output opens.  Every command that takes `-o` writes in blocks of
 at least 64 Ki characters (`_Blocks`), one call each, so an unbuffered
 stdout (`PYTHONUNBUFFERED=1`) makes one system call a block, not one a line.
+The console script (`entry`) flushes stdout, then freezes the collector so
+the interpreter's exit makes no collection passes; `main` never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import gc
 import os
 import sys
 from typing import Iterator, Optional, Sequence
@@ -334,6 +337,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def entry() -> None:
+    """`main` on `sys.argv`, then stdout flushed and `sys.exit`.  Outside
+    development mode `gc.freeze()` comes first, so the exit makes no collection
+    passes; teardown and `atexit` still run.  Development mode keeps those
+    passes, which warn of a file leaked in a reference cycle."""
     code = main()
     try:  # a buffered stdout would otherwise fail at exit, with code 120
         sys.stdout.flush()
@@ -342,6 +349,8 @@ def entry() -> None:
         code = 3
         # So that the flush at exit cannot fail again (see `signal`'s SIGPIPE note).
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if not sys.flags.dev_mode:
+        gc.freeze()
     sys.exit(code)
 
 

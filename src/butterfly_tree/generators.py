@@ -77,7 +77,7 @@ class GeneratorKind(enum.Enum):
             kind = _BY_KEY.get(text) or _BY_KEY.get(text.strip().upper().replace("_", ""))
             if kind is not None:
                 return kind
-        raise ValueError(f"unknown generator token {text!r}")
+        raise ValueError(f"unknown generator token {_repr_cut(text)}")
 
 
 # The members as module globals, for the hot paths: a read through the enum
@@ -157,6 +157,12 @@ def tail_generator(q_r: int, q_l: int) -> Optional[GeneratorKind]:
     if q_l > q_r:
         return _C_CL
     return None
+
+
+def _repr_cut(value: object) -> str:
+    """repr() bounded for an error text: past 60 characters, the first 40 and a count."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:40]}... ({len(text)} characters)"
 
 
 def _text(value: object) -> str:

@@ -38,7 +38,7 @@ from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, 
 from .errors import (ButterflyError, InvariantViolation, MalformedRecord, NoTail,
                      TailDirectionMismatch)
 from .generators import (BABY_KINDS, ROOT_CORE, Core, GeneratorKind, _C_CL, _C_CR, _D_L, _U_L,
-                         _check_denominators, _problems, _ratio, _text, _word_step,
+                         _check_denominators, _problems, _ratio, _repr_cut, _text, _word_step,
                          label_route, state_route, step_core, tail_generator, tail_side)
 
 if TYPE_CHECKING:
@@ -486,10 +486,7 @@ def _int_value(key: str, got: object) -> int:
             return int(got)
         except ValueError:
             pass
-    text = repr(got)  # bounded: a field can hold thousands of digits
-    if len(text) > 60:
-        text = f"{text[:40]}... ({len(text)} characters)"
-    raise MalformedRecord(f"field {key} is not an integer: {text}")
+    raise MalformedRecord(f"field {key} is not an integer: {_repr_cut(got)}")
 
 
 def node_from_record(record: dict) -> TreeNode:

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -247,6 +248,55 @@ def test_a_failed_buffered_stdout_exits_3_with_one_line(argv, stdout):
     assert proc.returncode == 3
     lines = proc.stderr.decode().splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"i/o error: [Errno {errno}] "), lines
+
+
+def _cli_child(args, **env):
+    """`python ARGS` with `src` on the path and PYTHONUNBUFFERED and
+    PYTHONDEVMODE unset, then ENV set."""
+    base = {key: value for key, value in os.environ.items()
+            if key not in ("PYTHONUNBUFFERED", "PYTHONDEVMODE")}
+    base["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(base, **env), timeout=120)
+
+
+# Runs the CLI as `python -m butterfly_tree.cli ARGV` does, with an atexit
+# handler registered first, so it runs last and shows the collector's state.
+_FROZEN_AT_EXIT = ("import atexit, gc, runpy\n"
+                   "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+                   "runpy.run_module('butterfly_tree.cli', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("env, frozen", [({}, True), ({"PYTHONDEVMODE": "1"}, False)],
+                         ids=["default", "devmode"])
+def test_the_console_script_freezes_the_collector_outside_development_mode(env, frozen):
+    # `entry` freezes after its flush, so the exit makes no collection passes;
+    # atexit handlers still run.  Development mode keeps the full exit.
+    proc = _cli_child(["-c", _FROZEN_AT_EXIT, "node", "--word=UL"], **env)
+    record = json.dumps(tree.node_record(tree.node_at("UL")))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.decode() == f"{record}\n{frozen}\n"
+
+
+def test_main_never_freezes_the_collector(capsys):
+    before = gc.get_freeze_count()
+    assert run(capsys, "node", "--word=UL")[0] == 0
+    assert gc.get_freeze_count() == before
+
+
+@pytest.mark.parametrize("argv, code", [("node --word=UL", 0), ("node --word=TL", 1),
+                                        ("node --word=UL.XX", 2)])
+def test_a_cli_child_prints_what_main_prints(capsys, argv, code):
+    proc = _cli_child(["-m", "butterfly_tree.cli", *argv.split()])
+    got = (proc.returncode, proc.stdout.decode(), proc.stderr.decode())
+    assert got == run(capsys, *argv.split()) and got[0] == code
+
+
+def test_a_buffered_expand_through_a_pipe_keeps_its_bytes():
+    argv = "expand --depth 3 --chain-cap 2"
+    proc = _cli_child(["-m", "butterfly_tree.cli", *argv.split()])
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert (hashlib.sha256(proc.stdout).hexdigest(), len(proc.stdout)) == GOLDEN[argv]
 
 
 def test_expand_csv_and_file_output(capsys, tmp_path):
@@ -540,6 +590,12 @@ def test_a_long_parabolic_word_gets_a_bounded_error_line(capsys):
             f"{letters} letters {names[:4]} ... {names[letters - 4:letters]}")
         assert run(capsys, "scaling", "--word=" + ".".join(tokens[:letters])) == (
             1, "", f"error: trace 2: no hyperbolic exponent for {named}\n")
+
+
+def test_a_long_unknown_token_gets_a_bounded_error_line(capsys):
+    code, out, err = run(capsys, "node", "--word=UL." + "X" * 5_000)
+    assert (code, out) == (2, "") and len(err) < 200
+    assert err == f"error: unknown generator token '{'X' * 39}... (5002 characters)\n"
 
 
 def test_pyth_rejects_negative_depth(capsys, tmp_path):

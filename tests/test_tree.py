@@ -581,10 +581,13 @@ def _csv_text(records):
                          ids=["jsonl", "csv"])
 @pytest.mark.parametrize("field, value, error, message", [
     ("word", "XX", MalformedRecord, "field word: unknown generator token 'XX'$"),
+    # A long token is cut, as a long field is, so the line stays short.
+    ("word", "UL." + "Q" * 3_000, MalformedRecord,
+     r"field word: unknown generator token 'Q{39}\.\.\. \(3002 characters\)$"),
     ("word", "UL.TR", TailDirectionMismatch, "word fails at prefix UL.TR: C_cR needs "),
     # A CSV cell is text, so its value prints quoted.
     ("qR", 99, InvariantViolation, "record field qR: '?99'? != 2$"),
-], ids=["token", "tail", "field"])
+], ids=["token", "long-token", "tail", "field"])
 def test_the_record_readers_name_the_line_of_every_bad_record(read, text, where, field,
                                                               value, error, message):
     # One good record, then a bad one: the error keeps its class and names
