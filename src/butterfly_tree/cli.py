@@ -153,6 +153,7 @@ def _cmd_pyth(args: argparse.Namespace) -> int:
 def _cmd_apollonian(args: argparse.Namespace) -> int:
     import json
     from . import apollonian as apo
+    from .generators import _repr_cut
     if args.correspondence:
         report, steps = {}, ("h1", "h2", "h3", "U_L", "U_R")
         for step, found in zip(steps, apo._correspondence_searches(steps, 3, 12)):
@@ -171,7 +172,8 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
         try:
             parts.append(int(entry))
         except ValueError:
-            raise ValueError(f"--quad entry {number} is not an integer: {entry!r}") from None
+            raise ValueError(f"--quad entry {number} is not an integer: "
+                             f"{_repr_cut(entry)}") from None
     if len(parts) != 4:
         raise ValueError("--quad needs exactly four comma-separated integers")
     quad = apo.DescartesQuadruple(*parts)
@@ -179,7 +181,7 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
     for token in args.word.split("."):
         token = token.strip().upper()
         if token[:1] not in ("A", "S") or not token[1:].isdecimal():
-            raise ValueError(f"bad Apollonian token {token!r} (use S1..S4 or A1..A4)")
+            raise ValueError(f"bad Apollonian token {_repr_cut(token)} (use S1..S4 or A1..A4)")
         move = apo.apply_A if token[0] == "A" else apo.apply_S
         current = move(int(token[1:]), current)
     print(json.dumps({"input": list(quad.as_tuple()), "word": args.word,

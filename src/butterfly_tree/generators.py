@@ -22,9 +22,9 @@ core: the 4x4 vector plus the edge numerators, which follow A.
 `step_core` is that step, checked in full.  `_word_step` is the one
 product of steps over a word, pairwise: `tree._replay` applies it to the
 root and checks the result once, and `scaling.word_block` is its A half.
-`tree.verify_node` redoes each step on plain integers by two other routes:
-`state_route`, the explicit recursion, and `label_route`, the 3x3 matrix.
-The property tests compare every route with the canonical matrices.
+`tree.verify_node` checks each step by `state_route` and the literal table
+`tree._EXPECTED_STEP`; `label_route`, built from the steps, checks the 3x3
+layout.  The property tests compare every route with the canonical matrices.
 
 Importing this module loads that integer core alone: no Fraction or Farey
 arithmetic.  The Fraction views live in `states`, which loads the first

@@ -12,7 +12,7 @@ pairs, computed from each cell's integer core by one set of formulas
 read the core and build no state, and `tail_triangle` builds no cell.  The
 SVG writer maps the pairs to pixels in integers and writes fixed 9-digit
 decimals, so rendering the same input twice produces identical bytes; it
-formats each x coordinate once, and each chain end's preview dots once.
+formats each x coordinate once per render, by `functools.cache`.
 The SVG streams: `_svg_parts` yields the header, each cell's group, then
 the tails, and `render_svg` joins them, while CLI `render` writes each part
 as it is made; only the cells and the tails are held, never the document
@@ -25,13 +25,15 @@ The Wannier gap lines, `wannier_lines`, are the Fraction view of
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import namedtuple
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .diophantine import central_gap, gap_rows, reduced_fluxes
 from .errors import EmptyInput
-from .generators import Core, GeneratorKind, _C_CL, _C_CR, _check_denominators, tail_generator
+from .generators import (Core, GeneratorKind, _C_CL, _C_CR, _check_denominators, _repr_cut,
+                         tail_generator)
 from .tree import TreeNode, Word, chain_cores
 
 if TYPE_CHECKING:
@@ -190,7 +192,7 @@ class RenderOptions(namedtuple("RenderOptions", "width height margin palette cha
         for number, color in enumerate(palette, 1):
             if not (isinstance(color, str) and _COLOR.fullmatch(color)):
                 raise ValueError(f"palette color {number} is not #rgb, #rrggbb or a name "
-                                 f"of ASCII letters: {color!r}")
+                                 f"of ASCII letters: {_repr_cut(color)}")
         if margin < 0:
             raise ValueError("margin must be >= 0")
         if width <= 2 * margin or height <= 2 * margin:
@@ -228,21 +230,17 @@ def _svg_parts(nodes: Iterable[TreeNode], options: Optional[RenderOptions]) -> I
 def _svg_stream(cells: list[tuple], opt: RenderOptions) -> Iterator[str]:
     """One pass writes each cell's group and holds, for after all the groups,
     the tail triangle (on the right edge for C_cR, else the left) and the
-    preview dots of each tailed cell.  Each x coordinate is formatted once,
-    and the dots below a chain end once per end core, as one string, with no
-    step (`_tail`): every member of a rendered chain repeats its end's dots."""
+    preview dots of each tailed cell.  `px` formats each x once per render
+    (`functools.cache`).  Every member of a rendered chain writes its end's
+    dots again, from the end's `_tail`: the cell's own when it is the end."""
     accent = opt.palette[_KIND_ORDER.index(_C_CL)]
     span_x = opt.width - 2 * opt.margin
     span_y = opt.height - 2 * opt.margin
     margin, bottom = opt.margin, opt.height - opt.margin
 
-    xs: dict[tuple[int, int], str] = {}  # few fluxes: x repeats across cells
-
+    @functools.cache  # few fluxes: x repeats across cells
     def px(num: int, den: int) -> str:
-        x = xs.get((num, den))
-        if x is None:
-            x = xs[num, den] = _fixed9(margin * den + num * span_x, den)
-        return x
+        return _fixed9(margin * den + num * span_x, den)
 
     def py(num: int, den: int) -> str:
         return _fixed9(bottom * den - num * span_y, den)
@@ -261,7 +259,6 @@ def _svg_stream(cells: list[tuple], opt: RenderOptions) -> Iterator[str]:
            f'<rect x="{opt.margin}" y="{opt.margin}" width="{span_x}" '
            f'height="{span_y}" fill="#ffffff" stroke="#1a1a1a" stroke-width="1"/>\n')
     rendered = {cell[2]: cell for cell in cells}
-    previews: dict[Core, str] = {}
     tails = []
     for cell in cells:
         core, word, text = cell
@@ -300,13 +297,10 @@ def _svg_stream(cells: list[tuple], opt: RenderOptions) -> Iterator[str]:
                 if nxt is None:
                     break
                 last = nxt
-            dots = previews.get(last[0])
-            if dots is None:
-                (p, q, r), (d_p, d_q, d_r) = tail if last is cell else _tail(*last[:2])
-                dots = previews[last[0]] = "".join(
-                    f'<circle cx="{px(p + n * d_p, q + n * d_q)}" '
-                    f'cy="{py(r + n * d_r, q + n * d_q)}" r="2.2" fill="{accent}"/>\n'
-                    for n in range(opt.chain_preview))
-            tails.append(dots)
+            (p, q, r), (d_p, d_q, d_r) = tail if last is cell else _tail(*last[:2])
+            tails.append("".join(
+                f'<circle cx="{px(p + n * d_p, q + n * d_q)}" '
+                f'cy="{py(r + n * d_r, q + n * d_q)}" r="2.2" fill="{accent}"/>\n'
+                for n in range(opt.chain_preview)))
     yield from tails
     yield '</svg>\n'

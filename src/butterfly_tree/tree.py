@@ -18,9 +18,9 @@ There are three ways down the tree, none stepping more than it must.
 letter by letter, to name where.  `chain_cores` steps and checks a chain's
 first member and adds a constant for the rest.
 
-`verify_node` is one induction on the integers: the root's core is the
-root state's, and every other node is checked against its parent's core
-alone, by two routes other than `step_core`.
+`verify_node` is one induction on the integers: the root against the root
+state, every other node against its parent's core alone, by `state_route`
+and the literal `_EXPECTED_STEP` (`label_route` checks the 3x3 layout).
 
 Importing this module loads only the integer core of `generators`; the rest
 loads where it is used: `states` in `TreeNode.state` and `.label`,
@@ -497,10 +497,10 @@ def node_from_record(record: dict) -> TreeNode:
     missing or non-integer field or an unknown token raises MalformedRecord.
     """
     if not isinstance(record, dict):
-        raise MalformedRecord(f"record is not an object: {record!r}")
+        raise MalformedRecord(f"record is not an object: {_repr_cut(record)}")
     word = _field(record, "word")
     if not isinstance(word, str):
-        raise MalformedRecord(f"field word is not a string: {word!r}")
+        raise MalformedRecord(f"field word is not a string: {_repr_cut(word)}")
     try:
         node = node_at(word)
     except ValueError as exc:  # an unknown token
@@ -513,7 +513,7 @@ def node_from_record(record: dict) -> TreeNode:
             same = _int_value(key, got) == want
             want = _json_int(want)
         if not same:
-            raise InvariantViolation(f"record field {key}: {got!r} != {want!r}")
+            raise InvariantViolation(f"record field {key}: {_repr_cut(got)} != {_repr_cut(want)}")
     return node
 
 

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from butterfly_tree import scaling, skeleton, tree
 from butterfly_tree.cli import build_parser, main
-from butterfly_tree.errors import MalformedRecord, NoTail
+from butterfly_tree.errors import ButterflyError, MalformedRecord, NoTail
 from butterfly_tree.generators import GeneratorKind, step_core
 from test_golden import BIG_CHAIN_ARGV, BIG_NODE_ARGV, GOLDEN, lcg_word, short_id
 from test_tree import step_fold
@@ -596,6 +596,29 @@ def test_a_long_unknown_token_gets_a_bounded_error_line(capsys):
     code, out, err = run(capsys, "node", "--word=UL." + "X" * 5_000)
     assert (code, out) == (2, "") and len(err) < 200
     assert err == f"error: unknown generator token '{'X' * 39}... (5002 characters)\n"
+
+
+def _record_error(line):
+    with pytest.raises(ButterflyError) as caught:
+        tree.read_jsonl(io.StringIO(line + "\n"))
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("error", [
+    lambda capsys: _record_error(json.dumps(list(range(20_000)))),
+    lambda capsys: _record_error(json.dumps({"word": list(range(5_000))})),
+    lambda capsys: _record_error(json.dumps(
+        {**tree.node_record(tree.node_at("")), "cellClass": "C" * 5_000})),
+    lambda capsys: run(capsys, "apollonian", "--quad=-1,2,2," + "3" * 50_000 + "x",
+                       "--word", "S1")[2],
+    lambda capsys: run(capsys, "apollonian", "--quad=-1,2,2,3", "--word", "S" * 50_000)[2],
+    lambda capsys: run(capsys, "render", "--depth", "0",
+                       "--palette=#" + "g" * 50_000 + ",b,c,d,e,f,g,h")[2],
+], ids=["record", "word", "field", "quad-entry", "apollonian-token", "palette"])
+def test_an_error_quoting_a_long_input_stays_short(capsys, error):
+    # Each quoted value's repr is cut to its first 40 characters and a count.
+    text = error(capsys)
+    assert "characters)" in text and len(text) < 200
 
 
 def test_pyth_rejects_negative_depth(capsys, tmp_path):
