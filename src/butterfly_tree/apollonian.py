@@ -57,9 +57,6 @@ class DescartesQuadruple(namedtuple("DescartesQuadruple", "k1 k2 k3 k4")):
         _check_descartes((k1, k2, k3, k4))
         return super().__new__(cls, k1, k2, k3, k4)
 
-    def as_tuple(self) -> tuple[int, int, int, int]:
-        return (self.k1, self.k2, self.k3, self.k4)
-
 
 QuadLike = Union[DescartesQuadruple, Sequence[int]]
 
@@ -99,12 +96,12 @@ def _index(i: int) -> int:
 
 def apply_S(i: int, q: QuadLike) -> DescartesQuadruple:
     """Replace curvature k_i by 2*(sum of the others) - k_i."""
-    return DescartesQuadruple(*_reflect(_index(i), _as_quad(q).as_tuple()))
+    return DescartesQuadruple(*_reflect(_index(i), _as_quad(q)))
 
 
 def apply_A(i: int, q: QuadLike) -> DescartesQuadruple:
     """Apply the adjoint A_i: k_i -> -k_i, and k_j -> k_j + 2*k_i for j != i."""
-    return DescartesQuadruple(*_adjoin(_index(i), _as_quad(q).as_tuple()))
+    return DescartesQuadruple(*_adjoin(_index(i), _as_quad(q)))
 
 
 def adjoint_S(i: int) -> intmat.Matrix:
@@ -118,9 +115,12 @@ def super_orbit(seed: QuadLike, depth: int) -> set[tuple[int, int, int, int]]:
     A breadth-first search, level by level, over plain tuples.  Each
     quadruple is checked against the Descartes identity when it is first
     reached, with the error of `DescartesQuadruple`, so building the orbit
-    proves that every word preserves the identity.
+    proves that every word preserves the identity.  A negative `depth`
+    raises ValueError.
     """
-    start = _as_quad(seed).as_tuple()
+    start = tuple(_as_quad(seed))
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     seen, level = {start}, [start]
     for _ in range(depth):
         grown = []
@@ -182,10 +182,6 @@ class CorrespondenceReport(NamedTuple):
     max_word_length: int
     pairs_tested: int
     matches: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-    @property
-    def found(self) -> bool:
-        return bool(self.matches)
 
 
 def correspondence_search(h_index: Union[int, str],

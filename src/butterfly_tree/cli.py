@@ -184,8 +184,7 @@ def _cmd_apollonian(args: argparse.Namespace) -> int:
             raise ValueError(f"bad Apollonian token {_repr_cut(token)} (use S1..S4 or A1..A4)")
         move = apo.apply_A if token[0] == "A" else apo.apply_S
         current = move(int(token[1:]), current)
-    print(json.dumps({"input": list(quad.as_tuple()), "word": args.word,
-                      "result": list(current.as_tuple())}))
+    print(json.dumps({"input": list(quad), "word": args.word, "result": list(current)}))
     return 0
 
 

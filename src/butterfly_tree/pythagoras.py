@@ -50,10 +50,6 @@ class EuclidPair(namedtuple("EuclidPair", "m n")):
             raise NotCoprime(f"({m}, {n}) is not coprime")
         return super().__new__(cls, m, n)
 
-    @property
-    def same_parity(self) -> bool:
-        return (self.m - self.n) % 2 == 0
-
 
 class PythTriple(namedtuple("PythTriple", "a b c")):
     """Pythagorean triple; b (or a) may be negative, c is positive.
@@ -74,9 +70,6 @@ class PythTriple(namedtuple("PythTriple", "a b c")):
         if gcd(gcd(a, b), c) != 1:
             raise InvariantViolation(f"not primitive: {self}")
         return self
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.a, self.b, self.c)
 
     @property
     def leg_set(self) -> tuple[int, int, int]:

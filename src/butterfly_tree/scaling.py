@@ -54,9 +54,6 @@ class QuadraticSurd(namedtuple("QuadraticSurd", "trace")):
         except OverflowError:
             return float("inf")
 
-    def __float__(self) -> float:
-        return self.value
-
     def power(self, k: int) -> "QuadraticSurd":
         """Surd of value**k, via the trace recurrence (exact)."""
         if k < 1:
@@ -116,11 +113,6 @@ class ContinuedFraction(NamedTuple):
         for a in reversed(self.terms[:count - 1]):
             value = a + 1 / value
         return value
-
-    def __str__(self) -> str:
-        head = ",".join(str(a) for a in self.preperiod)
-        cycle = ",".join(str(a) for a in self.period)
-        return f"[{head}; ({cycle}) repeating]"
 
 
 def cf_expansion(s: QuadraticSurd, terms: int = 12) -> ContinuedFraction:

@@ -18,7 +18,7 @@ from . import intmat
 from .errors import InvariantViolation
 from .farey import FareyDifference, FriendlyTriplet, farey_difference, mediant
 from .generators import (_FOUR, Core, GeneratorKind, _bad_step, _check_denominators,
-                         _problems, label_route, state_route, tail_generator, tail_side)
+                         _problems, label_route, state_route, tail_generator)
 
 
 class GeneratorMatrix(NamedTuple):
@@ -71,13 +71,6 @@ class ButterflyLabel(namedtuple("ButterflyLabel", "q_r q_l delta_sigma")):
     def sigma_minus(self) -> int:
         return (self.q_c - self.delta_sigma) // 2
 
-    @property
-    def tail_direction(self) -> str:
-        return tail_side(self.q_r, self.q_l)
-
-    def as_tuple(self) -> tuple[int, int, int]:
-        return (self.q_r, self.q_l, self.delta_sigma)
-
 
 class ButterflyState(NamedTuple):
     """Flux edges and central slope pair of one butterfly.
@@ -129,10 +122,6 @@ class ButterflyState(NamedTuple):
         return FriendlyTriplet.from_pair(self.left, self.right)
 
     @property
-    def tail_direction(self) -> str:
-        return tail_side(self.q_r, self.q_l)
-
-    @property
     def tail_generator(self) -> Optional[GeneratorKind]:
         return tail_generator(self.q_r, self.q_l)
 
@@ -180,4 +169,4 @@ def apply_state(kind: GeneratorKind, state: ButterflyState) -> ButterflyState:
 
 def apply_label(kind: GeneratorKind, label: ButterflyLabel) -> ButterflyLabel:
     """One generator step on the integer label: the checked view of `label_route`."""
-    return ButterflyLabel(*label_route(kind, label.as_tuple()))
+    return ButterflyLabel(*label_route(kind, label))

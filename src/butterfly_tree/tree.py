@@ -131,14 +131,11 @@ def _candidates(q_r: int, q_l: int,
     return _BABY_ROWS if tail is None else _TAIL_ROWS[tail is _C_CR]
 
 
-def child(node: TreeNode, kind: GeneratorKind) -> TreeNode:
-    """Apply one generator by the checked integer step."""
-    return TreeNode(step_core(kind, node.core), node.word + (kind,))
-
-
 def children(node: TreeNode) -> list[TreeNode]:
-    """The six babies plus the chain successor when a tail exists."""
-    return [child(node, kind) for kind, _, _ in _candidates(node.core[0], node.core[1])]
+    """The six babies plus the chain successor when a tail exists, each checked."""
+    core, word = node
+    return [TreeNode(step_core(kind, core), word + (kind,))
+            for kind, _, _ in _candidates(core[0], core[1])]
 
 
 def chain_cores(core: Core, steps: int, word: Word) -> Iterator[Core]:

@@ -80,7 +80,7 @@ def test_criterion_01_application_table():
     assert len(APPLICATIONS) == 16
     for kind, source, expected in APPLICATIONS:
         got = apply_label(kind, ButterflyLabel(*source))
-        assert got.as_tuple() == expected, (kind, source)
+        assert got == expected, (kind, source)
     assert time.monotonic() - start < 1.0
 
 
@@ -123,7 +123,7 @@ def test_criterion_03_invariant_sweep():
 def test_criterion_04_label_uniqueness():
     nodes = list(tree.expand(tree.ExpansionLimits(max_depth=4, chain_cap=8)))
     assert len(nodes) == 2401
-    labels = [node.label.as_tuple() for node in nodes]
+    labels = [node.label for node in nodes]
     assert len(set(labels)) == len(labels)
 
 
@@ -176,15 +176,15 @@ def test_criterion_07_apollonian_correspondences():
     nodes, _ = deep_sweep()
     for node in nodes:
         state = node.state
-        assert ford_quadruple(state).as_tuple() == (
+        assert ford_quadruple(state) == (
             state.q_l ** 2, state.q_r ** 2, state.q_c ** 2, 0)
 
     report = correspondence_search("h1")
-    assert report.found
+    assert report.matches
     word, perm = report.matches[0]
     current = (1, 9, 16, 0)
     for i in word:
-        current = apply_S(i, current).as_tuple()
+        current = apply_S(i, current)
     target = (1, 25, 36, 0)
     assert current == tuple(target[p] for p in perm)
 

@@ -41,23 +41,23 @@ def test_frozen_reflection_matrices():
 
 
 def test_apply_reference_values():
-    assert apply_S(1, (-1, 2, 2, 3)).as_tuple() == (15, 2, 2, 3)
-    assert apply_S(4, (1, 1, 4, 0)).as_tuple() == (1, 1, 4, 12)
-    assert apply_A(1, (-1, 2, 2, 3)).as_tuple() == (1, 0, 0, 1)
-    assert apply_A(2, (1, 1, 4, 0)).as_tuple() == (3, -1, 6, 2)
+    assert apply_S(1, (-1, 2, 2, 3)) == (15, 2, 2, 3)
+    assert apply_S(4, (1, 1, 4, 0)) == (1, 1, 4, 12)
+    assert apply_A(1, (-1, 2, 2, 3)) == (1, 0, 0, 1)
+    assert apply_A(2, (1, 1, 4, 0)) == (3, -1, 6, 2)
 
 
 def test_reflections_are_involutions():
     seeds = ((-1, 2, 2, 3), (1, 1, 4, 0), (0, 0, 1, 1))
     for seed in seeds:
         for i in (1, 2, 3, 4):
-            assert apply_S(i, apply_S(i, seed)).as_tuple() == seed
+            assert apply_S(i, apply_S(i, seed)) == seed
 
 
 def test_quadruple_validation():
     with pytest.raises(InvariantViolation):
         DescartesQuadruple(1, 2, 3, 4)
-    assert DescartesQuadruple(-1, 2, 2, 3).as_tuple() == (-1, 2, 2, 3)
+    assert DescartesQuadruple(-1, 2, 2, 3) == (-1, 2, 2, 3)
 
 
 def test_adjoints_are_transposes_with_unit_absolute_determinant():
@@ -99,13 +99,19 @@ def test_orbit_counts_and_identity():
         assert descartes_holds(quad)
 
 
+def test_super_orbit_rejects_a_negative_depth():
+    # A negative depth once returned the seed alone, as depth 0 does.
+    with pytest.raises(ValueError, match="^depth must be non-negative, got -5$"):
+        super_orbit((-1, 2, 2, 3), -5)
+
+
 @given(st.lists(st.sampled_from([1, 2, 3, 4]), max_size=6),
        st.booleans())
 def test_words_preserve_identity(word, use_adjoint):
     cur = DescartesQuadruple(-1, 2, 2, 3)
     for i in word:
         cur = (apply_A if use_adjoint else apply_S)(i, cur)
-        assert descartes_holds(cur.as_tuple())
+        assert descartes_holds(cur)
 
 
 @given(st.sampled_from([(-1, 2, 2, 3), (1, 9, 16, 0), (0, 0, 1, 1), (1, 1, 4, 0)]),
@@ -116,7 +122,7 @@ def test_closed_forms_equal_the_matrices(seed, word):
     cur = want = seed
     for move, i in word:
         matrix = S_MATRICES[i] if move == "S" else adjoint_S(i)
-        cur = (apply_S if move == "S" else apply_A)(i, cur).as_tuple()
+        cur = (apply_S if move == "S" else apply_A)(i, cur)
         want = intmat.mat_vec(matrix, want)
         assert cur == want
 
@@ -156,29 +162,29 @@ def test_super_orbit_checks_every_new_quadruple(monkeypatch):
 
 
 def test_ford_quadruple_reference_values():
-    assert ford_quadruple(node_at("").state).as_tuple() == (1, 1, 4, 0)
-    assert ford_quadruple(node_at("UL").state).as_tuple() == (9, 4, 25, 0)
+    assert ford_quadruple(node_at("").state) == (1, 1, 4, 0)
+    assert ford_quadruple(node_at("UL").state) == (9, 4, 25, 0)
 
 
 def test_ford_quadruple_every_node():
     for n in expand(ExpansionLimits(3, 3)):
         quad = ford_quadruple(n.state)
         s = n.state
-        assert quad.as_tuple() == (s.q_l ** 2, s.q_r ** 2, s.q_c ** 2, 0)
-        assert descartes_holds(quad.as_tuple())
+        assert quad == (s.q_l ** 2, s.q_r ** 2, s.q_c ** 2, 0)
+        assert descartes_holds(quad)
 
 
 def test_triple_bridge_reference_values():
-    assert triple_to_quadruple(PythTriple(3, 4, 5)).as_tuple() == (1, 9, 16, 0)
-    assert triple_to_quadruple(PythTriple(5, 12, 13)).as_tuple() == (1, 25, 36, 0)
-    assert triple_to_quadruple(PythTriple(3, -4, 5)).as_tuple() == (9, 1, 16, 0)
+    assert triple_to_quadruple(PythTriple(3, 4, 5)) == (1, 9, 16, 0)
+    assert triple_to_quadruple(PythTriple(5, 12, 13)) == (1, 25, 36, 0)
+    assert triple_to_quadruple(PythTriple(3, -4, 5)) == (9, 1, 16, 0)
 
 
 def test_triple_bridge_equals_pair_ford_on_same_parity_pairs():
     for m, n in ((3, 1), (5, 3), (7, 5), (5, 1), (9, 7)):
         assert gcd(m, n) == 1 and (m - n) % 2 == 0
         bridged = triple_to_quadruple(euclid_to_triple((m, n)))
-        assert bridged.as_tuple() == (n * n, m * m, (m + n) ** 2, 0)
+        assert bridged == (n * n, m * m, (m + n) ** 2, 0)
 
 
 def test_correspondence_search_frozen_results():
@@ -192,7 +198,7 @@ def test_correspondence_search_frozen_results():
     for step, matches in expected.items():
         report = correspondence_search(step)
         assert report.step == step
-        assert report.found
+        assert report.matches
         assert report.pairs_tested > 20
         assert report.matches == matches
 
@@ -210,7 +216,7 @@ def test_h1_intertwiner_on_the_smallest_pair():
     for i in word:
         cur = apply_S(i, cur)
     assert perm == (0, 1, 2, 3)
-    assert cur.as_tuple() == (1, 25, 36, 0)
+    assert cur == (1, 25, 36, 0)
 
 
 # The five pair moves, written out independently of h_MATRICES and of the

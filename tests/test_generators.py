@@ -27,6 +27,7 @@ from butterfly_tree.generators import (
     state_route,
     step_core,
     tail_generator,
+    tail_side,
 )
 from butterfly_tree.tree import node_at, parse_word, word_string
 from oracles import det, identity, mat_mul
@@ -168,7 +169,7 @@ def test_chain_generators_are_mutually_inverse():
 def test_label_applications_table():
     for kind, source, expected in APPLICATIONS:
         out = apply_label(kind, ButterflyLabel(*source))
-        assert out.as_tuple() == expected, (kind, source)
+        assert out == expected, (kind, source)
 
 
 def test_state_recursion_worked_examples():
@@ -184,7 +185,8 @@ def test_state_recursion_worked_examples():
     assert (lower.left, lower.center, lower.right) == (
         Fraction(0), Fraction(1, 4), Fraction(1, 3))
     assert (lower.sigma_plus, lower.sigma_minus) == (2, 2)
-    assert (infant.tail_direction, lower.tail_direction) == ("left", "right")
+    assert (tail_side(infant.q_r, infant.q_l), tail_side(lower.q_r, lower.q_l)) == (
+        "left", "right")
 
     step = apply_state(K.C_CR, lower)
     assert (step.left, step.center, step.right) == (
@@ -205,11 +207,11 @@ def test_chain_preconditions_enforced():
 
 
 def test_label_validation():
-    assert ROOT_LABEL.as_tuple() == (1, 1, 0)
+    assert ROOT_LABEL == (1, 1, 0)
     lab = ButterflyLabel(5, 8, -3)
     assert (lab.sigma_plus, lab.sigma_minus) == (5, 8)
-    assert lab.q_c == 13 and lab.tail_direction == "left"
-    assert ButterflyLabel(3, 1, 0).tail_direction == "right"
+    assert lab.q_c == 13 and tail_side(lab.q_r, lab.q_l) == "left"
+    assert tail_side(*ButterflyLabel(3, 1, 0)[:2]) == "right"
     with pytest.raises(InvariantViolation):
         ButterflyLabel(2, 2, 0)  # shared factor
     with pytest.raises(InvariantViolation):

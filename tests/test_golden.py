@@ -17,7 +17,9 @@ folded on four ints, tokens were looked up in one dict and chain rows were
 built from the cores.  The last two (`node` and `chain` on a 14 000-letter
 word, integers of over 4 300 digits) have no earlier output to capture,
 as those commands used to exit 2 on them; `test_cli.py` checks their
-values against the library's cores.  Any change that moves a byte of
+values against the library's cores.  The Apollonian word and the
+Pythagorean tree at depth 2 were captured before the records lost their
+`as_tuple()` spelling.  Any change that moves a byte of
 these outputs fails here.  Arguments are split on spaces, so the palette
 needs no quoting.
 """
@@ -97,6 +99,10 @@ GOLDEN = {
         ("5992a726badf5f1929d65b5ceacdca846921dbc0ed988a782f9fe5cd81ad0c1e", 82135),
     BIG_CHAIN_ARGV:
         ("d77b39093838baaf60d46cba616dec6a644d7c7eec9f779c4985c3e25c7477a2", 164229),
+    "apollonian --quad=-1,2,2,3 --word=S1.A2.S4":
+        ("fb46564efc4abb3ed7955d210677f501d057c1b722c8c40969ec71871d4a3c53", 72),
+    "pyth --depth 2":
+        ("093e19816309bf2b8f21a598201efe066929a2f5f66141d2cd9292573593a826", 547),
 }
 
 

@@ -17,6 +17,7 @@ import ast
 import hashlib
 import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -102,9 +103,10 @@ def test_bignum_tail_error_under_optimize_flag(argv):
     assert proc.stderr.decode() == AGAINST_THE_TAIL_ERROR
 
 
-# The names `butterfly_tree` re-exports, by defining submodule, in `__all__`
-# order: those of its first release less `representation_consistency`, whose
-# cross-route is now the property test's own (test_generators.py).
+# The public names, by the submodule that defines them and is their one import
+# path: those of the first release less `representation_consistency`, whose
+# cross-route is now the property test's own (test_generators.py).  The
+# package root re-exports none of them.
 PUBLIC_NAMES = {
     "errors": ["ButterflyError", "DegenerateDifference", "EmptyInput",
                "InconsistentChernPair", "InvariantViolation", "NoTail", "NotCCell",
@@ -129,19 +131,32 @@ PUBLIC_NAMES = {
 ALL_NAMES = [name for names in PUBLIC_NAMES.values() for name in names]
 
 
+# Imports the package alone, then writes the submodules it loaded and the
+# names it holds that are not dunders, one line each, and its version.
+_BARE_ROOT = ("import sys\n"
+              "import butterfly_tree\n"
+              "print(*sorted(m for m in sys.modules if m.startswith('butterfly_tree.')))\n"
+              "print(*sorted(n for n in dir(butterfly_tree) if not n.startswith('__')))\n"
+              "print(butterfly_tree.__version__)\n")
+
+
 def test_public_names_are_unchanged():
     assert len(ALL_NAMES) == 68
-    assert butterfly_tree.__all__ == ALL_NAMES
     for module, names in PUBLIC_NAMES.items():
         defining = importlib.import_module(f"butterfly_tree.{module}")
-        for name in names:
-            assert getattr(butterfly_tree, name) is getattr(defining, name), name
-    star = {}
-    exec("from butterfly_tree import *", star)
-    assert all(star[name] is getattr(butterfly_tree, name) for name in ALL_NAMES)
-    assert set(ALL_NAMES) <= set(dir(butterfly_tree))
-    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
-        butterfly_tree.no_such_name
+        assert all(hasattr(defining, name) for name in names), module
+    assert not any(hasattr(butterfly_tree, name) for name in ALL_NAMES)
+    assert not hasattr(butterfly_tree, "__all__")
+    proc = _python([], _BARE_ROOT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"\n\n{butterfly_tree.__version__}\n".encode()
+
+
+def test_the_version_is_the_projects():
+    # Python 3.10 has no tomllib, so the `version` line is read by a pattern.
+    text = (SRC.parent / "pyproject.toml").read_text(encoding="utf-8")
+    (version,) = re.findall(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert butterfly_tree.__version__ == version
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -199,13 +214,10 @@ def _python(flags, code, *argv):
 def test_submodule_import_from_a_fresh_interpreter():
     code = ("import sys\n"
             "from butterfly_tree import apollonian, intmat\n"
-            "from butterfly_tree import *\n"
             "assert apollonian is sys.modules['butterfly_tree.apollonian']\n"
-            "assert intmat is sys.modules['butterfly_tree.intmat']\n"
-            "print(render_svg.__module__)\n")
+            "assert intmat is sys.modules['butterfly_tree.intmat']\n")
     proc = _python([], code)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == b"butterfly_tree.skeleton\n"
+    assert (proc.returncode, proc.stdout) == (0, b""), proc.stderr
 
 
 VIEWS = {"butterfly_tree.skeleton", "butterfly_tree.apollonian",
@@ -323,13 +335,10 @@ try:
 except AttributeError as exc:
     print(exc)
 assert lazy.isdisjoint(sys.modules), lazy & set(sys.modules)
-import butterfly_tree
 from butterfly_tree import states
 for name in ("ButterflyLabel", "ButterflyState", "GeneratorMatrix", "ROOT_LABEL",
              "ROOT_STATE", "apply_label", "apply_state", "canonical_matrices"):
     assert getattr(generators, name) is getattr(states, name), name
-    if name in butterfly_tree.__all__:
-        assert getattr(butterfly_tree, name) is getattr(states, name), name
 print(states.ROOT_STATE)
 states.ROOT_STATE.label, states.ROOT_STATE.triplet
 states.canonical_matrices(generators.GeneratorKind.C_L)
@@ -392,8 +401,7 @@ def test_views_load_only_when_asked_for(code, loaded):
 
 def _definitions_without_a_use():
     """module.name of each module-level function or class in src/ that nothing
-    outside its own body uses, other than the module hooks `__getattr__` and
-    `__dir__`."""
+    outside its own body uses, other than a module hook such as `__getattr__`."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for path in sorted((SRC / "butterfly_tree").glob("*.py"))
              + sorted(PERFBENCH.glob("*.py"))}

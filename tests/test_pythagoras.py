@@ -48,8 +48,7 @@ def test_pair_validation():
         EuclidPair(2, 4)
     with pytest.raises(NotCoprime):
         EuclidPair(0, 1)
-    assert EuclidPair(3, 1).same_parity
-    assert not EuclidPair(2, 1).same_parity
+    assert EuclidPair(3, 1) == (3, 1) and EuclidPair(2, 1) == (2, 1)
 
 
 def test_triple_validation():
@@ -58,7 +57,7 @@ def test_triple_validation():
     with pytest.raises(InvariantViolation):
         PythTriple(6, 8, 10)  # imprimitive
     assert PythTriple(3, -4, 5).leg_set == (3, 4, 5)
-    assert PythTriple(3, -4, 5).as_tuple() == (3, -4, 5)
+    assert PythTriple(3, -4, 5) == (3, -4, 5)
 
 
 def test_apply_H_reference_values():

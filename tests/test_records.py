@@ -139,5 +139,5 @@ def test_records_are_tuples_of_their_fields():
     assert ExpansionLimits(3, 1)._asdict() == {"max_depth": 3, "chain_cap": 1, "max_qc": None}
     left, right, sigma_plus, sigma_minus = ROOT_STATE
     assert (left, right, sigma_plus, sigma_minus) == (0, 1, 1, 1)
-    assert ROOT_LABEL == ROOT_LABEL.as_tuple() == (1, 1, 0)
+    assert tuple(ROOT_LABEL) == ROOT_LABEL == (1, 1, 0)
     assert TRIPLET[1] == TRIPLET.center == Fraction(2, 5)

@@ -91,7 +91,7 @@ def test_surd_validation_and_power():
     assert s.power(3).trace == 18
     with pytest.raises(ValueError):
         s.power(0)
-    assert float(s) == s.value == (3 + 5 ** 0.5) / 2
+    assert s.value == (3 + 5 ** 0.5) / 2
     assert QuadraticSurd(2 ** 1100).value == math.inf  # the square root overflows a float
 
 
@@ -120,7 +120,6 @@ def test_blocks_are_unimodular(word):
 def test_cf_reference_expansions():
     golden_like = cf_expansion(scaling_exponent([K.U_L]))
     assert (golden_like.preperiod, golden_like.period) == ((2,), (1,))
-    assert str(golden_like) == "[2; (1) repeating]"
 
     silver_like = cf_expansion(scaling_exponent([K.C_L, K.C_R]))
     assert (silver_like.preperiod, silver_like.period) == ((5,), (1, 4))

@@ -41,7 +41,6 @@ from butterfly_tree.tree import (
     TreeNode,
     chain,
     chain_cores,
-    child,
     children,
     expand,
     expand_rows,
@@ -66,12 +65,12 @@ K = GeneratorKind
 
 
 def labels(nodes):
-    return [n.label.as_tuple() for n in nodes]
+    return [n.label for n in nodes]
 
 
 def test_root_node():
     r = root()
-    assert r.label.as_tuple() == (1, 1, 0)
+    assert r.label == (1, 1, 0)
     assert (r.state.left, r.state.center, r.state.right) == (
         Fraction(0), Fraction(1, 2), Fraction(1))
     assert (r.state.sigma_plus, r.state.sigma_minus) == (1, 1)
@@ -93,7 +92,7 @@ def test_children_include_chain_successor():
     assert len(kids) == 7
     tail = kids[-1]
     assert tail.word[-1] is K.C_CL
-    assert tail.label.as_tuple() == (3, 4, -1)
+    assert tail.label == (3, 4, -1)
     assert (tail.state.left, tail.state.center, tail.state.right) == (
         Fraction(1, 4), Fraction(2, 7), Fraction(1, 3))
     assert (tail.state.sigma_plus, tail.state.sigma_minus) == (3, 4)
@@ -141,7 +140,7 @@ def test_chain_requires_a_tail():
 def test_node_at_addresses():
     assert node_at("") == root()
     assert node_at([]) == root()
-    assert node_at("UL.UL").label.as_tuple() == (5, 8, -3)
+    assert node_at("UL.UL").label == (5, 8, -3)
     assert node_at([K.U_L, K.U_L]) == node_at("UL.UL")
     assert chain_run(node_at("UL.TL.TL").word) == 2
     assert chain_run(node_at("UL.TL.TL.CL").word) == 0
@@ -274,27 +273,25 @@ def test_child_checks_a_tampered_state():
     node = node_at("CL")
     bumped = _with_state(node, sigma_plus=node.state.sigma_plus + 1)
     with pytest.raises(InvariantViolation, match="slope sum"):
-        child(bumped, K.C_L)
+        children(bumped)
     # CL has edges 0/1 and 1/3; 2/3 keeps both denominators but not friendliness.
     skewed = _with_state(node, right=Fraction(2, 3))
     with pytest.raises(InvariantViolation, match="edges not friendly: determinant -2"):
-        child(skewed, K.U_L)
+        children(skewed)
 
 
 BAD = TreeNode((1, 0, 1, 0, 1, 0), ())  # q_L = 0
 
 
 @pytest.mark.parametrize("step, text", [
-    (lambda: child(BAD, K.C_L), "C_L on (1, 0, 1, 0, 1, 0) produced a bad state: "
-     "denominators must be positive: q_R=1, q_L=0"),
     (lambda: children(BAD), "C_L on (1, 0, 1, 0, 1, 0) produced a bad state: "
      "denominators must be positive: q_R=1, q_L=0"),
     (lambda: chain(BAD, 2), "C_cR on (1, 0, 1, 0, 1, 0) produced a bad state: "
      "edges out of order: 1, 1; edges not friendly: determinant 0"),
-    (lambda: child(TreeNode((3, -1, 1, 1, -1, 0), ()), K.C_L),
+    (lambda: children(TreeNode((3, -1, 1, 1, -1, 0), ())),
      "C_L on (3, -1, 1, 1, -1, 0) produced a bad state: "
      "denominators must be positive: q_R=1, q_L=-1"),
-], ids=["child", "children", "chain", "negative"])
+], ids=["children", "chain", "negative"])
 def test_a_step_from_a_bad_core_names_that_core(step, text):
     # A zero denominator once raised ZeroDivisionError here, from the state
     # built to word the error, and q_L = -1 was written as 0/1.
@@ -452,7 +449,7 @@ def test_an_unimodularity_breach_is_caught_at_import_and_by_the_replay(monkeypat
         InvariantViolation, "C_L on (1, 1, 1, 1, 1, 0) produced a bad state: "
         "edges out of order: 1, 0; edges not friendly: determinant 1")
     with pytest.raises(InvariantViolation, match="edges not friendly: determinant 1"):
-        child(root(), K.C_L)
+        children(root())
 
 
 def test_a_replay_runs_the_full_check_once(monkeypatch):
@@ -823,7 +820,7 @@ def seed_verify_node(node, parent=None):
         checks += 1
         try:
             replay = node_at(node.word)
-            if replay.state != state or replay.label.as_tuple() != label:
+            if replay.state != state or replay.label != label:
                 failures.append("word replay disagrees with stored node")
         except Exception as exc:
             failures.append(f"word replay failed: {exc}")
@@ -843,10 +840,10 @@ def seed_verify_node(node, parent=None):
         except ButterflyError as exc:
             failures.append(f"cross-route: stepping the parent failed: {exc}")
         else:
-            if via_state != state or via_label.as_tuple() != label:
+            if via_state != state or via_label != label:
                 failures.append(
                     f"cross-route: {last.value} on the parent gives state "
-                    f"{via_state.core} and label {via_label.as_tuple()}, the node "
+                    f"{via_state.core} and label {tuple(via_label)}, the node "
                     f"has {state.core} and {label}")
 
         checks += 1
