@@ -27,8 +27,8 @@ root and checks the result once, and `scaling.word_block` is its A half.
 layout.  The property tests compare every route with the canonical matrices.
 
 Importing this module loads that integer core alone: no Fraction or Farey
-arithmetic.  The Fraction views live in `states`, which loads the first
-time one of them (`_VIEWS`) is touched here (PEP 562).
+arithmetic.  The Fraction views live in `farey`, which only the hook here
+imports, the first time one of them (`_VIEWS`) is touched (PEP 562).
 
 All eight matrices are unimodular (determinant +1 in every size).  The
 C-type generators are unipotent; the U/D types have eigenvalues 1 and
@@ -321,12 +321,12 @@ _VIEWS = ("ButterflyLabel", "ButterflyState", "GeneratorMatrix", "ROOT_LABEL", "
 
 
 def __getattr__(name: str):
-    """The Fraction views of `states`, imported on first touch (PEP 562).  The name
-    is checked first: the import machinery probes names such as `__path__`."""
+    """The Fraction views of `farey`, imported on first touch (PEP 562) and kept in
+    the globals; the name is checked first, as the import machinery probes `__path__`."""
     if name not in _VIEWS:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from .states import (ROOT_LABEL, ROOT_STATE, ButterflyLabel, ButterflyState,
-                         GeneratorMatrix, apply_label, apply_state, canonical_matrices)
+    from .farey import (ROOT_LABEL, ROOT_STATE, ButterflyLabel, ButterflyState,
+                        GeneratorMatrix, apply_label, apply_state, canonical_matrices)
     views = locals()
     globals().update((view, views[view]) for view in _VIEWS)
     return views[name]

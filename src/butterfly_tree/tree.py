@@ -23,18 +23,20 @@ state, every other node against its parent's core alone, by `state_route`
 and the literal `_EXPECTED_STEP` (`label_route` checks the 3x3 layout).
 
 Importing this module loads only the integer core of `generators`; the rest
-loads where it is used: `states` in `TreeNode.state` and `.label`,
-`diophantine` in `verify_node`, `json` and `csv` in the readers.
+loads where it is used: `farey`, through `generators`, in `TreeNode.state`
+and `.label`, `diophantine` in `verify_node`, `json` and `csv` in the readers.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib
+import sys
 from collections import namedtuple
 from types import ModuleType
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
+from . import generators
 from .errors import (ButterflyError, InvariantViolation, MalformedRecord, NoTail,
                      TailDirectionMismatch)
 from .generators import (BABY_KINDS, ROOT_CORE, Core, GeneratorKind, _C_CL, _C_CR, _D_L, _U_L,
@@ -42,7 +44,7 @@ from .generators import (BABY_KINDS, ROOT_CORE, Core, GeneratorKind, _C_CL, _C_C
                          label_route, state_route, step_core, tail_generator, tail_side)
 
 if TYPE_CHECKING:
-    from .states import ButterflyLabel, ButterflyState
+    from .farey import ButterflyLabel, ButterflyState
 
 Word = tuple[GeneratorKind, ...]
 
@@ -81,13 +83,13 @@ class TreeNode(NamedTuple):
 
     @property
     def state(self) -> ButterflyState:
-        return _module("states").ButterflyState.from_core(self.core)
+        return generators.ButterflyState.from_core(self.core)
 
     @property
     def label(self) -> ButterflyLabel:
         _check_denominators(self.core)
         q_r, q_l, s_p, s_m = self.core[:4]
-        return _module("states").ButterflyLabel(q_r, q_l, s_p - s_m)
+        return generators.ButterflyLabel(q_r, q_l, s_p - s_m)
 
     @property
     def depth(self) -> int:
@@ -482,7 +484,13 @@ def _int_value(key: str, got: object) -> int:
         try:
             return int(got)
         except ValueError:
-            pass
+            digits = got.removeprefix("-")
+            limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+            if digits.isdecimal() and len(digits) > limit > 0:
+                raise MalformedRecord(
+                    f"field {key} has {len(digits)} digits, past the interpreter's limit of "
+                    f"{limit}; raise the limit with -X int_max_str_digits=0 or "
+                    "PYTHONINTMAXSTRDIGITS=0") from None
     raise MalformedRecord(f"field {key} is not an integer: {_repr_cut(got)}")
 
 
@@ -591,7 +599,12 @@ def write_csv(nodes: Iterable[TreeNode], fp: IO[str]) -> int:
 
 
 def read_csv(fp: IO[str]) -> list[TreeNode]:
-    """Nodes of a CSV export; errors name the 1-based data row."""
+    """Nodes of a CSV export; errors, a field past `csv`'s size limit too, name the data row."""
     import csv
-    return [_located(f"row {number}", row)
-            for number, row in enumerate(csv.DictReader(fp), 1)]
+    out = []
+    try:
+        for row in csv.DictReader(fp):
+            out.append(_located(f"row {len(out) + 1}", row))
+    except csv.Error as exc:
+        raise MalformedRecord(f"row {len(out) + 1}: {exc}") from None
+    return out

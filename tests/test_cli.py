@@ -426,8 +426,9 @@ def test_node_and_chain_print_integers_past_the_digit_limit(capsys):
     tree.write_csv([node], csv_text)
     with pytest.raises(MalformedRecord) as info:
         tree.read_jsonl(io.StringIO(outputs[0][1]))  # the limit still guards input
-    assert re.fullmatch(r"line 1: field qR is not an integer: '\d{39}\.\.\. "
-                        r"\(\d{4} characters\)", str(info.value))
+    assert re.fullmatch(rf"line 1: field qR has \d{{4}} digits, past the interpreter's limit "
+                        rf"of {limit}; raise the limit with -X int_max_str_digits=0 or "
+                        r"PYTHONINTMAXSTRDIGITS=0", str(info.value))
     assert len(str(info.value)) < 200
     with unlimited_digits():
         assert len(str(node.state.q_r)) > 4_300
@@ -436,6 +437,30 @@ def test_node_and_chain_print_integers_past_the_digit_limit(capsys):
             record_ints(core) for core in cores]
         assert csv_text.getvalue().splitlines()[1].split(",")[1:10] == [
             str(n) for n in record_ints(node.state.core).values()]
+
+
+@pytest.mark.parametrize("write, read", [(tree.write_jsonl, tree.read_jsonl),
+                                         (tree.write_csv, tree.read_csv)],
+                         ids=["jsonl", "csv"])
+def test_the_readers_read_integers_past_the_digit_limit_once_it_is_raised(write, read):
+    # The writers need no raised limit; the readers need it, as their error says.
+    node = tree.node_at(BIG_NODE_ARGV.split("=", 1)[1])
+    text = io.StringIO()
+    write([node], text)
+    with unlimited_digits():
+        assert read(io.StringIO(text.getvalue())) == [node]
+
+
+def test_a_csv_field_past_the_csv_size_limit_is_a_malformed_record():
+    # The word of 44 000 letters is 131 999 characters, past the csv module's
+    # default field limit of 131 072, which is process-wide and left as it is.
+    limit = csv.field_size_limit()
+    text = io.StringIO()
+    tree.write_csv([tree.node_at("UL"), tree.node_at(lcg_word(44_000, 3))], text)
+    with pytest.raises(MalformedRecord, match=rf"^row 2: field larger than field limit "
+                                              rf"\({limit}\)$"):
+        tree.read_csv(io.StringIO(text.getvalue()))
+    assert csv.field_size_limit() == limit
 
 
 # A chain letter against the tail of the 14 000-letter word (its q_R > q_L).

@@ -155,3 +155,53 @@ def test_gap_rows_require_coprime_on_the_call():
         gap_rows(2, 4)
     with pytest.raises(NotCoprime, match="denominator must be positive"):
         gap_rows(1, 0)
+
+
+def _harper_gaps(numpy, p, q, wrap=-1):
+    """Width of each gap r = 1..q-1 (index r - 1) of the Harper model at flux p/q.
+
+    The q x q matrix has diagonal 2cos(2 pi p n / q + phi), hopping 1 to
+    n +/- 1 and wrap-around entries w; at q = 2 both hoppings land on one
+    entry, 1 + w.  Its eigenvalues at (phi, w) = (0, +1) and (pi/q, -1) are
+    the band edges, Chambers' P(E) = +/-4: band j spans the min and max of
+    the two j-th eigenvalues, and gap r lies between bands r and r + 1.  A
+    negative width is an overlap, zero a touching.
+    """
+    n = numpy.arange(q)
+    edges = []
+    for phi, w in ((0.0, 1.0), (numpy.pi / q, wrap)):
+        h = numpy.diag(2 * numpy.cos(2 * numpy.pi * p * n / q + phi))
+        h += numpy.eye(q, k=1) + numpy.eye(q, k=-1)
+        h[0, q - 1] += w
+        h[q - 1, 0] += w
+        edges.append(numpy.linalg.eigvalsh(h))
+    low, high = numpy.minimum(*edges), numpy.maximum(*edges)
+    return low[1:] - high[:-1]
+
+
+def test_the_central_gap_is_open_in_the_harper_spectrum_exactly_when_the_slopes_differ():
+    """Gap r_c of `central_gap` at each d4/c2 node's centre flux (481 fluxes,
+    q_c <= 89), in the spectrum of the Harper model: open on the 2 316 nodes
+    with sigma_+ != sigma_-, the narrowest 1.02e-4 wide, and the E = 0
+    touching, |width| <= 1.6e-14, on the 79 with sigma_+ = sigma_-.  The
+    thresholds, open past 1e-6 and touching under 1e-9, leave margins of
+    about 100 and 6e4.  With the wrong wrap sign at phi = pi/q, 41 of those
+    touchings read open: the sign matters."""
+    numpy = pytest.importorskip("numpy")
+    gaps, opened, touching, wrong = {}, [], [], 0
+    for node in expand(ExpansionLimits(4, 2)):
+        q_r, q_l, s_p, s_m, p_r, p_l = node.core
+        p_c, q_c, r_c = central_gap(s_p, s_m, p_l + p_r, q_l + q_r)
+        if (p_c, q_c) not in gaps:
+            gaps[p_c, q_c] = _harper_gaps(numpy, p_c, q_c)
+        width = gaps[p_c, q_c][r_c - 1]
+        if s_p != s_m:
+            opened.append(width)
+        else:
+            touching.append(abs(width))
+            wrong += _harper_gaps(numpy, p_c, q_c, wrap=1)[r_c - 1] > 1e-6
+    assert (len(gaps), max(q for _, q in gaps)) == (481, 89)
+    assert (len(opened), len(touching)) == (2_316, 79)
+    assert min(opened) > 1e-6 and max(touching) < 1e-9
+    assert 1.01e-4 < min(opened) < 1.03e-4
+    assert wrong == 41

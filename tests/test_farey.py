@@ -33,15 +33,11 @@ def test_is_friendly_reference_values():
 
 
 def test_farey_difference_reference_values():
-    d = farey_difference(F(0), F(1, 3))
-    assert d.value == F(1, 2) and not d.negated
-
+    assert farey_difference(F(0), F(1, 3)) == F(1, 2)
     # Equal numerators with decreasing denominator: both signs flip.
-    d = farey_difference(F(1, 3), F(1, 2))
-    assert d.value == F(0) and d.negated
-
-    d = farey_difference(F(1, 3), F(2, 5))
-    assert d.value == F(1, 2) and not d.negated
+    assert farey_difference(F(1, 3), F(1, 2)) == F(0)
+    assert farey_difference(F(1, 3), F(2, 5)) == F(1, 2)
+    assert type(farey_difference(F(1, 3), F(1, 2))) is Fraction
 
 
 def test_farey_difference_equal_denominators_rejected():
@@ -129,13 +125,12 @@ def test_friendly_width_is_inverse_product(pair):
 
 
 @given(friendly_pairs())
-def test_difference_normalization_flag(pair):
+def test_difference_normalization(pair):
     a, b = pair
     if a.denominator == b.denominator:
         with pytest.raises(DegenerateDifference):
             farey_difference(a, b)
         return
     d = farey_difference(a, b)
-    assert d.value.denominator >= 1
-    assert d.negated == (b.denominator < a.denominator)
-    assert d.value == F(b.numerator - a.numerator, b.denominator - a.denominator)
+    assert d.denominator >= 1
+    assert d == F(b.numerator - a.numerator, b.denominator - a.denominator)

@@ -5,8 +5,8 @@ chain letter against the tail of that word.
 The package must load only what a command uses (the view commands that walk
 no tree load no tree, the integer commands load no Fraction view, and
 nothing imports `dataclasses`: every record, the Fraction views' too, is a
-named tuple), load those views on first touch with the same
-texts and only when one is asked for (a bad step's error and the skeleton's
+named tuple), load those views from `farey` alone, through the one hook in
+`generators`, on first touch with the same texts and only when one is asked for (a bad step's error and the skeleton's
 cells read the integer core), keep its public names, define no function or
 class that only the tests use (the tests' references live in
 `tests/oracles.py`, each used by a test), and read the generator step
@@ -111,8 +111,8 @@ PUBLIC_NAMES = {
     "errors": ["ButterflyError", "DegenerateDifference", "EmptyInput",
                "InconsistentChernPair", "InvariantViolation", "NoTail", "NotCCell",
                "NotCoprime", "ParabolicWord", "TailDirectionMismatch"],
-    "farey": ["FareyDifference", "FriendlyTriplet", "farey_difference", "is_friendly",
-              "mediant", "stern_brocot_friendly_triplets"],
+    "farey": ["FriendlyTriplet", "farey_difference", "is_friendly", "mediant",
+              "stern_brocot_friendly_triplets"],
     "diophantine": ["BandLabel", "GapLabel", "band_cherns", "center_gap_index",
                     "gap_labels", "hierarchy_gap_cherns", "recover_edges"],
     "generators": ["BABY_KINDS", "ButterflyLabel", "ButterflyState", "GeneratorKind",
@@ -141,7 +141,7 @@ _BARE_ROOT = ("import sys\n"
 
 
 def test_public_names_are_unchanged():
-    assert len(ALL_NAMES) == 68
+    assert len(ALL_NAMES) == 67
     for module, names in PUBLIC_NAMES.items():
         defining = importlib.import_module(f"butterfly_tree.{module}")
         assert all(hasattr(defining, name) for name in names), module
@@ -266,7 +266,7 @@ def test_view_commands_load_the_tree_only_when_they_walk_it(flags, argv, absent)
 
 # The Fraction views and the formats that the integer commands never touch.
 FRACTION_VIEWS = {"fractions", "decimal", "csv", "butterfly_tree.farey",
-                  "butterfly_tree.diophantine", "butterfly_tree.states"}
+                  "butterfly_tree.diophantine"}
 
 
 @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["default", "optimize"])
@@ -275,10 +275,8 @@ FRACTION_VIEWS = {"fractions", "decimal", "csv", "butterfly_tree.farey",
     ("chain --word CL --steps 2", FRACTION_VIEWS | {"json"}),
     ("expand --depth 2 --chain-cap 1", FRACTION_VIEWS | {"json"}),
     ("scaling --word UL", FRACTION_VIEWS),
-    ("verify --depth 2 --chain-cap 1", {"butterfly_tree.states", "butterfly_tree.farey",
-                                        "csv", "json"}),
-    ("apollonian --correspondence", {"butterfly_tree.states", "butterfly_tree.farey",
-                                     "fractions"}),
+    ("verify --depth 2 --chain-cap 1", {"butterfly_tree.farey", "csv", "json"}),
+    ("apollonian --correspondence", {"butterfly_tree.farey", "fractions"}),
     ("wannier --qmax 10", {"fractions"}),
 ])
 def test_integer_commands_load_no_fraction_view(flags, argv, absent):
@@ -320,14 +318,14 @@ def test_no_command_loads_dataclasses(flags, command):
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
     absent = {"dataclasses", "inspect"}
     if command == "render":
-        absent |= {"fractions", "decimal", "butterfly_tree.states"}
+        absent |= {"fractions", "decimal", "butterfly_tree.farey"}
     assert loaded & absent == set()
 
 
 _FIRST_TOUCH = """\
 import sys
 import butterfly_tree.generators as generators
-lazy = {"butterfly_tree.states", "fractions", "dataclasses"}
+lazy = {"butterfly_tree.farey", "fractions", "dataclasses"}
 assert lazy.isdisjoint(sys.modules), lazy & set(sys.modules)
 assert not hasattr(generators, "__path__")
 try:
@@ -335,13 +333,13 @@ try:
 except AttributeError as exc:
     print(exc)
 assert lazy.isdisjoint(sys.modules), lazy & set(sys.modules)
-from butterfly_tree import states
+from butterfly_tree import farey
 for name in ("ButterflyLabel", "ButterflyState", "GeneratorMatrix", "ROOT_LABEL",
              "ROOT_STATE", "apply_label", "apply_state", "canonical_matrices"):
-    assert getattr(generators, name) is getattr(states, name), name
-print(states.ROOT_STATE)
-states.ROOT_STATE.label, states.ROOT_STATE.triplet
-states.canonical_matrices(generators.GeneratorKind.C_L)
+    assert getattr(generators, name) is getattr(farey, name), name
+print(farey.ROOT_STATE)
+farey.ROOT_STATE.label, farey.ROOT_STATE.triplet
+farey.canonical_matrices(generators.GeneratorKind.C_L)
 assert {"dataclasses", "inspect"}.isdisjoint(sys.modules)
 """
 
@@ -372,7 +370,7 @@ _MODULES_AFTER = ("import sys\n"
      "step_core(GeneratorKind.C_L, (1, 1, 1, 1, 1, 0))",
      "butterfly_tree.errors.InvariantViolation: C_L on (1, 1, 1, 1, 1, 0) produced a bad "
      "state: slopes must be positive: (-8, 2); slope sum -6 != q_c 4",
-     {"butterfly_tree.states", "butterfly_tree.farey", "dataclasses", "fractions"}),
+     {"butterfly_tree.farey", "dataclasses", "fractions"}),
     ("from butterfly_tree.diophantine import central_gap\n"
      "central_gap(2, 1, 4, 8)",
      "butterfly_tree.errors.InconsistentChernPair: slopes +2/-1 give gaps 0 != 1 at "
@@ -389,14 +387,76 @@ def test_error_texts_that_load_their_fraction_view_first(code, text, absent):
 @pytest.mark.parametrize("code, loaded", [
     ("skeleton.cell_geometry(tree.node_at('UL.TL'))", set()),
     ("skeleton.tail_triangle(tree.node_at('UL.TL'))", set()),
-    ("tree.node_at('UL.TL').state", {"butterfly_tree.states", "butterfly_tree.farey"}),
+    ("tree.node_at('UL.TL').state", {"butterfly_tree.farey"}),
 ], ids=["cell_geometry", "tail_triangle", "state"])
 def test_views_load_only_when_asked_for(code, loaded):
-    # The skeleton's Fraction views read the core; only a state loads `states`.
+    # The skeleton's Fraction views read the core; only a state loads `farey`.
     proc = _python([], _MODULES_AFTER, "from butterfly_tree import skeleton, tree\n" + code)
     assert proc.returncode == 0, proc.stderr
     modules = set(proc.stderr.decode().splitlines()[0].split())
-    assert modules & {"butterfly_tree.states", "butterfly_tree.farey", "dataclasses"} == loaded
+    assert modules & {"butterfly_tree.farey", "dataclasses"} == loaded
+
+
+def _imports(source):
+    """(home, module) of each import in `source` that can run, the module by
+    its full name: home is "<module>" for one that runs on load, a class
+    body's too, else the outermost function that holds it.  A package module
+    that `tree._module` loads counts as imported.  An import under
+    `if TYPE_CHECKING:` never runs and is left out."""
+    found = []
+
+    def visit(nodes, home):
+        for node in nodes:
+            if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+                visit(node.orelse, home)
+                continue
+            if isinstance(node, ast.Import):
+                found.extend((home, alias.name) for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if node.level:
+                    source = f"butterfly_tree.{source}".rstrip(".")
+                if source == "butterfly_tree":
+                    found.extend((home, f"{source}.{alias.name}") for alias in node.names)
+                else:
+                    found.append((home, source))
+            elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_module"
+                  and isinstance(node.args[0], ast.Constant)):
+                found.append((home, f"butterfly_tree.{node.args[0].value}"))
+            inner = home
+            if home == "<module>" and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = node.name
+            visit(ast.iter_child_nodes(node), inner)
+
+    visit(ast.parse(source).body, "<module>")
+    return found
+
+
+def test_one_way_in_to_the_fraction_views():
+    # `farey` holds every Fraction view: it alone imports `fractions` on load,
+    # and the PEP 562 hook of `generators` alone imports it, so a command
+    # that reads no view loads none.
+    imports = {path.stem: _imports(path.read_text(encoding="utf-8"))
+               for path in sorted((SRC / "butterfly_tree").glob("*.py"))}
+    assert [stem for stem, found in imports.items()
+            if ("<module>", "fractions") in found] == ["farey"]
+    assert [f"{stem}.{home}" for stem, found in imports.items()
+            for home, module in found if module == "butterfly_tree.farey"] == [
+        "generators.__getattr__"]
+
+
+def test_the_import_scan_skips_type_checking_and_finds_the_rest():
+    source = ("from . import farey\n"
+              "import fractions as f\n"
+              "if TYPE_CHECKING:\n    from .farey import ButterflyState\n"
+              "else:\n    from .tree import node_at\n"
+              "class Record:\n    from fractions import Fraction\n"
+              "    def view(self):\n        return _module('farey')\n"
+              "def hook(name):\n    if name:\n        from .farey import mediant\n")
+    assert _imports(source) == [
+        ("<module>", "butterfly_tree.farey"), ("<module>", "fractions"),
+        ("<module>", "butterfly_tree.tree"), ("<module>", "fractions"),
+        ("view", "butterfly_tree.farey"), ("hook", "butterfly_tree.farey")]
 
 
 def _definitions_without_a_use():

@@ -14,12 +14,11 @@ import pytest
 from butterfly_tree.apollonian import DescartesQuadruple, correspondence_search
 from butterfly_tree.diophantine import band_cherns, gap_labels
 from butterfly_tree.errors import InvariantViolation, NotCoprime
-from butterfly_tree.farey import FriendlyTriplet, farey_difference
-from butterfly_tree.generators import GeneratorKind
+from butterfly_tree.farey import FriendlyTriplet
+from butterfly_tree.generators import ROOT_LABEL, ROOT_STATE, GeneratorKind, canonical_matrices
 from butterfly_tree.pythagoras import EuclidPair, PythTriple
 from butterfly_tree.scaling import QuadraticSurd, cf_expansion
 from butterfly_tree.skeleton import RenderOptions, cell_geometry, wannier_lines
-from butterfly_tree.states import ROOT_LABEL, ROOT_STATE, canonical_matrices
 from butterfly_tree.tree import ExpansionLimits, NodeVerification, node_at, root
 
 TRIPLET = FriendlyTriplet.from_pair(Fraction(1, 3), Fraction(1, 2))
@@ -82,8 +81,7 @@ def _every_record():
             cf_expansion(QuadraticSurd(3), 4), EuclidPair(2, 1), PythTriple(3, 4, 5),
             DescartesQuadruple(-1, 2, 2, 3), correspondence_search(1, 2, 4),
             cell_geometry(node), wannier_lines(2)[0], RenderOptions(), ROOT_STATE,
-            ROOT_LABEL, canonical_matrices(GeneratorKind.C_L), TRIPLET,
-            farey_difference(Fraction(1, 3), Fraction(1, 2))]
+            ROOT_LABEL, canonical_matrices(GeneratorKind.C_L), TRIPLET]
 
 
 @pytest.mark.parametrize("record", _every_record(), ids=lambda record: type(record).__name__)
@@ -97,7 +95,7 @@ def test_a_record_takes_no_new_value_or_attribute(record):
 
 
 def test_every_record_type_is_covered():
-    assert len({type(record) for record in _every_record()}) == 19
+    assert len({type(record) for record in _every_record()}) == 18
 
 
 @pytest.mark.parametrize("record, text, value", [
@@ -115,11 +113,8 @@ def test_every_record_type_is_covered():
     (ROOT_LABEL, "ButterflyLabel(q_r=1, q_l=1, delta_sigma=0)", -757448186211189212),
     (TRIPLET, "FriendlyTriplet(left=Fraction(1, 3), center=Fraction(2, 5), "
      "right=Fraction(1, 2))", 3694540429428424475),
-    (farey_difference(Fraction(1, 3), Fraction(1, 2)),
-     "FareyDifference(value=Fraction(0, 1), negated=True)", -1950498447580522560),
 ], ids=["root", "PythTriple", "QuadraticSurd", "EuclidPair", "DescartesQuadruple",
-        "ExpansionLimits", "ButterflyState", "ButterflyLabel", "FriendlyTriplet",
-        "FareyDifference"])
+        "ExpansionLimits", "ButterflyState", "ButterflyLabel", "FriendlyTriplet"])
 def test_repr_and_hash_are_those_of_the_frozen_records(record, text, value):
     # The values that the frozen dataclasses of the same fields gave (64-bit CPython).
     assert repr(record) == str(record) == text

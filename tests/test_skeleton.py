@@ -93,7 +93,7 @@ def test_tail_triangle_base_sits_on_tailed_edge():
         first, second, apex = tail_triangle(node)
         edge = cell.phi_right if node.tail_direction == "right" else cell.phi_left
         assert first[0] == second[0] == edge
-        assert apex[0] == node.state.accumulation.value
+        assert apex[0] == node.state.accumulation
         assert apex[0] != edge
 
 

@@ -121,7 +121,7 @@ def test_chain_reference_walks():
 
 def test_chain_members_approach_accumulation_point():
     lower = node_at("CL")
-    acc = lower.state.accumulation.value
+    acc = lower.state.accumulation
     assert acc == Fraction(1, 2)
     walk = chain(lower, 8)
     gaps = [abs(n.state.center - acc) for n in walk]
@@ -860,7 +860,7 @@ def seed_verify_node(node, parent=None):
 
         checks += 1
         if last.is_chain:
-            acc = p_state.accumulation.value
+            acc = p_state.accumulation
             if parent.tail_direction == "right":
                 if state.left != p_state.right or not state.right < acc:
                     failures.append("chain member not between parent edge "
